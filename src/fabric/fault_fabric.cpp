@@ -154,7 +154,7 @@ FaultFabric::~FaultFabric() = default;
 
 bool FaultFabric::mutable_type(uint16_t type) const {
   if (plan_.all_types) return true;
-  // Loss-tolerant traffic only: RPC requests/replies (deadline + tombstone
+  // Loss-tolerant traffic only: RPC requests/replies (deadline + late drop
   // turn a loss into kTimeout), load gossip and heartbeats (periodic,
   // self-healing), and user channel messages.  Control frames (halt,
   // barriers, migration payloads and acks, negotiation) ride a reliable

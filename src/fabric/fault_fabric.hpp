@@ -16,7 +16,7 @@
 // would wedge or corrupt a session outright rather than exercise a recovery
 // path.  By default those mutations therefore apply only to loss-tolerant
 // types (RPC requests/replies, load gossip, heartbeats, user channels),
-// where the deadline + tombstone machinery turns a loss into a clean
+// where the deadline + late-reply machinery turns a loss into a clean
 // kTimeout.  `all=1` lifts the filter for tests that want to break control
 // traffic on purpose (e.g. partition tests already do, wholesale).
 // Delay applies to every type: a slow frame is always legal.
@@ -117,6 +117,11 @@ class FaultFabric : public Fabric {
   }
   void send(Message msg) override;
   void set_teardown(bool v) override { inner_->set_teardown(v); }
+  /// Placement is a receive-side concern of the inner transport; injected
+  /// faults act on outgoing frames only.
+  void set_placer(uint16_t type, Placer* placer) override {
+    inner_->set_placer(type, placer);
+  }
   std::optional<Message> try_recv() override;
   std::optional<Message> recv_until(uint64_t deadline_ns) override;
   void wake() override { inner_->wake(); }
@@ -124,6 +129,9 @@ class FaultFabric : public Fabric {
   uint64_t messages_sent() const override { return inner_->messages_sent(); }
   uint64_t payload_copy_bytes() const override {
     return inner_->payload_copy_bytes();
+  }
+  uint64_t recv_copy_bytes() const override {
+    return inner_->recv_copy_bytes();
   }
 
   const FaultPlan& plan() const { return plan_; }

@@ -1,9 +1,6 @@
 #include "fabric/message.hpp"
 
-#include <cstring>
-
 #include "common/check.hpp"
-
 #include "common/time.hpp"
 
 namespace pm2::fabric {
@@ -34,38 +31,6 @@ WireHeader wire_header(const Message& msg) {
   h.corr = msg.corr;
   h.payload_len = msg.payload_size();
   return h;
-}
-
-void encode(const Message& msg, std::vector<uint8_t>& out) {
-  WireHeader h = wire_header(msg);
-  const auto* hp = reinterpret_cast<const uint8_t*>(&h);
-  out.insert(out.end(), hp, hp + sizeof(h));
-  if (!msg.chain.empty()) {
-    PM2_CHECK(msg.payload.empty())
-        << "message with both flat and chained payload";
-    size_t off = out.size();
-    out.resize(off + msg.chain.size());
-    msg.chain.gather(out.data() + off);
-  } else {
-    out.insert(out.end(), msg.payload.begin(), msg.payload.end());
-  }
-}
-
-std::optional<Message> try_decode(std::vector<uint8_t>& buf) {
-  if (buf.size() < sizeof(WireHeader)) return std::nullopt;
-  WireHeader h;
-  std::memcpy(&h, buf.data(), sizeof(h));
-  PM2_CHECK(h.magic == kWireMagic) << "corrupt frame on fabric stream";
-  size_t total = sizeof(WireHeader) + h.payload_len;
-  if (buf.size() < total) return std::nullopt;
-  Message msg;
-  msg.type = h.type;
-  msg.src = h.src;
-  msg.dst = h.dst;
-  msg.corr = h.corr;
-  msg.payload.assign(buf.begin() + sizeof(WireHeader), buf.begin() + total);
-  buf.erase(buf.begin(), buf.begin() + total);
-  return msg;
 }
 
 }  // namespace pm2::fabric

@@ -6,13 +6,18 @@
 // above (pm2 runtime, negotiation protocol); the fabric only routes.
 //
 // A message carries its payload in exactly one of two forms:
-//  * `payload` — a flat byte vector (legacy senders; every decoded frame);
+//  * `payload` — a flat byte vector (legacy senders; every received frame);
 //  * `chain`   — a mad::BufferChain of scatter-gather segments, possibly
 //    borrowing the sender's memory (slot images, large pack regions).
 // Transports gather the chain straight to the wire; receivers that need
 // contiguous bytes call flat(), which flattens lazily (and moves rather
-// than copies when the chain is a single owned chunk).
+// than copies when the chain is a single owned chunk).  On the receive
+// side a message type may also register a Placer, which picks where a
+// frame's body lands before it is read (migration frames go straight into
+// the thread's iso-address slots).
 #pragma once
+
+#include <sys/uio.h>
 
 #include <cstdint>
 #include <memory>
@@ -36,6 +41,10 @@ struct Message {
   // the layer that reacts to an unreachable peer; its own probes must not
   // wedge the daemon that runs it.
   bool best_effort = false;
+  // Not on the wire: the receiving fabric already wrote this frame's body
+  // into the destinations its type's Placer chose; `payload` holds only
+  // the head (length-prefixed table) the placer read.
+  bool placed = false;
   std::vector<uint8_t> payload;  // flat form (mutually exclusive with chain)
   mad::BufferChain chain;        // scatter-gather form
 
@@ -66,14 +75,26 @@ inline constexpr uint32_t kWireMagic = 0x504D3247;  // "PM2G"
 /// Header for `msg` as it would travel on the wire.
 WireHeader wire_header(const Message& msg);
 
-/// Encode `msg` into `out` (header + payload appended; chained payloads are
-/// gathered in place).
-void encode(const Message& msg, std::vector<uint8_t>& out);
-
-/// Try to decode one frame from the front of `buf`.  On success removes the
-/// consumed bytes and returns the message; returns nullopt if `buf` does not
-/// yet hold a complete frame.  Panics on corrupt magic.
-std::optional<Message> try_decode(std::vector<uint8_t>& buf);
+/// Receive-side placement hook for one message type (Fabric::set_placer).
+///
+/// A placed type's payload is laid out head first: a u32 table length, the
+/// table, then the body.  Once a transport has a frame's head it may ask
+/// the placer where the body goes and read the body straight there — the
+/// migration path uses this to land a thread's bytes in its iso-address
+/// slots with no intermediate payload buffer.  Both calls run on the
+/// receive owner's kernel thread (see Fabric's threading contract).
+class Placer {
+ public:
+  virtual ~Placer() = default;
+  /// Reserve the body's destinations named by `head` (u32 length + table)
+  /// and append them to `body` in wire order; their lengths must add up to
+  /// the frame's payload length minus the head.
+  virtual void place(const uint8_t* head, size_t len,
+                     std::vector<struct iovec>& body) = 0;
+  /// The link died after place() and before the body completed: release
+  /// what place() reserved.  The frame is never delivered.
+  virtual void abandon(const uint8_t* head, size_t len) = 0;
+};
 
 /// Abstract point-to-point transport endpoint bound to one node.
 ///
@@ -113,6 +134,14 @@ class Fabric {
   /// a reply racing the halt drain — not a fatal transport error.
   virtual void set_teardown(bool) {}
 
+  /// Route the bodies of `type` frames through `placer` (once per type;
+  /// it must outlive the endpoint's receives).  Every node registers the
+  /// same placers.  Transports that hand over
+  /// whole payloads anyway (the in-process hub) ignore the hook; their
+  /// frames arrive with `placed` false and the receiver scatters the flat
+  /// payload itself.  Call before the first receive.
+  virtual void set_placer(uint16_t /*type*/, Placer* /*placer*/) {}
+
   /// Non-blocking receive.
   virtual std::optional<Message> try_recv() = 0;
 
@@ -148,6 +177,13 @@ class Fabric {
   /// fabric, where chained payloads gather straight from the sender's
   /// memory (slot images included) into writev.
   virtual uint64_t payload_copy_bytes() const = 0;
+
+  /// Payload bytes this endpoint memcpy'd on the receive path, from its
+  /// staging buffer into a payload or a placed destination.  Bytes read
+  /// straight from the socket into their destination are not counted, so
+  /// a placed migration frame shows at most one copy per byte.  The
+  /// in-process hub moves whole payloads and reports 0.
+  virtual uint64_t recv_copy_bytes() const { return 0; }
 };
 
 }  // namespace pm2::fabric

@@ -21,15 +21,29 @@ namespace pm2::fabric {
 
 namespace {
 
-// Payloads at least this large are scatter-read directly into the final
-// Message buffer instead of bouncing through the per-connection
-// accumulator (which costs two extra copies per byte).  Small frames keep
-// the bulk-read path: one recv() can pick up dozens of them.
+// Frames are parsed in place from the shared staging buffer (rxbuf_): a
+// frame that arrives whole is copied once, straight into its Message.  A
+// frame that straddles reads is finished into its own destinations — the
+// header struct, the payload vector, or the slots a Placer chose — and once
+// at least this many of its bytes are still to come, they are read from the
+// socket straight into those destinations (readv) with no staging copy at
+// all.  Below it, bulk recv() into the staging buffer wins: one call can
+// pick up the frame's tail and dozens of small frames behind it.
 constexpr size_t kDirectRecvMin = 8 * 1024;
 
-// sendmsg() rejects iov counts above IOV_MAX (1024 on Linux); long chains
-// (one segment per live heap extent) are gathered in slices.
+// sendmsg()/readv() reject iov counts above IOV_MAX (1024 on Linux); long
+// chains (one segment per live heap extent) are moved in slices.
 constexpr size_t kMaxIov = 1024;
+
+// A received frame's Message, routing fields filled, payload still empty.
+Message message_for(const WireHeader& h) {
+  Message msg;
+  msg.type = h.type;
+  msg.src = h.src;
+  msg.dst = h.dst;
+  msg.corr = h.corr;
+  return msg;
+}
 
 // Poller tag of the wake eventfd (peer links are tagged by NodeId).
 constexpr uint64_t kWakeTag = UINT64_MAX;
@@ -53,18 +67,32 @@ class SocketFabric final : public Fabric {
   uint64_t bytes_sent() const override { return bytes_sent_; }
   uint64_t messages_sent() const override { return messages_sent_; }
   uint64_t payload_copy_bytes() const override { return payload_copy_bytes_; }
+  uint64_t recv_copy_bytes() const override { return recv_copy_bytes_; }
   void set_teardown(bool teardown) override { teardown_ = teardown; }
+  void set_placer(uint16_t type, Placer* placer) override {
+    placers_.emplace_back(type, placer);
+  }
 
  private:
+  // What the open frame of a link is waiting for: the rest of its header,
+  // a placed frame's u32 table length, the table, or the body.
+  enum class Stage : uint8_t { kHeader, kHeadLen, kHead, kBody };
+
   struct Conn {
     sys::Fd fd;
-    std::vector<uint8_t> rx;  // partial-frame accumulator (bulk path)
-    // Direct-read state: while in_body, payload bytes land straight in
-    // `body` (the future Message::payload) with no staging copy.
+    // The frame being received, once any of its bytes arrived without the
+    // whole frame.  The rest of the current stage lands in dst[next..]
+    // (`left` bytes), from the staging buffer or straight off the socket.
+    bool open = false;
+    Stage stage = Stage::kHeader;
     WireHeader hdr{};
-    std::vector<uint8_t> body;
-    size_t body_fill = 0;
-    bool in_body = false;
+    Message msg;  // payload: the flat body, or a placed frame's head
+    // Set once the body was placed: a link dying before the body completes
+    // hands the reservation back through it.
+    Placer* placer = nullptr;
+    std::vector<struct iovec> dst;
+    size_t next = 0;
+    size_t left = 0;
   };
 
   void connect_mesh();
@@ -90,10 +118,17 @@ class SocketFabric final : public Fabric {
   void pump_ns(uint64_t timeout_ns);
   void drain_fd(size_t peer);
   void dispatch_tags(const std::vector<uint64_t>& tags);
-  /// Decode complete frames from the accumulator; switch large partial
-  /// frames to the direct-read path.
-  void parse_frames(Conn& c);
-  void finish_direct(Conn& c);
+  Placer* placer_for(uint16_t type) const;
+  /// Parse `n` staged bytes of link `c`: whole frames go to the inbox, the
+  /// rest goes to the open frame's destinations.
+  void feed(Conn& c, const uint8_t* p, size_t n);
+  /// Expect the current stage's bytes in one destination.
+  static void expect(Conn& c, void* data, size_t len);
+  /// `n` bytes landed in dst[next..]; enter the next stage(s) when full.
+  void advance(Conn& c, size_t n);
+  void next_stage(Conn& c);
+  /// Drop a partial frame (its link died); a placed one is abandoned.
+  static void drop_frame(Conn& c);
 
   /// Reconnect handshake in flight: an accepted socket is nonblocking from
   /// the start and polled (kPendingTagBase + fd) until its hello arrives —
@@ -116,15 +151,22 @@ class SocketFabric final : public Fabric {
   sys::Fd wake_fd_;
   bool wake_pending_ = false;
   std::deque<Message> inbox_;
-  // Pooled receive staging shared by all connections, heap-allocated:
-  // fabric calls run on PM2 threads whose whole stack is one 64 KB slot,
-  // so large stack buffers are forbidden.
+  // Placement hooks by message type (set_placer; one entry per type).
+  std::vector<std::pair<uint16_t, Placer*>> placers_;
+  // Receive staging shared by all connections, heap-allocated: fabric
+  // calls run on PM2 threads whose whole stack is one 64 KB slot, so large
+  // stack buffers are forbidden.  It holds no state between reads: every
+  // recv() is parsed in place at once, and the tail of a frame that
+  // straddles reads is copied to that frame's own destinations — so each
+  // payload byte is copied at most once, and not at all when it is read
+  // straight into place.
   std::vector<uint8_t> rxbuf_ = std::vector<uint8_t>(64 * 1024);
   std::vector<struct iovec> iov_;  // scratch gather list for send()
   bool teardown_ = false;
   uint64_t bytes_sent_ = 0;
   uint64_t messages_sent_ = 0;
   uint64_t payload_copy_bytes_ = 0;
+  uint64_t recv_copy_bytes_ = 0;
 };
 
 SocketFabric::SocketFabric(const SocketFabricConfig& config) : config_(config) {
@@ -211,10 +253,16 @@ void SocketFabric::detach_conn(NodeId peer) {
   c.fd.reset();
   // A partial frame from the dead incarnation is void; frames that fully
   // arrived are already in the inbox and stay deliverable.
-  c.rx.clear();
-  c.body.clear();
-  c.body_fill = 0;
-  c.in_body = false;
+  drop_frame(c);
+}
+
+void SocketFabric::drop_frame(Conn& c) {
+  if (c.open && c.placer != nullptr)
+    c.placer->abandon(c.msg.payload.data(), c.msg.payload.size());
+  c.open = false;
+  c.placer = nullptr;
+  c.msg = Message();
+  c.dst.clear();
 }
 
 void SocketFabric::accept_reconnect() {
@@ -399,46 +447,123 @@ void SocketFabric::send(Message msg) {
   }
 }
 
-void SocketFabric::finish_direct(Conn& c) {
-  Message msg;
-  msg.type = c.hdr.type;
-  msg.src = c.hdr.src;
-  msg.dst = c.hdr.dst;
-  msg.corr = c.hdr.corr;
-  msg.payload = std::move(c.body);
-  c.body = std::vector<uint8_t>();
-  c.body_fill = 0;
-  c.in_body = false;
-  inbox_.push_back(std::move(msg));
+Placer* SocketFabric::placer_for(uint16_t type) const {
+  for (const auto& [t, placer] : placers_) {
+    if (t == type) return placer;
+  }
+  return nullptr;
 }
 
-void SocketFabric::parse_frames(Conn& c) {
-  while (!c.in_body) {
-    if (c.rx.size() < sizeof(WireHeader)) return;
-    WireHeader h;
-    std::memcpy(&h, c.rx.data(), sizeof(h));
-    PM2_CHECK(h.magic == kWireMagic) << "corrupt frame on fabric stream";
-    size_t total = sizeof(WireHeader) + h.payload_len;
-    if (c.rx.size() >= total) {
-      auto msg = try_decode(c.rx);
-      inbox_.push_back(std::move(*msg));
-      continue;
+void SocketFabric::expect(Conn& c, void* data, size_t len) {
+  c.dst.assign(1, {data, len});
+  c.next = 0;
+  c.left = len;
+}
+
+void SocketFabric::advance(Conn& c, size_t n) {
+  c.left -= n;
+  while (n > 0) {
+    struct iovec& v = c.dst[c.next];
+    if (n < v.iov_len) {
+      v.iov_base = static_cast<char*>(v.iov_base) + n;
+      v.iov_len -= n;
+      break;
     }
-    if (h.payload_len >= kDirectRecvMin) {
-      // Large frame, partially here: seed the direct-read buffer with the
-      // bytes that already arrived and scatter the rest straight into it.
-      // The resize() pays one value-init pass over the payload (vector has
-      // no uninitialized grow until C++23); still one write per byte
-      // against the old path's three (rxbuf -> accumulator -> payload).
-      c.hdr = h;
-      c.body.resize(h.payload_len);
-      size_t have = c.rx.size() - sizeof(WireHeader);
-      std::memcpy(c.body.data(), c.rx.data() + sizeof(WireHeader), have);
-      c.body_fill = have;
-      c.rx.clear();
-      c.in_body = true;
+    n -= v.iov_len;
+    ++c.next;
+  }
+  while (c.open && c.left == 0) next_stage(c);
+}
+
+void SocketFabric::next_stage(Conn& c) {
+  switch (c.stage) {
+    case Stage::kHeader: {
+      PM2_CHECK(c.hdr.magic == kWireMagic) << "corrupt frame on fabric stream";
+      c.msg = message_for(c.hdr);
+      if (placer_for(c.hdr.type) != nullptr) {
+        PM2_CHECK(c.hdr.payload_len >= sizeof(uint32_t))
+            << "placed frame without a head";
+        c.msg.payload.resize(sizeof(uint32_t));
+        expect(c, c.msg.payload.data(), sizeof(uint32_t));
+        c.stage = Stage::kHeadLen;
+        return;
+      }
+      // An unplaced frame that straddles reads: its payload vector is the
+      // destination (value-initialised once, then filled in place).
+      c.msg.payload.resize(c.hdr.payload_len);
+      expect(c, c.msg.payload.data(), c.hdr.payload_len);
+      c.stage = Stage::kBody;
+      return;
     }
-    return;
+    case Stage::kHeadLen: {
+      uint32_t table_len;
+      std::memcpy(&table_len, c.msg.payload.data(), sizeof(table_len));
+      const size_t head = sizeof(uint32_t) + table_len;
+      PM2_CHECK(head <= c.hdr.payload_len) << "placed head overruns its frame";
+      c.msg.payload.resize(head);
+      expect(c, c.msg.payload.data() + sizeof(uint32_t), table_len);
+      c.stage = Stage::kHead;
+      return;
+    }
+    case Stage::kHead: {
+      // The head is complete: the placer reserves the body's destinations
+      // (a migrating thread's slots) before any body byte is read.
+      Placer* placer = placer_for(c.hdr.type);
+      c.dst.clear();
+      placer->place(c.msg.payload.data(), c.msg.payload.size(), c.dst);
+      c.placer = placer;
+      c.next = 0;
+      c.left = 0;
+      for (const struct iovec& v : c.dst) c.left += v.iov_len;
+      PM2_CHECK(c.left == c.hdr.payload_len - c.msg.payload.size())
+          << "placed body does not match its frame";
+      c.stage = Stage::kBody;
+      return;
+    }
+    case Stage::kBody:
+      c.msg.placed = c.placer != nullptr;
+      inbox_.push_back(std::move(c.msg));
+      c.msg = Message();
+      c.placer = nullptr;
+      c.open = false;
+      return;
+  }
+}
+
+void SocketFabric::feed(Conn& c, const uint8_t* p, size_t n) {
+  while (n > 0) {
+    if (!c.open) {
+      if (n >= sizeof(WireHeader)) {
+        WireHeader h;
+        std::memcpy(&h, p, sizeof(h));
+        PM2_CHECK(h.magic == kWireMagic) << "corrupt frame on fabric stream";
+        const size_t total = sizeof(WireHeader) + h.payload_len;
+        if (n >= total && placer_for(h.type) == nullptr) {
+          // Whole frame staged: its payload is copied once, from here.
+          Message msg = message_for(h);
+          msg.payload.assign(p + sizeof(WireHeader), p + total);
+          recv_copy_bytes_ += h.payload_len;
+          inbox_.push_back(std::move(msg));
+          p += total;
+          n -= total;
+          continue;
+        }
+      }
+      c.open = true;
+      c.stage = Stage::kHeader;
+      expect(c, &c.hdr, sizeof(WireHeader));
+    }
+    // Scatter into the open frame's destinations, one stage at a time.
+    size_t k = 0;
+    for (size_t i = c.next; i < c.dst.size() && k < n; ++i) {
+      size_t len = std::min(c.dst[i].iov_len, n - k);
+      std::memcpy(c.dst[i].iov_base, p + k, len);
+      k += len;
+    }
+    if (c.stage != Stage::kHeader) recv_copy_bytes_ += k;
+    p += k;
+    n -= k;
+    advance(c, k);
   }
 }
 
@@ -446,21 +571,21 @@ void SocketFabric::drain_fd(size_t peer) {
   Conn& c = conns_[peer];
   while (true) {
     ssize_t n;
-    if (c.in_body) {
-      n = ::recv(c.fd.get(), c.body.data() + c.body_fill,
-                 c.body.size() - c.body_fill, 0);
+    if (c.open && c.left >= kDirectRecvMin) {
+      // Most of the open frame is still to come: read it straight into its
+      // destinations (the placed slots, or the payload vector).
+      n = ::readv(c.fd.get(), c.dst.data() + c.next,
+                  static_cast<int>(std::min(c.dst.size() - c.next, kMaxIov)));
       if (n > 0) {
-        c.body_fill += static_cast<size_t>(n);
-        if (c.body_fill == c.body.size()) finish_direct(c);
+        advance(c, static_cast<size_t>(n));
         continue;
       }
     } else {
       n = ::recv(c.fd.get(), rxbuf_.data(), rxbuf_.size(), 0);
       if (n > 0) {
-        c.rx.insert(c.rx.end(), rxbuf_.data(), rxbuf_.data() + n);
         // Parse immediately: frames must reach the inbox even if the very
         // next read reports the peer's EOF.
-        parse_frames(c);
+        feed(c, rxbuf_.data(), static_cast<size_t>(n));
         continue;
       }
     }
@@ -469,7 +594,10 @@ void SocketFabric::drain_fd(size_t peer) {
       // frame means the peer died mid-send, which PM2's explicit-HALT
       // shutdown protocol rules out — except in crash-restart sessions,
       // where the link is fully retired so a restarted peer can replace it.
+      // Either way the partial frame is void, and a placed one hands its
+      // reservation back.
       poller_.remove(c.fd.get());
+      drop_frame(c);
       if (config_.allow_reconnect && !teardown_) {
         PM2_DEBUG << "node " << peer << " disconnected";
         detach_conn(static_cast<NodeId>(peer));

@@ -61,32 +61,81 @@ std::vector<Extent> full_extent(iso::SlotHeader* slot, size_t slot_size) {
   return {Extent{0, uint64_t{slot->nslots} * slot_size}};
 }
 
+// Table sizes on the wire (see walk_payload for the field order).
+constexpr size_t kTableFixed =
+    sizeof(uint64_t) + sizeof(uint8_t) + sizeof(uint32_t);
+constexpr size_t kRunEntry = sizeof(uint64_t) + 3 * sizeof(uint32_t);
+constexpr size_t kExtentEntry = 2 * sizeof(uint64_t);
+
 /// Shared payload walker: the wire format parsed in exactly one place.
-/// `on_run` may return a scatter base (the committed run's first byte) to
-/// have extents copied in, or nullptr to skip the bytes (metadata scans).
-template <typename OnRun>
-void walk_payload(mad::UnpackBuffer& unpack, uint64_t* desc_addr,
-                  const OnRun& on_run) {
-  auto desc = unpack.unpack<uint64_t>();
-  if (desc_addr != nullptr) *desc_addr = desc;
-  unpack.unpack<uint8_t>();  // mode: self-describing via extents
-  auto n_runs = unpack.unpack<uint32_t>();
+/// A payload is head first — u32 table length, then the table (descriptor
+/// address, mode, and every run with its extents) — followed by the body,
+/// the extents' bytes in table order.  Only the head is read here (`len`
+/// may stop right after it).  `on_run(first, nslots)` returns the run's
+/// first byte (or nullptr for metadata scans) and is followed by
+/// `on_extent(base, offset, len)` for each of its extents.  Returns the
+/// descriptor address; `*head_len` gets the head's size.
+template <typename OnRun, typename OnExtent>
+uint64_t walk_payload(const uint8_t* payload, size_t len, size_t* head_len,
+                      const OnRun& on_run, const OnExtent& on_extent) {
+  mad::UnpackBuffer prefix(payload, len);
+  auto table_len = prefix.unpack<uint32_t>();
+  PM2_CHECK(table_len <= prefix.remaining()) << "truncated migration table";
+  *head_len = sizeof(uint32_t) + table_len;
+  mad::UnpackBuffer table(payload + sizeof(uint32_t), table_len);
+  auto desc = table.unpack<uint64_t>();
+  table.unpack<uint8_t>();  // mode: self-describing via extents
+  auto n_runs = table.unpack<uint32_t>();
   for (uint32_t i = 0; i < n_runs; ++i) {
-    auto first = unpack.unpack<uint64_t>();
-    auto nslots = unpack.unpack<uint32_t>();
-    unpack.unpack<uint32_t>();  // kind (informational)
+    auto first = table.unpack<uint64_t>();
+    auto nslots = table.unpack<uint32_t>();
+    table.unpack<uint32_t>();  // kind (informational)
     char* base = on_run(static_cast<size_t>(first), nslots);
-    auto n_extents = unpack.unpack<uint32_t>();
+    auto n_extents = table.unpack<uint32_t>();
     for (uint32_t e = 0; e < n_extents; ++e) {
-      auto offset = unpack.unpack<uint64_t>();
-      auto len = unpack.unpack<uint64_t>();
-      if (base != nullptr) {
-        unpack.unpack_bytes(base + offset, len);
-      } else {
-        unpack.skip(len);
-      }
+      auto offset = table.unpack<uint64_t>();
+      auto elen = table.unpack<uint64_t>();
+      on_extent(base, offset, elen);
     }
   }
+  PM2_CHECK(table.exhausted()) << "trailing bytes in migration table";
+  return desc;
+}
+
+void skip_extent(char*, uint64_t, uint64_t) {}
+
+/// Reserve the slot runs a payload's table names and append each extent's
+/// destination to `body`, in body order.  Only the head is read (`len` may
+/// end right after it).  Returns the head's size, the body's offset.
+size_t place_thread(Runtime& rt, const uint8_t* payload, size_t len,
+                    std::vector<struct iovec>& body) {
+  size_t head = 0;
+  size_t run_bytes = 0;
+  walk_payload(
+      payload, len, &head,
+      [&](size_t first, uint32_t nslots) -> char* {
+        // Iso-address guarantee: these slot indices are free here (they
+        // are owned by the migrating thread system-wide).  If the run sits
+        // in the migration slot cache (the thread bounced through this
+        // node before), the pages are already committed; stale bytes in
+        // the extent gaps are dead data by construction (below-sp stack,
+        // free-block payloads).
+        if (!rt.mig_cache_take(first, nslots)) rt.area().commit(first, nslots);
+        // Whatever poison this address range carried locally (a previous
+        // tenant's frames, a cached run of this very thread's earlier
+        // visit) is stale: the installed extent must be fully addressable
+        // before the first resume.
+        run_bytes = size_t{nslots} * rt.area().slot_size();
+        char* run_base = reinterpret_cast<char*>(rt.area().slot_addr(first));
+        sys::san_unpoison(run_base, run_bytes);
+        return run_base;
+      },
+      [&](char* base, uint64_t offset, uint64_t elen) {
+        PM2_CHECK(offset <= run_bytes && elen <= run_bytes - offset)
+            << "migration extent outside its slot run";
+        body.push_back({base + offset, static_cast<size_t>(elen)});
+      });
+  return head;
 }
 
 }  // namespace
@@ -96,28 +145,34 @@ mad::BufferChain pack_thread_chain(Runtime& rt, marcel::Thread* t,
   PM2_CHECK(t->slot_list != nullptr) << "thread without slots";
   const size_t slot_size = rt.area().slot_size();
 
-  // Count slot runs first.
-  uint32_t n_runs = 0;
-  iso::ThreadHeap::for_each_slot(t->slot_list,
-                                 [&](iso::SlotHeader*) { ++n_runs; });
+  // Walk the runs first: the table of every run and extent leads the
+  // payload, so a receiver can reserve the slots before the body arrives.
+  std::vector<std::pair<iso::SlotHeader*, std::vector<Extent>>> runs;
+  size_t table_len = kTableFixed;
+  iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* slot) {
+    runs.emplace_back(slot, blocks_only ? live_extents(slot, slot_size, t)
+                                        : full_extent(slot, slot_size));
+    table_len += kRunEntry + runs.back().second.size() * kExtentEntry;
+  });
 
-  mad::PackBuffer pack(1024);
+  mad::PackBuffer pack(sizeof(uint32_t) + table_len);
+  pack.pack<uint32_t>(static_cast<uint32_t>(table_len));
   pack.pack<uint64_t>(reinterpret_cast<uint64_t>(t));
   pack.pack<uint8_t>(blocks_only ? 1 : 0);
-  pack.pack<uint32_t>(n_runs);
-
-  iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* slot) {
-    auto base = reinterpret_cast<const char*>(slot);
+  pack.pack<uint32_t>(static_cast<uint32_t>(runs.size()));
+  for (const auto& [slot, extents] : runs) {
     pack.pack<uint64_t>(rt.area().slot_of(slot));
     pack.pack<uint32_t>(slot->nslots);
     pack.pack<uint32_t>(static_cast<uint32_t>(slot->kind));
-    std::vector<Extent> extents = blocks_only
-                                      ? live_extents(slot, slot_size, t)
-                                      : full_extent(slot, slot_size);
     pack.pack<uint32_t>(static_cast<uint32_t>(extents.size()));
     for (const Extent& e : extents) {
       pack.pack<uint64_t>(e.offset);
       pack.pack<uint64_t>(e.len);
+    }
+  }
+  for (const auto& [slot, extents] : runs) {
+    auto base = reinterpret_cast<const char*>(slot);
+    for (const Extent& e : extents) {
       // A live stack extent carries redzone poison from the frozen
       // thread's frames; scrub it so the fabric may read the borrowed
       // bytes.  Shadow is node-local and never ships — the install side
@@ -129,7 +184,7 @@ mad::BufferChain pack_thread_chain(Runtime& rt, marcel::Thread* t,
       // stay committed until ship_thread's send() returns.
       pack.pack_bytes(base + e.offset, e.len, mad::PackMode::kBorrow);
     }
-  });
+  }
   return pack.take_chain();
 }
 
@@ -205,46 +260,36 @@ void ship_thread(Runtime& rt, marcel::Thread* t, uint32_t dest,
 
 std::vector<std::pair<size_t, uint32_t>> payload_slot_runs(
     const uint8_t* payload, size_t len) {
-  mad::UnpackBuffer unpack(payload, len);
   std::vector<std::pair<size_t, uint32_t>> runs;
-  walk_payload(unpack, nullptr, [&](size_t first, uint32_t nslots) -> char* {
-    runs.emplace_back(first, nslots);
-    return nullptr;
-  });
+  size_t head = 0;
+  walk_payload(
+      payload, len, &head,
+      [&](size_t first, uint32_t nslots) -> char* {
+        runs.emplace_back(first, nslots);
+        return nullptr;
+      },
+      skip_extent);
   return runs;
 }
 
-std::vector<std::pair<size_t, uint32_t>> payload_slot_runs(
-    const std::vector<uint8_t>& payload) {
-  return payload_slot_runs(payload.data(), payload.size());
+void MigrationPlacer::place(const uint8_t* head, size_t len,
+                            std::vector<struct iovec>& body) {
+  place_thread(rt_, head, len, body);
 }
 
-marcel::Thread* install_thread(Runtime& rt, const uint8_t* payload,
-                               size_t len) {
-  mad::UnpackBuffer unpack(payload, len);
-  uint64_t desc_addr = 0;
-  walk_payload(unpack, &desc_addr,
-               [&](size_t first, uint32_t nslots) -> char* {
-    // Iso-address guarantee: these slot indices are free here (they are
-    // owned by the migrating thread system-wide).  If the run sits in the
-    // migration slot cache (the thread bounced through this node before),
-    // the pages are already committed; stale bytes in the extent gaps are
-    // dead data by construction (below-sp stack, free-block payloads).
-    if (!rt.mig_cache_take(first, nslots)) rt.area().commit(first, nslots);
-    // Whatever poison this address range carried locally (a previous
-    // tenant's frames, a cached run of this very thread's earlier visit)
-    // is stale: the installed extent must be fully addressable before the
-    // first resume.
-    char* run_base = reinterpret_cast<char*>(rt.area().slot_addr(first));
-    sys::san_unpoison(run_base, size_t{nslots} * rt.area().slot_size());
-    // The walker scatters each extent straight into the freshly committed
-    // slots — the receive buffer is the only staging between wire and
-    // iso-address memory.
-    return run_base;
-  });
-  PM2_CHECK(unpack.exhausted()) << "trailing bytes in migration payload";
+void MigrationPlacer::abandon(const uint8_t* head, size_t len) {
+  // The body never completed, so the thread does not exist anywhere any
+  // more; its runs stay committed in the slot cache like any departed
+  // thread's, and nothing here claims them.
+  for (auto [first, nslots] : payload_slot_runs(head, len))
+    rt_.mig_cache_put(first, nslots);
+}
 
-  auto* t = reinterpret_cast<marcel::Thread*>(desc_addr);
+marcel::Thread* adopt_thread(Runtime& rt, const uint8_t* head, size_t len) {
+  size_t head_len = 0;
+  auto* t = reinterpret_cast<marcel::Thread*>(walk_payload(
+      head, len, &head_len, [](size_t, uint32_t) -> char* { return nullptr; },
+      skip_extent));
   PM2_CHECK(t->magic == marcel::Thread::kMagic)
       << "migration payload did not reconstruct a valid descriptor";
   PM2_CHECK(t->canary_ok()) << "migrated stack arrived corrupt";
@@ -261,9 +306,23 @@ marcel::Thread* install_thread(Runtime& rt, const uint8_t* payload,
   return t;
 }
 
-marcel::Thread* install_thread(Runtime& rt,
-                               const std::vector<uint8_t>& payload) {
-  return install_thread(rt, payload.data(), payload.size());
+marcel::Thread* install_thread(Runtime& rt, const uint8_t* payload,
+                               size_t len) {
+  std::vector<struct iovec> body;
+  const size_t head = place_thread(rt, payload, len, body);
+  // Scatter each extent straight from the payload into its slots — the
+  // payload is the only staging between the sender's memory and
+  // iso-address memory.
+  const uint8_t* src = payload + head;
+  size_t left = len - head;
+  for (const struct iovec& v : body) {
+    PM2_CHECK(v.iov_len <= left) << "truncated migration payload";
+    std::memcpy(v.iov_base, src, v.iov_len);
+    src += v.iov_len;
+    left -= v.iov_len;
+  }
+  PM2_CHECK(left == 0) << "trailing bytes in migration payload";
+  return adopt_thread(rt, payload, head);
 }
 
 }  // namespace pm2

@@ -6,24 +6,38 @@
 //
 //   pack    — describe every slot run (whole image, or just the live
 //             extents: slot/block headers, busy payloads, descriptor and
-//             live stack — the paper's §6 optimization) as a BufferChain
-//             whose extent segments *borrow* the slot memory in place;
+//             live stack — the paper's §6 optimization) as a BufferChain.
+//             The payload is table first: a u32 table length, the table
+//             (descriptor address, every run and its extents), then the
+//             body — extent segments that *borrow* the slot memory in
+//             place, in table order;
 //   release — forget the thread locally;
 //   send    — one kMigrate message; the fabric gathers the borrowed
 //             extents straight from slot memory to the wire (writev on the
 //             socket fabric: zero intermediate flatten copies);
 //   decommit— only after send() returns are the slots decommitted (they
 //             remain *thread-owned*: no bitmap changes anywhere, §4.2);
-//   install — commit the same slot indices (guaranteed free: iso-address
-//             discipline), scatter the extents straight into them, adopt.
+//   place   — as soon as the table has arrived, commit the same slot
+//             indices (guaranteed free: iso-address discipline) and list
+//             each extent's address.  The socket fabric does this through
+//             MigrationPlacer while the frame is still arriving: body bytes
+//             it already staged are copied into the slots once, the rest is
+//             read from the socket straight into them (readv).  Other
+//             transports deliver the flat payload and install_thread
+//             scatters it, through the same place step;
+//   adopt   — validate the descriptor and hand it to the scheduler, in the
+//             frame's inbox order.
 //
 // No pointer fix-ups of any kind happen anywhere in this file: that absence
 // is the paper's contribution.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <cstdint>
 #include <vector>
 
+#include "fabric/message.hpp"
 #include "madeleine/buffers.hpp"
 #include "marcel/thread.hpp"
 
@@ -53,11 +67,31 @@ std::vector<uint8_t> pack_thread(Runtime& rt, marcel::Thread* t,
 void ship_thread(Runtime& rt, marcel::Thread* t, uint32_t dest,
                  uint64_t ack_corr = 0);
 
-/// Commit + scatter + adopt a thread from a migration payload.  Returns
-/// the (iso-address) descriptor.
+/// Validate and adopt the descriptor of a thread whose bytes are already
+/// in its slots (a placed frame: `head` is its table).  Returns it.
+marcel::Thread* adopt_thread(Runtime& rt, const uint8_t* head, size_t len);
+
+/// Place + scatter + adopt a thread from a whole migration payload (the
+/// in-process hub, checkpoint images).  Returns the (iso-address)
+/// descriptor.
 marcel::Thread* install_thread(Runtime& rt, const uint8_t* payload,
                                size_t len);
-marcel::Thread* install_thread(Runtime& rt, const std::vector<uint8_t>& payload);
+
+/// kMigrate placement hook for fabrics that read frames in pieces (see
+/// fabric::Placer): reserves the runs a frame's table names (slot cache,
+/// else commit) and lists each extent's address, so the body lands in the
+/// thread's slots as it arrives; handle_migrate then only adopts it.  A
+/// frame that never completes gives its runs to the migration slot cache.
+class MigrationPlacer final : public fabric::Placer {
+ public:
+  explicit MigrationPlacer(Runtime& rt) : rt_(rt) {}
+  void place(const uint8_t* head, size_t len,
+             std::vector<struct iovec>& body) override;
+  void abandon(const uint8_t* head, size_t len) override;
+
+ private:
+  Runtime& rt_;
+};
 
 /// Payload size a migration of `t` would ship (for the A4 ablation bench).
 /// Costs only the pack walk — nothing is flattened or copied.
@@ -70,11 +104,10 @@ size_t migration_payload_size(Runtime& rt, marcel::Thread* t, bool blocks_only);
 std::vector<std::pair<uint64_t, uint64_t>> run_live_extents(
     Runtime& rt, marcel::Thread* t, iso::SlotHeader* slot);
 
-/// Slot runs (first, nslots) recorded in a migration payload, without
-/// installing it (checkpoint restore claims them before committing).
+/// Slot runs (first, nslots) recorded in a migration payload's table,
+/// without installing it (checkpoint restore claims them before
+/// committing).
 std::vector<std::pair<size_t, uint32_t>> payload_slot_runs(
     const uint8_t* payload, size_t len);
-std::vector<std::pair<size_t, uint32_t>> payload_slot_runs(
-    const std::vector<uint8_t>& payload);
 
 }  // namespace pm2

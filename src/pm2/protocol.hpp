@@ -23,7 +23,7 @@ enum MsgType : uint16_t {
 
   // Iso-address thread migration.  corr != 0 requests a kMigrateAck from
   // the installing node once the thread is adopted (migrate_async).
-  kMigrate,  // serialized thread: descriptor address + slot images
+  kMigrate,  // {u32 table len; run/extent table; extent bytes} — placed
 
   // Global negotiation (paper §4.4): system-wide critical section on the
   // slot bitmaps, hosted by node 0.

@@ -109,6 +109,8 @@ Runtime::Runtime(const RuntimeConfig& config, iso::Area& area,
   PM2_CHECK(fabric_->node_id() == config_.node &&
             fabric_->n_nodes() == config_.n_nodes)
       << "fabric/runtime node configuration mismatch";
+  mig_placer_ = std::make_unique<MigrationPlacer>(*this);
+  fabric_->set_placer(kMigrate, mig_placer_.get());
   rpc_timeout_ns_ = config_.resolved_rpc_timeout_ns();
   // Peer-health slots exist only when the failure detector can run — a
   // null array keeps every legacy path (peer_seen, fail-fast checks) at a
@@ -923,7 +925,6 @@ marcel::Future<MigrateResult> Runtime::migrate_async(marcel::ThreadId id,
     if (peer_down(dest)) {
       lost = std::move(it->second);
       pending_migrations_.erase(it);
-      tombstone_locked(corr);
     } else if (deadline != 0) {
       arm_deadline_locked(corr, deadline, /*migration=*/true);
     }
@@ -1203,16 +1204,6 @@ marcel::Future<std::vector<uint8_t>> Runtime::register_pending(
   return fut;
 }
 
-void Runtime::tombstone_locked(uint64_t corr) {
-  if (tombstones_.insert(corr).second) {
-    tombstone_fifo_.push_back(corr);
-    if (tombstone_fifo_.size() > kTombstoneCap) {
-      tombstones_.erase(tombstone_fifo_.front());
-      tombstone_fifo_.pop_front();
-    }
-  }
-}
-
 void Runtime::arm_deadline_locked(uint64_t corr, uint64_t deadline_ns,
                                   bool migration) {
   deadlines_.push(DeadlineEnt{deadline_ns, corr, migration});
@@ -1249,7 +1240,6 @@ void Runtime::expire_deadlines(uint64_t now) {
         call = std::move(it->second);
         pending_calls_.erase(it);
       }
-      tombstone_locked(e.corr);
       break;
     }
     next_deadline_ns_.store(
@@ -1511,7 +1501,7 @@ void Runtime::peer_seen(uint32_t node) {
     // Any frame from a suspect/down peer is proof of recovery: a healed
     // partition or a flapping link rejoins without ceremony.  (Pending
     // requests already failed by the down sweep stay failed — at-least-once
-    // callers retry; the tombstones swallow the stale replies.)
+    // callers retry; take_pending drops the stale replies.)
     h.state.store(static_cast<uint8_t>(PeerState::kUp),
                   std::memory_order_release);
     PM2_WARN << "node " << node << " is back up";
@@ -1572,7 +1562,6 @@ void Runtime::mark_peer_down(uint32_t node) {
   pending_lock_.lock();
   for (auto it = pending_calls_.begin(); it != pending_calls_.end();) {
     if (it->second.dest == node) {
-      tombstone_locked(it->first);
       calls.push_back(std::move(it->second));
       it = pending_calls_.erase(it);
     } else {
@@ -1585,7 +1574,6 @@ void Runtime::mark_peer_down(uint32_t node) {
     // owns the thread; its post-ship code re-checks peer_down and rolls
     // back on its own.
     if (it->second.dest == node && it->second.shipped) {
-      tombstone_locked(it->first);
       migs.push_back(std::move(it->second));
       it = pending_migrations_.erase(it);
     } else {
@@ -1594,7 +1582,7 @@ void Runtime::mark_peer_down(uint32_t node) {
   }
   pending_lock_.unlock();
   // Stale deadline-heap entries for the swept correlations are popped
-  // lazily by expire_deadlines (tombstoned corr -> map miss -> skip).
+  // lazily by expire_deadlines (resolved corr -> map miss -> skip).
   for (PendingCall& c : calls) {
     peer_down_failures_.fetch_add(1, std::memory_order_relaxed);
     c.promise.set_error(why);
@@ -1914,8 +1902,14 @@ void Runtime::handle_rpc(fabric::Message& msg) {
 }
 
 void Runtime::handle_migrate(fabric::Message& msg) {
-  // Scatter straight from the received frame into freshly committed slots.
-  marcel::Thread* t = install_thread(*this, msg.flat());
+  // A placed frame's body is already in the thread's slots (the socket
+  // fabric read it there through mig_placer_); a whole payload (in-process
+  // hub) is scattered into them now.  Either way the descriptor is adopted
+  // here, in inbox order.
+  const std::vector<uint8_t>& payload = msg.flat();
+  marcel::Thread* t =
+      msg.placed ? adopt_thread(*this, payload.data(), payload.size())
+                 : install_thread(*this, payload.data(), payload.size());
   ++migrations_in_;
   trace_event(trace::Event::kMigrationIn, t->id, msg.src);
   if (post_migration_) post_migration_(t);

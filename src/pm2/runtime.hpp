@@ -283,9 +283,9 @@ struct RuntimeConfig {
   bool slot_store_recover = false;
   /// Default request deadline: call_async / call<R> / migrate_async fail
   /// with a kTimeout error when no reply arrived within this window (the
-  /// correlation is tombstoned, so a late reply is dropped instead of
-  /// double-resolving).  0 (default) keeps the legacy unbounded behavior
-  /// bit-for-bit; the PM2_RPC_TIMEOUT_MS environment variable overrides a
+  /// late reply is dropped instead of double-resolving).  0 (default)
+  /// keeps the legacy unbounded behavior bit-for-bit; the
+  /// PM2_RPC_TIMEOUT_MS environment variable overrides a
   /// zero value, so chaos runs can arm deadlines in spawned node processes
   /// without code changes.  Per-call deadlines override both.
   uint64_t rpc_timeout_ns = 0;
@@ -710,7 +710,7 @@ class Runtime {
   }
   /// Replies/acks that arrived after their correlation was resolved
   /// (timeout, peer-down sweep, or an injected duplicate) and were dropped
-  /// via the tombstone instead of double-resolving a promise.
+  /// instead of double-resolving a promise.
   uint64_t late_replies_dropped() const {
     return late_replies_dropped_.load(std::memory_order_relaxed);
   }
@@ -879,12 +879,12 @@ class Runtime {
 
   /// Remove and return the entry for `corr`.  nullopt for an unknown
   /// correlation, which is tolerated in two cases: the corr was already
-  /// resolved and tombstoned (deadline expiry, peer-down sweep, injected
-  /// duplicate — the late frame is counted and dropped), or the session is
-  /// halting (a reply may race the shutdown drain).  Anything else is a
-  /// protocol bug.  Locks pending_lock_ internally; the caller resolves
-  /// the promise *outside* the lock (completion unblocks the waiter, which
-  /// may run scheduler code).
+  /// resolved (deadline expiry, peer-down sweep, injected duplicate — the
+  /// late frame is counted and dropped), or the session is halting (a
+  /// reply may race the shutdown drain).  Anything else is a protocol bug.
+  /// Locks pending_lock_ internally; the caller resolves the promise
+  /// *outside* the lock (completion unblocks the waiter, which may run
+  /// scheduler code).
   template <typename Map>
   std::optional<typename Map::mapped_type> take_pending(Map& pending,
                                                         uint64_t corr,
@@ -892,9 +892,10 @@ class Runtime {
     pending_lock_.lock();
     auto it = pending.find(corr);
     if (it == pending.end()) {
-      bool late = tombstones_.count(corr) != 0;
       pending_lock_.unlock();
-      if (late) {
+      // Correlation ids are never reused (next_corr_ only grows), so an id
+      // this node issued that is no longer pending was resolved before.
+      if (corr != 0 && corr < next_corr_.load(std::memory_order_relaxed)) {
         late_replies_dropped_.fetch_add(1, std::memory_order_relaxed);
         PM2_DEBUG << "dropping late " << what << " (corr " << corr << ")";
         return std::nullopt;
@@ -904,17 +905,10 @@ class Runtime {
     }
     typename Map::mapped_type ent = std::move(it->second);
     pending.erase(it);
-    // Every resolved corr is tombstoned so a *duplicate* of its reply
-    // (fault injection) is also dropped silently.
-    tombstone_locked(corr);
     pending_lock_.unlock();
     return ent;
   }
 
-  /// Record `corr` as resolved (bounded FIFO) so late/duplicate replies
-  /// are dropped instead of double-resolving or tripping the
-  /// unknown-correlation check.
-  void tombstone_locked(uint64_t corr) PM2_REQUIRES(pending_lock_);
   /// Push `corr` on the deadline heap and refresh the daemon's cached
   /// next-deadline.  Callers only arm non-zero deadlines.
   void arm_deadline_locked(uint64_t corr, uint64_t deadline_ns,
@@ -928,7 +922,7 @@ class Runtime {
   uint64_t resolve_deadline(uint64_t timeout_ns) const;
   /// Adopt a timed-out / peer-down migration's thread back onto this
   /// node's scheduler and fail its future.  Callers must have removed the
-  /// entry from pending_migrations_ (tombstoned) and hold no locks.
+  /// entry from pending_migrations_ and hold no locks.
   void rollback_migration(PendingMigration ent, const std::string& why);
 
   /// Liveness bookkeeping (the comm daemon is the only writer): any
@@ -1005,6 +999,10 @@ class Runtime {
   RuntimeConfig config_;
   iso::Area& area_;
   std::unique_ptr<fabric::Fabric> fabric_;
+  // kMigrate placement hook, registered on fabric_ for the whole session:
+  // on the socket fabric a migrating thread's bytes land in its slots as
+  // they arrive (MigrationPlacer, pm2/migration.hpp).
+  std::unique_ptr<fabric::Placer> mig_placer_;
   marcel::Scheduler sched_;
   iso::SlotManager slot_mgr_;
   NegotiatingSlotOps slot_ops_{*this};
@@ -1044,14 +1042,6 @@ class Runtime {
       PM2_GUARDED_BY(pending_lock_);
   std::unordered_map<uint64_t, PendingMigration> pending_migrations_
       PM2_GUARDED_BY(pending_lock_);
-
-  // Resolved-correlation tombstones (bounded FIFO): late or duplicated
-  // replies for these corrs are dropped, not treated as protocol bugs.
-  // Corr ids are never reused (next_corr_ only grows), so a tombstone can
-  // never shadow a live request.
-  static constexpr size_t kTombstoneCap = 1024;
-  std::unordered_set<uint64_t> tombstones_ PM2_GUARDED_BY(pending_lock_);
-  std::deque<uint64_t> tombstone_fifo_ PM2_GUARDED_BY(pending_lock_);
 
   // Deadline machinery: min-heap of armed (non-zero) deadlines, popped
   // lazily (an entry is live only while its corr is still pending).  The

@@ -8,7 +8,11 @@
 //   * socket fabric (real processes) — node 1 dies mid-session and comes
 //     back while node 0 holds a pending RPC to it; the reconnect-capable
 //     fabric parks the send until the restarted node re-joins, and the
-//     reply is computed from the restored thread's iso data.
+//     reply is computed from the restored thread's iso data;
+//   * socket fabric, node 1 killed while its migration frame is half
+//     received: node 0 already placed the thread's slot runs, gets them
+//     back into its migration slot cache, and the session audit still
+//     finds every slot with exactly one owner once node 1 has restarted.
 //
 // Children report only through their exit status (the gtest parent owns
 // the assertions): CHILD_REQUIRE aborts the child on violation.
@@ -26,8 +30,10 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/time.hpp"
 #include "pm2/api.hpp"
 #include "pm2/app.hpp"
+#include "pm2/audit.hpp"
 #include "pm2/checkpoint.hpp"
 #include "pm2/runtime.hpp"
 #include "sys/process.hpp"
@@ -230,8 +236,95 @@ TEST(CrashRestart, MultiprocessPendingRpcCompletesAfterRestart) {
   EXPECT_EQ(sys::wait_child(n1), 128 + SIGKILL);
   touch(dir + "/killed");
   pid_t n1b = sys::spawn(sys::self_exe(), args, env_for(1, true));
-  EXPECT_EQ(sys::wait_child(n1b), 0);
-  EXPECT_EQ(sys::wait_child(n0), 0);
+  // Node 0 exits last on success (it halts the session); if it failed
+  // instead, the restarted node 1 would wait for it forever.
+  const int n0_status = sys::wait_child(n0);
+  if (n0_status != 0) ::kill(n1b, SIGKILL);
+  EXPECT_EQ(n0_status, 0);
+  EXPECT_EQ(sys::wait_child(n1b), n0_status == 0 ? 0 : 128 + SIGKILL);
+  for (int i = 0; i < 2; ++i) {
+    ::unlink((dir + "/node" + std::to_string(i) + ".sock").c_str());
+  }
+}
+
+// --- socket fabric: the sender dies in the middle of a migration frame ------
+
+// 8 MB of heap in single-slot blocks (no slot negotiation with the node
+// that is not listening): bigger than any socket buffer pair, so the frame
+// cannot leave node 1 whole while node 0 is not reading.
+constexpr size_t kMidFrameBlock = 60'000;
+constexpr int kMidFrameBlocks = 140;
+
+void mid_frame_worker(void*) {
+  for (int i = 0; i < kMidFrameBlocks; ++i)
+    std::memset(pm2_isomalloc(kMidFrameBlock), 0x3C, kMidFrameBlock);
+  touch(std::string(std::getenv("PM2_CR_DIR")) + "/sending");
+  pm2_migrate(marcel_self(), 0);  // never completes: killed mid-send
+}
+
+void cr_mid_frame_child() {
+  const std::string dir = std::getenv("PM2_CR_DIR");
+  const bool restart = std::getenv("PM2_CR_RESTART") != nullptr;
+  AppConfig cfg;
+  cfg.nodes = 2;
+  cfg.rt.workers = 1;  // node 0's main must be able to starve its daemon
+  run_app(cfg, [&](Runtime& rt) {
+    if (rt.self() == 1) {
+      if (restart) return;
+      CHILD_REQUIRE(wait_for_file(dir + "/wedged", 30'000));
+      pm2_thread_create(mid_frame_worker, nullptr, "mid-frame");
+      while (true) pm2_sleep_us(5'000);  // park until the parent kills us
+    }
+    // Node 0 reads nothing while node 1 ships, so node 1 blocks mid-frame
+    // with the frame's head and part of its body queued in the socket.
+    touch(dir + "/wedged");
+    const uint64_t give_up = now_ns() + 60'000'000'000ull;
+    while (!file_exists(dir + "/killed")) CHILD_REQUIRE(now_ns() < give_up);
+    // Now the daemon drains the queued bytes — placing the runs — and
+    // then meets the dead link.
+    for (int i = 0; i < 10'000 && rt.mig_cache_size() == 0; ++i)
+      pm2_sleep_us(1'000);
+    CHILD_REQUIRE(rt.mig_cache_size() > 0);
+    CHILD_REQUIRE(rt.migrations_in() == 0);
+    // The audit's requests wait for the restarted node 1 to reconnect.
+    AuditReport report = audit_session(rt);
+    PM2_CHECK(report.ok) << report.summary();
+  });
+  std::exit(0);
+}
+
+TEST(CrashRestart, PeerDyingMidMigrationFrameReturnsPlacedRuns) {
+  if (is_spawned_child()) {
+    cr_mid_frame_child();  // never returns
+  }
+  std::string dir = make_dir();
+  std::vector<std::string> args = {
+      "--gtest_filter=CrashRestart.PeerDyingMidMigrationFrameReturnsPlacedRuns"};
+  auto env_for = [&](int node, bool restart) {
+    std::vector<std::string> env = {
+        "PM2_MP_NODE=" + std::to_string(node),
+        "PM2_MP_NODES=2",
+        "PM2_MP_DIR=" + dir,
+        "PM2_MP_RECONNECT=1",
+        "PM2_CR_DIR=" + dir,
+    };
+    if (restart) env.push_back("PM2_CR_RESTART=1");
+    return env;
+  };
+  pid_t n0 = sys::spawn(sys::self_exe(), args, env_for(0, false));
+  pid_t n1 = sys::spawn(sys::self_exe(), args, env_for(1, false));
+  ASSERT_TRUE(wait_for_file(dir + "/sending", 30'000)) << "sending marker";
+  ::usleep(500'000);  // let node 1 fill the socket and block mid-frame
+  ::kill(n1, SIGKILL);
+  EXPECT_EQ(sys::wait_child(n1), 128 + SIGKILL);
+  touch(dir + "/killed");
+  pid_t n1b = sys::spawn(sys::self_exe(), args, env_for(1, true));
+  // Node 0 exits last on success (it halts the session); if it failed
+  // instead, the restarted node 1 would wait for it forever.
+  const int n0_status = sys::wait_child(n0);
+  if (n0_status != 0) ::kill(n1b, SIGKILL);
+  EXPECT_EQ(n0_status, 0);
+  EXPECT_EQ(sys::wait_child(n1b), n0_status == 0 ? 0 : 128 + SIGKILL);
   for (int i = 0; i < 2; ++i) {
     ::unlink((dir + "/node" + std::to_string(i) + ".sock").c_str());
   }

@@ -7,8 +7,9 @@
 //     in-process hub (no runtime);
 //   * a deadlined call against a partitioned peer fails kTimeout within
 //     2x the deadline;
-//   * a reply arriving after the deadline is dropped by the correlation
-//     tombstone (counter increments, no double-resolve);
+//   * a reply arriving after the deadline is dropped as late (counter
+//     increments, no double-resolve) — also when more than a thousand
+//     other calls resolved while it was held back;
 //   * a timed-out migration rolls back: the thread is runnable at the
 //     source again and the destination never saw it (exactly one owner);
 //   * seeded chaos (random drops) with at-least-once retries still
@@ -251,6 +252,52 @@ TEST(FaultInjection, LateReplyAfterTimeoutIsTombstoned) {
   EXPECT_EQ(late.load(), 1u);
   EXPECT_EQ(timeouts.load(), 1u);
   EXPECT_EQ(second.load(), 9);
+}
+
+std::atomic<bool> g_gate_open{false};
+
+int gate_service(RpcContext&, int v) {
+  while (!g_gate_open.load()) pm2_yield();
+  return v;
+}
+
+TEST(FaultInjection, LateReplyAfterManyResolvedCallsIsCountedNotFatal) {
+  // The held reply's correlation is far older than the last thousand
+  // resolved ones when it finally arrives: it must still be recognised as
+  // late, not as a reply nobody asked for.
+  constexpr int kOtherCalls = 1100;
+  g_gate_open = false;
+  std::atomic<int> code{-1}, answered{0};
+  std::atomic<uint64_t> late{0}, timeouts{0};
+  AppConfig cfg;
+  cfg.nodes = 2;
+  cfg.rt.fault_plan = "seed=1";  // explicitly no faults
+  run_app(
+      cfg,
+      [&](Runtime& rt) {
+        if (rt.self() != 0) return;
+        try {
+          rt.call_within<int>(20'000'000, 1, "gate", 1);
+        } catch (const RpcError& e) {
+          code = static_cast<int>(rpc_error_code(e.what()));
+        }
+        for (int i = 0; i < kOtherCalls; ++i) {
+          if (rt.call_within<int>(0, 1, "echo", i) == i) ++answered;
+        }
+        g_gate_open = true;  // the held reply goes out now
+        for (int i = 0; i < 2000 && rt.late_replies_dropped() == 0; ++i)
+          pm2_sleep_us(1000);
+        late = rt.late_replies_dropped();
+        timeouts = rt.rpc_timeouts();
+      },
+      [&](Runtime& rt) {
+        rt.service("gate", &gate_service);
+        rt.service("echo", &echo_service);
+      });
+  EXPECT_EQ(code.load(), static_cast<int>(RpcErrorCode::kTimeout));
+  EXPECT_EQ(answered.load(), kOtherCalls);
+  EXPECT_EQ(late.load(), 1u);
+  EXPECT_EQ(timeouts.load(), 1u);
 }
 
 TEST(FaultInjection, ExplicitZeroTimeoutWaitsForever) {

@@ -1,17 +1,21 @@
 // Property/stress tests for migration: randomized traces of allocation,
 // mutation, verification and hops across many threads and nodes — the
-// system-level analogue of the heap trace property test.
+// system-level analogue of the heap trace property test — plus the socket
+// fabric's one-copy receive of migration frames under fragmentation and
+// with frames larger than its staging buffer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
 
 #include "common/random.hpp"
+#include "fabric/message.hpp"
 #include "isomalloc/heap.hpp"
 #include "pm2/api.hpp"
 #include "pm2/app.hpp"
 #include "pm2/migration.hpp"
 #include "pm2/runtime.hpp"
+#include "sys/socket.hpp"
 
 namespace pm2 {
 namespace {
@@ -171,6 +175,71 @@ TEST(MigrationZeroCopy, SocketShipPerformsNoFlattenCopies) {
   EXPECT_GT(wire_bytes.load(), 0u);
   EXPECT_EQ(copy_bytes.load(), 0u)
       << "migration payloads were flattened on the socket send path";
+}
+
+// The receive side over the socket fabric with every socket write forced
+// down to one byte, so each migration frame arrives in fragments that
+// split the header, the table and the body at every offset.  Every
+// block's fill pattern must survive every hop, and no payload byte may be
+// copied twice on receive.  The write budget outlasts all the hops: the
+// in-process nodes share one address space, and ASan checks a send's
+// bytes only after sendmsg returns — by then a whole frame could already
+// be running on the other node, its stack frames re-poisoned.  One-byte
+// sends keep each check to a byte that cannot be part of a running stack
+// (the body ends with the heap runs).
+constexpr int kFragBlocks = 6;
+constexpr int kFragHops = 16;
+
+void fragmented_hop_worker(void*) {
+  uint8_t* blocks[kFragBlocks];
+  for (int b = 0; b < kFragBlocks; ++b) {
+    blocks[b] = static_cast<uint8_t*>(pm2_isomalloc(1000 + 500 * b));
+    std::memset(blocks[b], b + 1, 1000 + 500 * b);
+  }
+  for (int hop = 1; hop <= kFragHops; ++hop) {
+    pm2_migrate(marcel_self(), (pm2_self() + 1) % pm2_nodes());
+    ++g_hops;
+    for (int b = 0; b < kFragBlocks; ++b) {
+      const size_t len = 1000 + 500 * b;
+      const auto fill = static_cast<uint8_t>(b + 1 + hop);
+      for (size_t k = 0; k < len; ++k)
+        ST_EXPECT(blocks[b][k] == static_cast<uint8_t>(fill - 1));
+      std::memset(blocks[b], fill, len);
+    }
+  }
+  for (uint8_t* p : blocks) pm2_isofree(p);
+  pm2_signal(0);
+}
+
+TEST(MigrationPlacement, OneByteWritesKeepEveryBlockIntact) {
+  constexpr uint64_t kBudgetPerNode = 250'000;  // each node arms its own
+  g_ok = true;
+  g_hops = 0;
+  static std::atomic<uint64_t> recv_copies{0}, payload{0};
+  recv_copies = 0;
+  payload = 0;
+  const uint64_t fired_before = sys::fault_short_writes_fired();
+  AppConfig cfg;
+  cfg.nodes = 2;
+  cfg.socket_fabric = true;
+  cfg.rt.fault_plan = "shortw=" + std::to_string(kBudgetPerNode) + ",seed=1";
+  run_app(cfg, [](Runtime& rt) {
+    if (rt.self() == 0) {
+      pm2_thread_create(&fragmented_hop_worker, nullptr, "frag");
+      pm2_wait_signals(1);
+    }
+    rt.barrier();
+    recv_copies += rt.fabric().recv_copy_bytes();
+    payload += rt.fabric().bytes_sent() -
+               rt.fabric().messages_sent() * sizeof(fabric::WireHeader);
+  });
+  const uint64_t fired = sys::fault_short_writes_fired() - fired_before;
+  EXPECT_TRUE(g_ok.load());
+  EXPECT_EQ(g_hops.load(), static_cast<uint64_t>(kFragHops));
+  // Every byte of the session went out alone, and the budget never ran dry.
+  EXPECT_GT(fired, uint64_t{kFragHops} * 8000);
+  EXPECT_LT(fired, 2 * kBudgetPerNode);
+  EXPECT_LE(recv_copies.load(), payload.load());
 }
 
 // The pack side of the zero-copy contract: a migration chain stages only

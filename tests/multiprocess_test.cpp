@@ -134,5 +134,50 @@ TEST(MultiProcess, FourNodeTour) {
   EXPECT_EQ(rc, 0);
 }
 
+// Whole-slot images (migrate_blocks_only=false) of threads whose heap
+// block spans several slots: each migration frame is several times the
+// socket fabric's 64 KB staging buffer, so most of it is read from the
+// socket straight into the slots — at most one staging buffer's worth of
+// a frame is ever copied.  Separate processes, because in-process nodes
+// share one address space: a whole stack slot sent in one sendmsg could be
+// running on the destination (re-poisoning its frames) before ASan checks
+// the sent bytes on the source.
+constexpr size_t kBigBlock = 300 * 1024;
+constexpr int kBigHops = 12;
+
+void big_image_worker(void*) {
+  auto* p = static_cast<uint8_t*>(pm2_isomalloc(kBigBlock));
+  for (int hop = 0; hop <= kBigHops; ++hop) {
+    if (hop > 0) {
+      for (size_t i = 0; i < kBigBlock; i += 251)
+        CHILD_REQUIRE(p[i] == static_cast<uint8_t>(i * 7 + hop - 1));
+    }
+    for (size_t i = 0; i < kBigBlock; ++i)
+      p[i] = static_cast<uint8_t>(i * 7 + hop);
+    if (hop < kBigHops) pm2_migrate(marcel_self(), 1 - pm2_self());
+  }
+  pm2_isofree(p);
+  pm2_signal(0);
+}
+
+TEST(MultiProcess, MultiSlotFullImagesTakeTheDirectTail) {
+  AppConfig cfg = mp_config(2);
+  cfg.rt.migrate_blocks_only = false;
+  int rc = run_app(cfg, [](Runtime& rt) {
+    if (rt.self() == 0) {
+      for (int w = 0; w < 2; ++w)
+        pm2_thread_create(&big_image_worker, nullptr, "big");
+      pm2_wait_signals(2);
+    }
+    rt.barrier();
+    // Each node received 12 frames of >= 364 KB; only the control frames
+    // and what came in with each frame's head were copied.
+    CHILD_REQUIRE(rt.migrations_in() == kBigHops);
+    CHILD_REQUIRE(rt.fabric().recv_copy_bytes() * 4 <=
+                  rt.migrations_in() * kBigBlock);
+  });
+  EXPECT_EQ(rc, 0);
+}
+
 }  // namespace
 }  // namespace pm2

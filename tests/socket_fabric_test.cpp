@@ -1,6 +1,7 @@
 // Socket fabric unit tests: mesh setup, framing over stream sockets,
-// large-message handling and the anti-deadlock send path — exercised with
-// real UNIX sockets between kernel threads in this process.
+// large-message handling, the anti-deadlock send path and receive-side
+// placement (Placer) — exercised with real UNIX sockets between kernel
+// threads in this process.
 #include "fabric/socket_fabric.hpp"
 
 #include <gtest/gtest.h>
@@ -9,9 +10,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <thread>
 
+#include "common/random.hpp"
 #include "common/time.hpp"
+#include "sys/socket.hpp"
 
 namespace pm2::fabric {
 namespace {
@@ -207,6 +211,251 @@ TEST(SocketFabric, ChainedSendGathersWithZeroCopies) {
   // with no intermediate flatten on the send path.
   EXPECT_EQ(f0->payload_copy_bytes(), 0u);
   EXPECT_EQ(f0->bytes_sent(), sizeof(WireHeader) + expect.size());
+}
+
+// --- receive-side placement --------------------------------------------------
+
+constexpr uint16_t kPlacedType = 40;
+
+// Test placer: a placed payload's table is [u32 n][u32 len]*n, and each
+// extent lands in a fresh vector of its own, so a test can see where the
+// body went.
+struct VectorPlacer final : Placer {
+  std::vector<std::vector<std::vector<uint8_t>>> frames;  // per place()
+  std::vector<std::vector<uint8_t>> abandoned_heads;
+
+  void place(const uint8_t* head, size_t len,
+             std::vector<struct iovec>& body) override {
+    uint32_t n;
+    std::memcpy(&n, head + 4, sizeof(n));
+    EXPECT_EQ(len, 8 + 4 * size_t{n});
+    frames.emplace_back(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      uint32_t elen;
+      std::memcpy(&elen, head + 8 + 4 * i, sizeof(elen));
+      frames.back()[i].resize(elen);
+      body.push_back({frames.back()[i].data(), elen});
+    }
+  }
+  void abandon(const uint8_t* head, size_t len) override {
+    abandoned_heads.emplace_back(head, head + len);
+  }
+
+  std::vector<uint8_t> body(size_t frame) const {
+    std::vector<uint8_t> out;
+    for (const auto& e : frames[frame]) out.insert(out.end(), e.begin(), e.end());
+    return out;
+  }
+};
+
+std::vector<uint8_t> placed_head(const std::vector<uint32_t>& extents) {
+  std::vector<uint8_t> head(8 + 4 * extents.size());
+  auto table_len = static_cast<uint32_t>(head.size() - 4);
+  auto n = static_cast<uint32_t>(extents.size());
+  std::memcpy(head.data(), &table_len, 4);
+  std::memcpy(head.data() + 4, &n, 4);
+  std::memcpy(head.data() + 8, extents.data(), 4 * extents.size());
+  return head;
+}
+
+std::vector<uint8_t> pattern(size_t len, uint64_t seed) {
+  std::vector<uint8_t> v(len);
+  for (size_t i = 0; i < len; ++i)
+    v[i] = static_cast<uint8_t>((i + seed) * 2654435761u >> 13);
+  return v;
+}
+
+// One placed frame: the head, then the body as borrowed segments (the way
+// a migration chain borrows its slots).
+Message placed_frame(NodeId dst, const std::vector<uint8_t>& head,
+                     const std::vector<uint8_t>& body) {
+  Message m;
+  m.type = kPlacedType;
+  m.dst = dst;
+  m.chain.append_copy(head.data(), head.size());
+  size_t off = 0;
+  while (off < body.size()) {  // several segments per extent, unaligned
+    size_t len = std::min<size_t>(5000 + off % 777, body.size() - off);
+    m.chain.append_borrow(body.data() + off, len);
+    off += len;
+  }
+  return m;
+}
+
+struct Pair {
+  std::unique_ptr<Fabric> f0, f1;
+  explicit Pair(bool reconnect = false) {
+    std::string dir = fresh_dir();
+    SocketFabricConfig c0 = config_for(0, 2, dir), c1 = config_for(1, 2, dir);
+    c0.allow_reconnect = c1.allow_reconnect = reconnect;
+    std::thread t1([&] { f1 = make_socket_fabric(c1); });
+    f0 = make_socket_fabric(c0);
+    t1.join();
+  }
+};
+
+TEST(SocketPlacement, LargeBodyIsReadStraightIntoItsDestinations) {
+  Pair p;
+  VectorPlacer placer;
+  p.f1->set_placer(kPlacedType, &placer);
+  // 3 MB in extents of every size: far more than the 64 KB staging buffer,
+  // so all but the first read's bytes must go socket -> destination.
+  std::vector<uint32_t> extents = {1, 4096, 65536, 7, 1 << 20, 333333,
+                                   1 << 20, 12345};
+  size_t total = 0;
+  for (uint32_t e : extents) total += e;
+  const std::vector<uint8_t> head = placed_head(extents);
+  const std::vector<uint8_t> body = pattern(total, 7);
+
+  std::thread sender([&] { p.f0->send(placed_frame(1, head, body)); });
+  std::optional<Message> got;
+  while (!got) got = p.f1->recv(100);
+  sender.join();
+
+  EXPECT_TRUE(got->placed);
+  EXPECT_EQ(got->type, kPlacedType);
+  EXPECT_EQ(got->payload, head);  // the delivered message keeps the head
+  ASSERT_EQ(placer.frames.size(), 1u);
+  EXPECT_EQ(placer.body(0), body);
+  // Copied at most once, and only what the first staged reads picked up
+  // with the head; everything after went straight into place.
+  EXPECT_LE(p.f1->recv_copy_bytes(), head.size() + 2 * 64 * 1024);
+  EXPECT_EQ(p.f0->recv_copy_bytes(), 0u);
+}
+
+TEST(SocketPlacement, SmallStagedFrameIsCopiedOnce) {
+  Pair p;
+  VectorPlacer placer;
+  p.f1->set_placer(kPlacedType, &placer);
+  const std::vector<uint8_t> head = placed_head({100, 200, 300});
+  const std::vector<uint8_t> body = pattern(600, 3);
+  p.f0->send(placed_frame(1, head, body));
+  std::optional<Message> got;
+  while (!got) got = p.f1->recv(100);
+  EXPECT_TRUE(got->placed);
+  EXPECT_EQ(placer.body(0), body);
+  // Staged whole: head and body are each copied exactly once.
+  EXPECT_EQ(p.f1->recv_copy_bytes(), head.size() + body.size());
+}
+
+// Placed and unplaced frames of every size interleaved on one link, sent
+// once with ordinary writes and once fragmented into 1-byte writes (the
+// fault hooks' forced short writes): order, contents and placement hold.
+void interleaved_round(bool one_byte_writes) {
+  Pair p;
+  VectorPlacer placer;
+  p.f1->set_placer(kPlacedType, &placer);
+  Rng rng(one_byte_writes ? 11 : 12);
+  struct Sent {
+    bool placed;
+    std::vector<uint8_t> head, body;
+  };
+  std::vector<Sent> sent;
+  size_t stream_bytes = 0;
+  for (int i = 0; i < 40; ++i) {
+    Sent s;
+    s.placed = i % 2 == 1;
+    size_t big = one_byte_writes ? 9000 : 200'000;
+    size_t len = rng.next_below(4) == 0 ? big + rng.next_below(big)
+                                        : rng.next_below(3000);
+    if (s.placed) {
+      std::vector<uint32_t> extents;
+      size_t left = len;
+      while (left > 0) {
+        auto e = static_cast<uint32_t>(std::min<size_t>(
+            left, 1 + rng.next_below(40'000)));
+        extents.push_back(e);
+        left -= e;
+      }
+      s.head = placed_head(extents);
+    }
+    s.body = pattern(len, static_cast<uint64_t>(i));
+    stream_bytes += sizeof(WireHeader) + s.head.size() + len;
+    sent.push_back(std::move(s));
+  }
+  if (one_byte_writes) sys::fault_arm_short_writes(stream_bytes);
+  const uint64_t fired_before = sys::fault_short_writes_fired();
+
+  std::thread sender([&] {
+    for (size_t i = 0; i < sent.size(); ++i) {
+      Message m;
+      if (sent[i].placed) {
+        m = placed_frame(1, sent[i].head, sent[i].body);
+      } else {
+        m.type = 1;
+        m.dst = 1;
+        m.corr = i;
+        m.payload = sent[i].body;
+      }
+      p.f0->send(std::move(m));
+    }
+  });
+  size_t placed_seen = 0;
+  for (size_t i = 0; i < sent.size(); ++i) {
+    std::optional<Message> got;
+    while (!got) got = p.f1->recv(100);
+    // Keep receiving after a mismatch: the sender must be able to finish.
+    EXPECT_EQ(got->placed, sent[i].placed) << "frame " << i;
+    if (got->placed) {
+      EXPECT_EQ(got->payload, sent[i].head) << "frame " << i;
+      if (placed_seen < placer.frames.size()) {
+        EXPECT_EQ(placer.body(placed_seen), sent[i].body) << "frame " << i;
+      }
+      ++placed_seen;
+    } else {
+      EXPECT_EQ(got->corr, i);
+      EXPECT_EQ(got->payload, sent[i].body) << "frame " << i;
+    }
+  }
+  sender.join();
+  // However the stream was cut, no payload byte was copied twice.
+  EXPECT_LE(p.f1->recv_copy_bytes(),
+            stream_bytes - sent.size() * sizeof(WireHeader));
+  if (one_byte_writes) {
+    EXPECT_EQ(sys::fault_short_writes_fired() - fired_before, stream_bytes);
+  }
+}
+
+TEST(SocketPlacement, InterleavedFramesKeepTheirOrder) {
+  interleaved_round(false);
+}
+
+TEST(SocketPlacement, OneByteWritesFragmentEveryStage) {
+  interleaved_round(true);
+}
+
+TEST(SocketPlacement, LinkDyingMidBodyAbandonsThePlacement) {
+  // Node 1 is a raw socket here, so the frame can stop mid-body the way a
+  // killed peer's would.
+  std::string dir = fresh_dir();
+  SocketFabricConfig c0 = config_for(0, 2, dir);
+  c0.allow_reconnect = true;
+  std::unique_ptr<Fabric> f0;
+  std::thread t0([&] { f0 = make_socket_fabric(c0); });
+  sys::Fd peer = sys::uds_connect(dir + "/node0.sock", 5000);
+  uint32_t hello = 1;
+  sys::send_all(peer, &hello, sizeof(hello));
+  t0.join();
+  VectorPlacer placer;
+  f0->set_placer(kPlacedType, &placer);
+
+  const std::vector<uint8_t> head = placed_head({50'000, 50'000});
+  const std::vector<uint8_t> body = pattern(100'000, 5);
+  WireHeader h{};
+  h.magic = kWireMagic;
+  h.type = kPlacedType;
+  h.src = 1;
+  h.dst = 0;
+  h.payload_len = head.size() + body.size();
+  sys::send_all(peer, &h, sizeof(h));
+  sys::send_all(peer, head.data(), head.size());
+  sys::send_all(peer, body.data(), 60'000);  // then the peer dies
+  peer.reset();
+
+  EXPECT_FALSE(f0->recv(300).has_value());
+  ASSERT_EQ(placer.frames.size(), 1u);
+  ASSERT_EQ(placer.abandoned_heads.size(), 1u);
+  EXPECT_EQ(placer.abandoned_heads[0], head);
 }
 
 TEST(SocketFabric, TcpVariant) {
