@@ -2,14 +2,14 @@
 //
 // The slot store turns a node's iso-area into buffer-managed storage: a
 // node checkpoint persists every checkpointable thread into the per-node
-// store file, soft-dirty tracking shrinks the second and later rounds to
-// the pages actually written since the last one, and the residency tier
-// (demote / fault-back) trades resident bytes for file bytes on cold
-// frozen threads.  This bench prices all three on one node:
+// store file, writing only the pages that differ from the file (so the
+// second and later rounds shrink to what threads changed), and the
+// residency tier (demote / fault-back) trades resident bytes for file
+// bytes on cold frozen threads.  This bench prices all three on one node:
 //
-//   * full node checkpoint of N threads (bytes written, µs);
-//   * incremental re-checkpoint after dirtying ~10% of the pages
-//     (bytes written vs skipped — the soft-dirty payoff);
+//   * first node checkpoint of N threads (every page written, µs);
+//   * delta re-checkpoint after dirtying ~10% of the pages (bytes written
+//     vs skipped — the compare-and-write payoff);
 //   * demote + fault-back round trip per thread (µs each way), plus the
 //     resident-byte count the store absorbed.
 //
@@ -17,10 +17,10 @@
 //   ./bench_checkpoint --threads 64 --kb 256
 //   ./bench_checkpoint --json out.json    # machine-readable rows
 //   ./bench_checkpoint --smoke            # CI: small run; asserts the
-//                                         # incremental round writes less
-//                                         # than the full one (soft-dirty
-//                                         # kernels) and that demote /
-//                                         # fault-back round trips happen
+//                                         # delta round writes less than
+//                                         # the first and skips bytes, and
+//                                         # that demote / fault-back round
+//                                         # trips happen
 #include <unistd.h>
 
 #include <atomic>
@@ -38,7 +38,6 @@
 #include "pm2/app.hpp"
 #include "pm2/checkpoint.hpp"
 #include "pm2/runtime.hpp"
-#include "sys/vm.hpp"
 
 using namespace pm2;
 
@@ -57,19 +56,17 @@ struct Row {
   uint64_t threads;
   uint64_t bytes_written;
   uint64_t bytes_skipped;
-  uint64_t incremental;
 };
 std::vector<Row> g_rows;
 
 void add_row(const char* phase, double us, const StoreCheckpointStats& s) {
-  g_rows.push_back(Row{phase, us, s.threads, s.bytes_written, s.bytes_skipped,
-                       s.incremental ? 1u : 0u});
+  g_rows.push_back(
+      Row{phase, us, s.threads, s.bytes_written, s.bytes_skipped});
   bench::print_cell(phase);
   bench::print_cell(us);
   bench::print_cell(s.threads);
   bench::print_cell(s.bytes_written);
   bench::print_cell(s.bytes_skipped);
-  bench::print_cell(uint64_t{s.incremental ? 1u : 0u});
   bench::print_row_end();
 }
 
@@ -79,7 +76,7 @@ void worker(void*) {
   std::memset(data, 0x5a, bytes);
   g_built.fetch_add(1);
   while (g_phase.load() < 1) pm2_yield();
-  // Dirty ~10% of the pages between the full and incremental rounds.
+  // Dirty ~10% of the pages between the first and delta rounds.
   for (size_t p = 0; p * 4096 < bytes; p += 10) data[p * 4096] ^= 0xff;
   g_done.fetch_add(1);
   while (g_phase.load() < 2) pm2_yield();
@@ -103,8 +100,8 @@ int main(int argc, char** argv) {
   cfg.nodes = 1;
   cfg.rt.slot_store_dir = dir;
 
-  StoreCheckpointStats full_stats, incr_stats;
-  double full_us = 0, incr_us = 0, demote_us = 0, fault_us = 0;
+  StoreCheckpointStats full_stats, delta_stats;
+  double full_us = 0, delta_us = 0, demote_us = 0, fault_us = 0;
   uint64_t demoted_bytes = 0, residual_bytes = 0;
   uint64_t demotions = 0, fault_backs = 0;
 
@@ -119,7 +116,8 @@ int main(int argc, char** argv) {
 
     g_phase = 1;
     while (g_done.load() < g_threads) pm2_yield();
-    incr_us = bench::time_us([&] { incr_stats = checkpoint_node_to_store(rt); });
+    delta_us =
+        bench::time_us([&] { delta_stats = checkpoint_node_to_store(rt); });
 
     // Residency tier: freeze everything, page it out, fault it all back.
     for (marcel::ThreadId id : ids) PM2_CHECK(rt.freeze_thread(id));
@@ -140,9 +138,9 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Node checkpoint through the slot store (PM2STOR1)",
-      {"phase", "us", "threads", "bytes_out", "bytes_skip", "incr"});
+      {"phase", "us", "threads", "written_B", "skipped_B"});
   add_row("full", full_us, full_stats);
-  add_row("incremental", incr_us, incr_stats);
+  add_row("delta", delta_us, delta_stats);
 
   bench::print_header(
       "Residency tier: demote / fault-back of all threads",
@@ -162,21 +160,16 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\n  \"bench\": \"bench_checkpoint\",\n"
                  "  \"threads\": %lld,\n  \"kb_per_thread\": %lld,\n"
-                 "  \"soft_dirty\": %s,\n  \"rows\": [\n",
+                 "  \"rows\": [\n",
                  static_cast<long long>(g_threads),
-                 static_cast<long long>(g_kb),
-                 sys::soft_dirty_supported() ? "true" : "false");
-    for (size_t i = 0; i < g_rows.size(); ++i) {
-      const Row& r = g_rows[i];
+                 static_cast<long long>(g_kb));
+    for (const Row& r : g_rows) {
       std::fprintf(f,
                    "    {\"phase\": \"%s\", \"us\": %.1f, \"threads\": %llu, "
-                   "\"bytes_written\": %llu, \"bytes_skipped\": %llu, "
-                   "\"incremental\": %llu}%s\n",
+                   "\"bytes_written\": %llu, \"bytes_skipped\": %llu},\n",
                    r.phase, r.us, static_cast<unsigned long long>(r.threads),
                    static_cast<unsigned long long>(r.bytes_written),
-                   static_cast<unsigned long long>(r.bytes_skipped),
-                   static_cast<unsigned long long>(r.incremental),
-                   i + 1 < g_rows.size() ? "," : ",");
+                   static_cast<unsigned long long>(r.bytes_skipped));
     }
     std::fprintf(f,
                  "    {\"phase\": \"tier\", \"demote_us\": %.1f, "
@@ -192,15 +185,11 @@ int main(int argc, char** argv) {
   if (smoke) {
     PM2_CHECK(full_stats.threads == static_cast<uint64_t>(g_threads));
     PM2_CHECK(full_stats.bytes_written > 0);
-    if (sys::soft_dirty_supported()) {
-      PM2_CHECK(incr_stats.incremental)
-          << "smoke: second checkpoint round was not incremental";
-      PM2_CHECK(incr_stats.bytes_written < full_stats.bytes_written)
-          << "smoke: incremental round (" << incr_stats.bytes_written
-          << " bytes) did not write less than the full round ("
-          << full_stats.bytes_written << " bytes)";
-      PM2_CHECK(incr_stats.bytes_skipped > 0);
-    }
+    PM2_CHECK(delta_stats.bytes_written < full_stats.bytes_written)
+        << "smoke: delta round (" << delta_stats.bytes_written
+        << " bytes) did not write less than the first round ("
+        << full_stats.bytes_written << " bytes)";
+    PM2_CHECK(delta_stats.bytes_skipped > 0);
     PM2_CHECK(demotions == static_cast<uint64_t>(g_threads));
     PM2_CHECK(fault_backs == static_cast<uint64_t>(g_threads));
     PM2_CHECK(demoted_bytes > 0) << "demote paged nothing out";

@@ -2,6 +2,7 @@
 
 #include <errno.h>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -108,6 +109,25 @@ SlotStore::SlotStore(Area& area, const SlotStoreConfig& config,
     hdr_->dir_capacity = config_.dir_capacity;
     hdr_->data_off = data_off;
   }
+
+  data_ = sys::FileMapping(fd_, data_off, area_.size(), /*writable=*/false);
+  imaged_ = std::make_unique<std::atomic<uint64_t>[]>((area_.n_slots() + 63) /
+                                                      64);
+  if (recovered_) {
+    // Sealed records were written whole before they were sealed, so their
+    // runs are complete images — unless the file was cut short since, in
+    // which case the view must not be read there.
+    struct stat st{};
+    PM2_CHECK(::fstat(fd_, &st) == 0)
+        << "slot store fstat failed: " << std::strerror(errno);
+    for (const RecordedThread& rec : recorded_threads()) {
+      for (auto [first, count] : rec.runs) {
+        if (file_off(first + count) <= static_cast<uint64_t>(st.st_size)) {
+          mark_imaged(first, count);
+        }
+      }
+    }
+  }
 }
 
 SlotStore::~SlotStore() {
@@ -119,20 +139,25 @@ uint64_t SlotStore::file_off(size_t first) const {
   return hdr_->data_off + uint64_t{first} * area_.slot_size();
 }
 
+bool SlotStore::imaged(size_t slot) const {
+  return (imaged_[slot / 64].load(std::memory_order_acquire) >> (slot % 64) &
+          1) != 0;
+}
+
+void SlotStore::mark_imaged(size_t first, size_t count) {
+  for (size_t s = first; s < first + count; ++s) {
+    imaged_[s / 64].fetch_or(uint64_t{1} << (s % 64),
+                             std::memory_order_release);
+  }
+}
+
 // --- residency ---------------------------------------------------------
 
 void SlotStore::demote(size_t first, size_t count) {
-  void* addr = area_.slot_addr(first);
-  const size_t len = count * area_.slot_size();
-  // Parked pool stacks are deliberately poisoned (PR-5 shadow rules); the
-  // shadow must be clean both for ASan's pwrite source check and so the
-  // file never captures poison as data.  fault_back()'s commit leaves the
-  // range unpoisoned and the runtime re-applies park poison afterwards.
-  sys::san_unpoison(addr, len);
-  pwrite_all(fd_, addr, len, file_off(first));
+  const uint64_t written = write_changed(first, count);
   area_.decommit_force(first, count);
   demotions_.fetch_add(1, std::memory_order_relaxed);
-  bytes_out_.fetch_add(len, std::memory_order_relaxed);
+  bytes_out_.fetch_add(written, std::memory_order_relaxed);
 }
 
 void SlotStore::fault_back(size_t first, size_t count) {
@@ -145,22 +170,35 @@ void SlotStore::fault_back(size_t first, size_t count) {
 
 // --- checkpoint I/O ----------------------------------------------------
 
-uint64_t SlotStore::write_run(size_t first, size_t count) {
-  const size_t len = count * area_.slot_size();
-  // Same scrub as pack_thread_chain: a frozen stack carries redzone poison
-  // from its live frames, and ASan checks the pwrite source buffer.
-  sys::san_unpoison(area_.slot_addr(first), len);
-  pwrite_all(fd_, area_.slot_addr(first), len, file_off(first));
-  return len;
-}
-
-uint64_t SlotStore::write_range(uintptr_t addr, size_t len) {
-  PM2_CHECK(addr >= area_.base() && addr + len <= area_.base() + area_.size())
-      << "slot store write_range outside the iso-area";
-  sys::san_unpoison(reinterpret_cast<void*>(addr), len);
-  pwrite_all(fd_, reinterpret_cast<void*>(addr), len,
-             hdr_->data_off + (addr - area_.base()));
-  return len;
+uint64_t SlotStore::write_changed(size_t first, size_t count) {
+  const size_t slot_size = area_.slot_size();
+  const size_t ps = sys::page_size();
+  const size_t len = count * slot_size;
+  const auto* mem = static_cast<const char*>(area_.slot_addr(first));
+  const char* file =
+      static_cast<const char*>(data_.data()) + uint64_t{first} * slot_size;
+  sys::san_unpoison(mem, len);
+  uint64_t written = 0;
+  size_t stretch = len;  // start of the pending differing pages; len = none
+  auto flush = [&](size_t end) {
+    if (stretch == len) return;
+    pwrite_all(fd_, mem + stretch, end - stretch, file_off(first) + stretch);
+    written += end - stretch;
+    stretch = len;
+  };
+  for (size_t s = 0; s < count; ++s) {
+    const bool whole = !imaged(first + s);
+    for (size_t off = s * slot_size; off < (s + 1) * slot_size; off += ps) {
+      if (whole || std::memcmp(mem + off, file + off, ps) != 0) {
+        if (stretch == len) stretch = off;
+      } else {
+        flush(off);
+      }
+    }
+  }
+  flush(len);
+  mark_imaged(first, count);
+  return written;
 }
 
 void SlotStore::read_run(size_t first, size_t count) {

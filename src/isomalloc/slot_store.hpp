@@ -19,10 +19,23 @@
 // The same backing file doubles as the persistence layer: a thread
 // *directory* (MAP_SHARED header + records, so `kill -9` cannot lose it —
 // the page cache survives the process) names the threads whose images live
-// in the file, and pm2::checkpoint writes full or incremental (soft-dirty)
-// images through SlotStore::write_range.  A restarted node re-opens the
-// file with `recover = true`, validates the binary-stamp/geometry header,
-// and adopts the recorded threads (pm2::restore_node_from_store).
+// in the file.  A restarted node re-opens the file with `recover = true`,
+// validates the binary-stamp/geometry header, and adopts the recorded
+// threads (pm2::restore_node_from_store).
+//
+// One write rule serves both demotion and pm2::checkpoint_node_to_store:
+// write_changed() makes a run's file bytes equal to its memory by writing
+// only the pages that differ.  It compares against a read-only MAP_SHARED
+// view of the data region, mapped once at open (the page cache is the
+// comparison buffer; nothing is copied).  Because the file mirrors the
+// iso-area at fixed offsets, a second round over an unchanged thread writes
+// nothing, whether or not the kernel tracks dirty pages.  A per-slot
+// *image bit* says the file already holds a complete image of the slot:
+// slots without it are written whole, never compared, so the file never has
+// holes inside a run (restores read it sequentially) and the view is never
+// read past end-of-file.  Bits are set after a whole write and, on
+// recovery, for the runs of sealed (kValid) records; the file keeps its
+// natural size.
 //
 // File layout (PM2STOR1):
 //   [0, 4K)              StoreHeader — magic, version, binary stamp, area
@@ -36,6 +49,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -102,7 +116,7 @@ static_assert(sizeof(StoreDirEntry) == 128, "directory entries are packed");
 struct SlotStoreStats {
   uint64_t demotions = 0;
   uint64_t fault_backs = 0;
-  uint64_t bytes_out = 0;  // written by demote()
+  uint64_t bytes_out = 0;  // written by demote() (changed pages only)
   uint64_t bytes_in = 0;   // read by fault_back()/read_run()
 };
 
@@ -125,11 +139,9 @@ class SlotStore {
 
   // --- residency ---------------------------------------------------------
 
-  /// Write the run's bytes to the file and release its memory (pages
-  /// dropped, protection PROT_NONE).  Unpoisons the run first: parked pool
-  /// stacks carry ASan poison, and both the pwrite source check and the
-  /// file bytes themselves must see addressable memory.  The *caller*
-  /// re-establishes the poison after fault_back().
+  /// Bring the run's file image up to date (write_changed) and release its
+  /// memory (pages dropped, protection PROT_NONE).  The *caller*
+  /// re-establishes any ASan poison after fault_back().
   void demote(size_t first, size_t count);
 
   /// Re-commit the run and read its bytes back from the file at the same
@@ -138,13 +150,14 @@ class SlotStore {
 
   // --- checkpoint I/O (residency unchanged) ------------------------------
 
-  /// Write the run's current bytes to its file position (full image).
-  /// Returns bytes written.
-  uint64_t write_run(size_t first, size_t count);
-
-  /// Write an arbitrary byte range inside the area to its file position —
-  /// the incremental checkpoint's dirty-page/extent writer.  Returns `len`.
-  uint64_t write_range(uintptr_t addr, size_t len);
+  /// Make the file bytes of the run equal to its (committed) memory: slots
+  /// without an image bit are written whole, the others page by page,
+  /// writing maximal stretches of pages that differ from the file.  Sets
+  /// the run's image bits.  Unpoisons the run first: frozen stacks carry
+  /// redzone poison and parked pool stacks park poison; ASan checks the
+  /// compare and the pwrite source, and the file must never capture poison
+  /// as data.  Returns bytes written.
+  uint64_t write_changed(size_t first, size_t count);
 
   /// Read the run's bytes from the file into (already committed) memory.
   void read_run(size_t first, size_t count);
@@ -172,12 +185,6 @@ class SlotStore {
 
   // --- misc --------------------------------------------------------------
 
-  /// Soft-dirty baseline latch for the incremental checkpoint: true once a
-  /// full round has been written *and* the process soft-dirty bits cleared,
-  /// i.e. pagemap deltas are meaningful against the file contents.
-  bool soft_dirty_armed() const { return soft_dirty_armed_; }
-  void set_soft_dirty_armed(bool armed) { soft_dirty_armed_ = armed; }
-
   /// fdatasync the backing file (durability against machine crash; kill -9
   /// survival needs nothing — the page cache persists).
   void sync();
@@ -186,6 +193,8 @@ class SlotStore {
 
  private:
   uint64_t file_off(size_t first) const;
+  bool imaged(size_t slot) const;
+  void mark_imaged(size_t first, size_t count);
   StoreDirEntry* entry_of(uint64_t id);
   const StoreDirEntry* entry_of(uint64_t id) const;
 
@@ -195,8 +204,11 @@ class SlotStore {
   sys::FileMapping meta_;     // header + directory
   StoreHeader* hdr_ = nullptr;
   StoreDirEntry* dir_ = nullptr;
+  sys::FileMapping data_;     // read-only view of the data region
+  // One image bit per area slot (set-only; fetch_or, so a demotion and a
+  // checkpoint touching slots in the same word cannot lose a bit).
+  std::unique_ptr<std::atomic<uint64_t>[]> imaged_;
   bool recovered_ = false;
-  bool soft_dirty_armed_ = false;
   // Directory scans/updates.  kLeaf: fault_back/record run under the
   // runtime's store_lock_, so this lock must rank below every runtime map
   // lock and may acquire nothing itself.

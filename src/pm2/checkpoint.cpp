@@ -9,7 +9,6 @@
 #include "pm2/api.hpp"
 #include "pm2/migration.hpp"
 #include "pm2/runtime.hpp"
-#include "sys/vm.hpp"
 
 namespace pm2 {
 
@@ -151,75 +150,12 @@ void save_checkpoint(const std::string& path,
   PM2_CHECK(f.good()) << "short write to " << path;
 }
 
-namespace {
-
-/// One thread's image for the store checkpoint.  `slots` are the chain's
-/// slot headers (for the live-extent fallback); `runs` the matching
-/// (first, count) pairs recorded in the directory.
-void store_write_thread(Runtime& rt, iso::SlotStore* store, marcel::Thread* t,
-                        const std::vector<iso::SlotHeader*>& slots,
-                        const std::vector<iso::SlotRun>& runs,
-                        bool incremental, StoreCheckpointStats& stats) {
-  const size_t slot_size = rt.area().slot_size();
-  const size_t ps = sys::page_size();
-  for (size_t r = 0; r < runs.size(); ++r) {
-    auto [first, count] = runs[r];
-    const auto base = reinterpret_cast<uintptr_t>(slots[r]);
-    const size_t len = size_t{count} * slot_size;
-    if (!incremental) {
-      stats.bytes_written += store->write_run(first, count);
-      continue;
-    }
-    std::vector<uint8_t> dirty;
-    if (sys::read_soft_dirty(base, len, dirty)) {
-      // Kernel soft-dirty delta: write only the pages touched since the
-      // last checkpoint's clear_refs baseline.
-      size_t i = 0;
-      while (i < dirty.size()) {
-        if (dirty[i] == 0) {
-          stats.bytes_skipped += ps;
-          ++i;
-          continue;
-        }
-        size_t j = i;
-        while (j < dirty.size() && dirty[j] != 0) ++j;
-        stats.bytes_written += store->write_range(base + i * ps, (j - i) * ps);
-        i = j;
-      }
-    } else {
-      // pagemap unavailable: rewrite the frozen thread's live extents (the
-      // migration §6 walk) — dead stack and free-block payloads in the
-      // file may go stale, which is exactly what makes them dead.
-      uint64_t live = 0;
-      for (auto [off, elen] : run_live_extents(rt, t, slots[r])) {
-        stats.bytes_written += store->write_range(base + off, elen);
-        live += elen;
-      }
-      stats.bytes_skipped += len - live;
-    }
-  }
-}
-
-}  // namespace
-
 StoreCheckpointStats checkpoint_node_to_store(Runtime& rt) {
   iso::SlotStore* store = rt.slot_store();
   PM2_CHECK(store != nullptr) << "checkpoint_node_to_store: no slot store "
                                  "(set RuntimeConfig::slot_store_dir)";
   StoreCheckpointStats stats;
   const size_t slot_size = rt.area().slot_size();
-  // clear_refs resets soft-dirty bits for the *whole process*, but a node
-  // pauses only its own workers: with a second in-process Runtime running
-  // its own incremental rounds, our clear would silently erase the dirty
-  // bits its next delta depends on (and vice versa), leaving its store
-  // file stale with no error.  Shared address space ⇒ full images only;
-  // one-Runtime processes (the real crash-restart deployment) keep the
-  // delta path.  The armed latch is left alone: bits keep accumulating,
-  // so the baseline is again valid (conservatively superset) if the
-  // process later returns to a single Runtime.
-  const bool soft_dirty =
-      sys::soft_dirty_supported() && Runtime::live_in_process() == 1;
-  stats.incremental = soft_dirty && store->soft_dirty_armed();
 
   marcel::Thread* self = marcel::Scheduler::self();
   rt.sched().pause_workers();
@@ -259,28 +195,22 @@ StoreCheckpointStats checkpoint_node_to_store(Runtime& rt) {
                << "; not persisted";
       continue;
     }
-    std::vector<iso::SlotHeader*> slots;
     std::vector<iso::SlotRun> runs;
     iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
-      slots.push_back(s);
       runs.emplace_back(rt.area().slot_of(s), s->nslots);
     });
-    // A thread first seen this round gets a full image even in an
-    // incremental round — the file has no base for it to diff against.
-    const bool fresh = !store->has_record(t->id);
     if (store->record_thread(t->id, reinterpret_cast<uint64_t>(t), runs)) {
-      store_write_thread(rt, store, t, slots, runs,
-                         stats.incremental && !fresh, stats);
+      for (auto [first, count] : runs) {
+        const uint64_t written = store->write_changed(first, count);
+        stats.bytes_written += written;
+        stats.bytes_skipped += uint64_t{count} * slot_size - written;
+      }
       store->seal_thread(t->id);
       ++stats.threads;
     }
     if (was_ready) rt.sched().unfreeze(t);
   }
 
-  // Reset the dirty baseline: the file now mirrors memory, so the next
-  // round only needs pages touched from here on.  If clear_refs fails the
-  // latch disarms and the next round writes full images again.
-  if (soft_dirty) store->set_soft_dirty_armed(sys::clear_soft_dirty());
   store->sync();
   rt.sched().resume_workers();
   return stats;

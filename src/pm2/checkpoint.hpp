@@ -79,18 +79,17 @@ std::vector<uint8_t> load_checkpoint(const std::string& path);
 // the slot store checkpoint persists EVERY checkpointable thread of a node
 // into the node's iso::SlotStore backing file: thread-directory records
 // name the images, and slot bytes land at their fixed file positions
-// (data_off + slot_index * slot_size) — the file is an address-stable
-// mirror of the iso-area, so repeated checkpoints overwrite in place and
-// only need to rewrite what changed.  Incremental rounds track dirty pages
-// with the kernel's soft-dirty bits (/proc/self/clear_refs + pagemap bit
-// 55) and fall back to the thread's live extents (the migration §6 walk)
-// where pagemap is unavailable.
+// (data_off + slot_index * slot_size).  The file is an address-stable
+// mirror of the iso-area, so every round goes through the store's one
+// write rule, SlotStore::write_changed: compare each run with the file and
+// write only the pages that differ (slots with no complete image yet are
+// written whole).  A round over threads that changed little writes little,
+// with no kernel dirty-page tracking.
 
 struct StoreCheckpointStats {
   uint64_t threads = 0;        // threads persisted this round
   uint64_t bytes_written = 0;  // slot bytes written to the store file
-  uint64_t bytes_skipped = 0;  // clean bytes an incremental round avoided
-  bool incremental = false;    // this round wrote deltas, not full images
+  uint64_t bytes_skipped = 0;  // slot bytes already equal in the file
 };
 
 /// Persist every checkpointable thread of this node into its slot store:
@@ -98,9 +97,11 @@ struct StoreCheckpointStats {
 /// threads are already byte-exact in the file (their record was written at
 /// demotion) and are skipped as pure savings; running (the caller),
 /// blocked and daemon threads are not checkpointable and are skipped with
-/// a warning for blocked ones.  The first round writes full images and
-/// arms soft-dirty tracking; later rounds write only dirty pages.
-/// Requires RuntimeConfig::slot_store_dir.
+/// a warning for blocked ones.  Each run is written with
+/// SlotStore::write_changed, so only pages that differ from the file are
+/// written; `bytes_written + bytes_skipped` is the node's persisted slot
+/// bytes.  Ends with SlotStore::sync().  Requires
+/// RuntimeConfig::slot_store_dir.
 StoreCheckpointStats checkpoint_node_to_store(Runtime& rt);
 
 /// Crash restart: adopt every thread recorded in a recovered slot store

@@ -198,15 +198,6 @@ size_t migration_payload_size(Runtime& rt, marcel::Thread* t,
   return pack_thread_chain(rt, t, blocks_only).size();
 }
 
-std::vector<std::pair<uint64_t, uint64_t>> run_live_extents(
-    Runtime& rt, marcel::Thread* t, iso::SlotHeader* slot) {
-  std::vector<Extent> extents = live_extents(slot, rt.area().slot_size(), t);
-  std::vector<std::pair<uint64_t, uint64_t>> out;
-  out.reserve(extents.size());
-  for (const Extent& e : extents) out.emplace_back(e.offset, e.len);
-  return out;
-}
-
 void ship_thread(Runtime& rt, marcel::Thread* t, uint32_t dest,
                  uint64_t ack_corr) {
   PM2_CHECK(dest != rt.self());

@@ -97,13 +97,6 @@ class MigrationPlacer final : public fabric::Placer {
 /// Costs only the pack walk — nothing is flattened or copied.
 size_t migration_payload_size(Runtime& rt, marcel::Thread* t, bool blocks_only);
 
-/// Live extents (offset, len from the run's first byte) of one slot run of a
-/// frozen thread: slot/block headers, busy payloads, descriptor and live
-/// stack — the same walk pack_thread_chain uses with blocks_only.  Exposed
-/// for the incremental checkpoint's fallback writer (no soft-dirty support).
-std::vector<std::pair<uint64_t, uint64_t>> run_live_extents(
-    Runtime& rt, marcel::Thread* t, iso::SlotHeader* slot);
-
 /// Slot runs (first, nslots) recorded in a migration payload's table,
 /// without installing it (checkpoint restore claims them before
 /// committing).

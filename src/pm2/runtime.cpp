@@ -24,11 +24,6 @@ namespace pm2 {
 namespace {
 thread_local Runtime* t_runtime = nullptr;
 
-// Live Runtime instances in this process.  Kernel facilities with
-// process-wide blast radius (clear_refs soft-dirty reset) are only safe to
-// use when exactly one logical node owns the address space.
-std::atomic<uint32_t> g_live_runtimes{0};
-
 class RuntimeBinding {
  public:
   explicit RuntimeBinding(Runtime* rt) : prev_(t_runtime) { t_runtime = rt; }
@@ -53,10 +48,6 @@ std::unique_ptr<fabric::Fabric> wrap_runtime_fabric(
 }  // namespace
 
 Runtime* Runtime::current() { return t_runtime; }
-
-uint32_t Runtime::live_in_process() {
-  return g_live_runtimes.load(std::memory_order_acquire);
-}
 
 uint32_t RuntimeConfig::resolved_workers() const {
   uint32_t w = workers;
@@ -104,7 +95,6 @@ Runtime::Runtime(const RuntimeConfig& config, iso::Area& area,
         return sc;
       }()),
       load_table_(config.n_nodes, 0) {
-  g_live_runtimes.fetch_add(1, std::memory_order_acq_rel);
   PM2_CHECK(fabric_ != nullptr);
   PM2_CHECK(fabric_->node_id() == config_.node &&
             fabric_->n_nodes() == config_.n_nodes)
@@ -173,7 +163,6 @@ Runtime::Runtime(const RuntimeConfig& config, iso::Area& area,
 
 Runtime::~Runtime() {
   drop_invocation_freelist();
-  g_live_runtimes.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 // ---------------------------------------------------------------------------

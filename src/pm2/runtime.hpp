@@ -329,11 +329,6 @@ class Runtime {
   /// Runtime of the calling kernel thread (valid inside run()).
   static Runtime* current();
 
-  /// Number of live Runtime instances in this process.  In-process
-  /// multi-node sessions share one address space, so process-global kernel
-  /// facilities (clear_refs soft-dirty reset) are only safe when this is 1.
-  static uint32_t live_in_process();
-
   uint32_t self() const { return config_.node; }
   uint32_t n_nodes() const { return config_.n_nodes; }
 

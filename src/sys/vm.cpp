@@ -102,9 +102,10 @@ void VmReservation::decommit(uintptr_t addr, size_t len) {
   PM2_CHECK(rc == 0) << "mprotect(PROT_NONE) failed: " << std::strerror(errno);
 }
 
-FileMapping::FileMapping(int fd, size_t offset, size_t len) {
+FileMapping::FileMapping(int fd, size_t offset, size_t len, bool writable) {
   PM2_CHECK(offset % page_size() == 0) << "file mapping offset not aligned";
-  void* got = ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED, fd,
+  const int prot = writable ? PROT_READ | PROT_WRITE : PROT_READ;
+  void* got = ::mmap(nullptr, len, prot, MAP_SHARED, fd,
                      static_cast<off_t>(offset));
   if (got == MAP_FAILED) {
     throw std::runtime_error("file-backed mapping failed: " +
@@ -184,8 +185,7 @@ bool read_soft_dirty(uintptr_t addr, size_t len, std::vector<uint8_t>& bits) {
 bool soft_dirty_supported() {
   // One live self-test: clear the bits, dirty a private page, and check the
   // kernel reports exactly that page dirty.  Some kernels/containers hide
-  // pagemap bits (CONFIG_MEM_SOFT_DIRTY off, lockdown) — the incremental
-  // checkpoint then falls back to heap-chain extents.
+  // pagemap bits (CONFIG_MEM_SOFT_DIRTY off, lockdown).
   static const bool supported = [] {
     if (!clear_soft_dirty()) return false;
     const size_t ps = page_size();

@@ -77,10 +77,11 @@ bool probe_readable(uintptr_t addr, size_t len);
 class FileMapping {
  public:
   FileMapping() = default;
-  /// Map `len` bytes of `fd` starting at page-aligned `offset`.  Throws
-  /// std::runtime_error on failure.  The fd may be closed afterwards; the
-  /// mapping keeps the file open.
-  FileMapping(int fd, size_t offset, size_t len);
+  /// Map `len` bytes of `fd` starting at page-aligned `offset` (MAP_SHARED,
+  /// read-write unless `writable` is false).  Throws std::runtime_error on
+  /// failure.  The fd may be closed afterwards; the mapping keeps the file
+  /// open.
+  FileMapping(int fd, size_t offset, size_t len, bool writable = true);
   ~FileMapping();
 
   FileMapping(const FileMapping&) = delete;
@@ -115,7 +116,7 @@ bool clear_soft_dirty();
 /// Read the soft-dirty bit for each page of [addr, addr+len): `bits` gets
 /// one byte per page (1 = written since the last clear_soft_dirty()).
 /// `addr` must be page aligned.  Returns false (and leaves `bits` empty)
-/// when pagemap is unavailable — callers fall back to full writes.
+/// when pagemap is unavailable.
 bool read_soft_dirty(uintptr_t addr, size_t len, std::vector<uint8_t>& bits);
 
 }  // namespace pm2::sys

@@ -4,7 +4,11 @@
 //
 // Two fabrics are covered:
 //   * in-process hub — the whole 2-node session is one child process that
-//     checkpoints both node stores, dies, and restarts recovered;
+//     checkpoints both node stores (a full round, then a delta round),
+//     dies, and restarts recovered;
+//   * in-process hub, one node — the image a restart adopts is exact after
+//     a delta round in which the heap grew a new slot run, and after a
+//     thread reused the slots of a checkpointed thread that exited;
 //   * socket fabric (real processes) — node 1 dies mid-session and comes
 //     back while node 0 holds a pending RPC to it; the reconnect-capable
 //     fabric parks the send until the restarted node re-joins, and the
@@ -34,6 +38,7 @@
 #include "pm2/api.hpp"
 #include "pm2/app.hpp"
 #include "pm2/audit.hpp"
+#include "isomalloc/layout.hpp"
 #include "pm2/checkpoint.hpp"
 #include "pm2/runtime.hpp"
 #include "sys/process.hpp"
@@ -77,6 +82,20 @@ long expected_sum(uint32_t node) {
   return sum;
 }
 
+/// Parent side: run the test's child, kill it after its checkpoint marker,
+/// restart it recovered and expect a clean exit.
+void crash_and_restart(const std::string& test) {
+  std::string dir = make_dir();
+  std::vector<std::string> args = {"--gtest_filter=CrashRestart." + test};
+  pid_t run = sys::spawn(sys::self_exe(), args, {"PM2_CR_DIR=" + dir});
+  ASSERT_TRUE(wait_for_file(dir + "/ckpt", 30'000)) << "checkpoint marker";
+  ::kill(run, SIGKILL);
+  EXPECT_EQ(sys::wait_child(run), 128 + SIGKILL);
+  pid_t re = sys::spawn(sys::self_exe(), args,
+                        {"PM2_CR_DIR=" + dir, "PM2_CR_RESTART=1"});
+  EXPECT_EQ(sys::wait_child(re), 0);
+}
+
 // --- in-process session: whole process dies and restarts --------------------
 
 std::atomic<int> g_built[2];
@@ -116,6 +135,11 @@ void cr_inproc_child() {
       while (g_built[rt.self()].load() == 0) pm2_yield();
       StoreCheckpointStats stats = checkpoint_node_to_store(rt);
       CHILD_REQUIRE(stats.threads == 1);
+      // A second round over the (spinning) worker: only its changed pages
+      // are rewritten, and the restart below must still adopt it intact.
+      StoreCheckpointStats delta = checkpoint_node_to_store(rt);
+      CHILD_REQUIRE(delta.threads == 1);
+      CHILD_REQUIRE(delta.bytes_written < stats.bytes_written);
       rt.slot_store()->sync();
       rt.barrier();  // both node stores durable before the marker appears
       if (rt.self() == 0) touch(marker);
@@ -134,16 +158,134 @@ TEST(CrashRestart, InprocSessionRestoresFromStoreFiles) {
   if (std::getenv("PM2_CR_DIR") != nullptr && !is_spawned_child()) {
     cr_inproc_child();  // never returns
   }
-  std::string dir = make_dir();
-  std::vector<std::string> args = {
-      "--gtest_filter=CrashRestart.InprocSessionRestoresFromStoreFiles"};
-  pid_t run = sys::spawn(sys::self_exe(), args, {"PM2_CR_DIR=" + dir});
-  ASSERT_TRUE(wait_for_file(dir + "/ckpt", 30'000)) << "checkpoint marker";
-  ::kill(run, SIGKILL);
-  EXPECT_EQ(sys::wait_child(run), 128 + SIGKILL);
-  pid_t re = sys::spawn(sys::self_exe(), args,
-                        {"PM2_CR_DIR=" + dir, "PM2_CR_RESTART=1"});
-  EXPECT_EQ(sys::wait_child(re), 0);
+  crash_and_restart("InprocSessionRestoresFromStoreFiles");
+}
+
+// --- delta rounds: the restored image is exact ------------------------------
+
+std::atomic<int> g_step{0};
+std::atomic<unsigned char*> g_block{nullptr};
+
+unsigned char pattern(size_t i, unsigned seed) {
+  return static_cast<unsigned char>((i * 131 + seed) ^ (i >> 11));
+}
+
+/// Run a one-node in-process child session: `before` drives the first
+/// incarnation up to its last checkpoint; the restarted incarnation adopts
+/// exactly one thread from the store and waits for its signal.
+template <typename Before>
+void one_node_child(Before before) {
+  const char* dir = std::getenv("PM2_CR_DIR");
+  CHILD_REQUIRE(dir != nullptr);
+  const bool restart = std::getenv("PM2_CR_RESTART") != nullptr;
+  AppConfig cfg;
+  cfg.nodes = 1;
+  cfg.rt.slot_store_dir = dir;
+  cfg.rt.slot_store_recover = restart;
+  run_app(cfg, [&](Runtime& rt) {
+    if (!restart) {
+      before(rt);
+      rt.slot_store()->sync();
+      touch(std::string(dir) + "/ckpt");
+      while (true) pm2_sleep_us(5'000);  // park until the parent kills us
+    }
+    CHILD_REQUIRE(rt.slot_store()->recovered());
+    CHILD_REQUIRE(restore_node_from_store(rt).size() == 1);
+    pm2_wait_signals(1);
+  });
+  std::exit(0);
+}
+
+constexpr size_t kSmall = 3000;
+constexpr size_t kGrown = 200'000;  // larger than a slot: a new slot run
+
+void grow_worker(void*) {
+  auto* small = static_cast<unsigned char*>(pm2_isomalloc(kSmall));
+  for (size_t i = 0; i < kSmall; ++i) small[i] = pattern(i, 1);
+  g_step = 1;
+  while (g_step.load() < 2) pm2_yield();
+  // Zero bytes but for a short prefix: had the new run been compared with
+  // the file instead of written whole, its zero pages would be skipped.
+  auto* grown = static_cast<unsigned char*>(pm2_isomalloc(kGrown));
+  std::memset(grown, 0, kGrown);
+  for (size_t i = 0; i < 100; ++i) grown[i] = pattern(i, 2);
+  g_block = grown;
+  g_step = 3;
+  while (std::getenv("PM2_CR_RESTART") == nullptr) pm2_yield();
+  for (size_t i = 0; i < kSmall; ++i) CHILD_REQUIRE(small[i] == pattern(i, 1));
+  for (size_t i = 0; i < kGrown; ++i) {
+    CHILD_REQUIRE(grown[i] == (i < 100 ? pattern(i, 2) : 0));
+  }
+  pm2_isofree(grown);
+  pm2_isofree(small);
+  pm2_signal(0);
+}
+
+TEST(CrashRestart, HeapRunAddedBetweenRoundsIsWrittenWhole) {
+  if (std::getenv("PM2_CR_DIR") != nullptr && !is_spawned_child()) {
+    one_node_child([](Runtime& rt) {
+      pm2_thread_create(grow_worker, nullptr, "grow");
+      while (g_step.load() < 1) pm2_yield();
+      CHILD_REQUIRE(checkpoint_node_to_store(rt).threads == 1);
+      g_step = 2;
+      while (g_step.load() < 3) pm2_yield();
+      const size_t slot = rt.area().slot_of(g_block.load());
+      const auto* run = static_cast<const iso::SlotHeader*>(
+          rt.area().slot_addr(slot));
+      CHILD_REQUIRE(run->nslots > 1);
+      StoreCheckpointStats delta = checkpoint_node_to_store(rt);
+      CHILD_REQUIRE(delta.threads == 1);
+      CHILD_REQUIRE(delta.bytes_written >=
+                    uint64_t{run->nslots} * rt.area().slot_size());
+    });
+  }
+  crash_and_restart("HeapRunAddedBetweenRoundsIsWrittenWhole");
+}
+
+constexpr size_t kReused = 100'000;
+
+void first_owner(void*) {
+  auto* block = static_cast<unsigned char*>(pm2_isomalloc(kReused));
+  std::memset(block, 0xA5, kReused);
+  g_block = block;
+  g_step = 1;
+  while (g_step.load() < 2) pm2_yield();
+  pm2_isofree(block);
+  pm2_signal(0);
+}
+
+void second_owner(void*) {
+  auto* block = static_cast<unsigned char*>(pm2_isomalloc(kReused));
+  CHILD_REQUIRE(block == g_block.load());  // the first owner's slots
+  // Zero first half: where the first owner's 0xA5 bytes would survive if
+  // a page equal to "nothing written" were skipped.
+  std::memset(block, 0, kReused);
+  for (size_t i = kReused / 2; i < kReused; ++i) block[i] = pattern(i, 3);
+  g_step = 3;
+  while (std::getenv("PM2_CR_RESTART") == nullptr) pm2_yield();
+  for (size_t i = 0; i < kReused; ++i) {
+    CHILD_REQUIRE(block[i] == (i < kReused / 2 ? 0 : pattern(i, 3)));
+  }
+  pm2_isofree(block);
+  pm2_signal(0);
+}
+
+TEST(CrashRestart, ReusedSlotsRestoreWithoutStaleBytes) {
+  if (std::getenv("PM2_CR_DIR") != nullptr && !is_spawned_child()) {
+    one_node_child([](Runtime& rt) {
+      marcel::ThreadId first = pm2_thread_create(first_owner, nullptr, "first");
+      while (g_step.load() < 1) pm2_yield();
+      CHILD_REQUIRE(checkpoint_node_to_store(rt).threads == 1);
+      CHILD_REQUIRE(rt.slot_store()->has_record(first));
+      g_step = 2;
+      pm2_wait_signals(1);  // the first owner freed its block and exits
+      while (rt.slot_store()->has_record(first)) pm2_yield();
+      pm2_thread_create(second_owner, nullptr, "second");
+      while (g_step.load() < 3) pm2_yield();
+      CHILD_REQUIRE(checkpoint_node_to_store(rt).threads == 1);
+    });
+  }
+  crash_and_restart("ReusedSlotsRestoreWithoutStaleBytes");
 }
 
 // --- socket fabric: one node process dies, peers wait it back ---------------

@@ -1,8 +1,8 @@
 // SlotStore residency tiering: freeze -> demote -> (unfreeze | migrate),
 // budget-driven eviction order, capacity beyond the resident budget,
 // header/stamp validation on recovery, ASan poison round trips through the
-// store file, audit coverage of demoted runs, and incremental (soft-dirty)
-// node checkpoints.
+// store file, audit coverage of demoted runs, and node checkpoints that
+// write only the pages differing from the store file.
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
@@ -407,7 +407,34 @@ TEST(SlotStore, AuditCoversDemotedRuns) {
   EXPECT_TRUE(g_ok.load());
 }
 
-// --- incremental node checkpoints -------------------------------------------
+// --- compare-and-write node checkpoints -------------------------------------
+
+/// Byte-compare every recorded run of `id` in this node's store file with
+/// the (committed, quiescent) memory at the same iso-addresses.
+bool file_matches_memory(Runtime& rt, marcel::ThreadId id) {
+  const std::string path = rt.config().slot_store_dir + "/node" +
+                           std::to_string(rt.self()) + ".store";
+  std::ifstream f(path, std::ios::binary);
+  iso::StoreHeader hdr;
+  f.read(reinterpret_cast<char*>(&hdr), sizeof(hdr));
+  bool found = false;
+  for (const auto& rec : rt.slot_store()->recorded_threads()) {
+    if (rec.id != id) continue;
+    found = true;
+    for (auto [first, count] : rec.runs) {
+      const size_t len = size_t{count} * rt.area().slot_size();
+      std::vector<char> bytes(len);
+      f.seekg(static_cast<std::streamoff>(hdr.data_off +
+                                          first * rt.area().slot_size()));
+      f.read(bytes.data(), static_cast<std::streamsize>(len));
+      if (!f.good() ||
+          std::memcmp(bytes.data(), rt.area().slot_addr(first), len) != 0) {
+        return false;
+      }
+    }
+  }
+  return found;
+}
 
 void dirty_worker(void*) {
   constexpr size_t kBytes = 64 * 1024;
@@ -438,62 +465,135 @@ TEST(SlotStore, IncrementalCheckpointWritesLessThanFull) {
     while (g_phase.load() < 1) pm2_yield();
     StoreCheckpointStats full = checkpoint_node_to_store(rt);
     EXPECT_EQ(full.threads, 1u);
-    EXPECT_FALSE(full.incremental);  // first round: nothing armed yet
     EXPECT_GT(full.bytes_written, 0u);
     g_phase = 2;
     while (g_phase.load() < 3) pm2_yield();
     StoreCheckpointStats incr = checkpoint_node_to_store(rt);
     EXPECT_EQ(incr.threads, 1u);
-    if (sys::soft_dirty_supported()) {
-      EXPECT_TRUE(incr.incremental);
-      EXPECT_LT(incr.bytes_written, full.bytes_written);
-      EXPECT_GT(incr.bytes_skipped, 0u);
-    }
+    EXPECT_LT(incr.bytes_written, full.bytes_written);
+    EXPECT_GT(incr.bytes_skipped, 0u);
+    // Both rounds cover the same slots.
+    EXPECT_EQ(incr.bytes_written + incr.bytes_skipped,
+              full.bytes_written + full.bytes_skipped);
     g_phase = 4;
     pm2_wait_signals(1);
   });
   EXPECT_TRUE(g_ok.load());
 }
 
-// --- multi-node in-process sessions stay on full images ---------------------
-
-std::atomic<int> g_node_built[2];
-
-void shared_as_worker(void*) {
-  auto* data = static_cast<unsigned char*>(pm2_isomalloc(16 * 1024));
-  std::memset(data, 0x77, 16 * 1024);
-  g_node_built[pm2_self()] = 1;
-  while (g_phase.load() < 1) pm2_yield();
-  pm2_isofree(data);
-  pm2_signal(pm2_self());
+TEST(SlotStore, BackToBackRoundsOverFrozenThreadsWriteNothing) {
+  g_phase = 0;
+  g_built = 0;
+  g_done = 0;
+  g_ok = true;
+  AppConfig cfg;
+  cfg.nodes = 1;
+  cfg.rt.slot_store_dir = make_store_dir();
+  run_app(cfg, [](Runtime& rt) {
+    marcel::ThreadId ids[3];
+    for (int i = 0; i < 3; ++i) {
+      ids[i] = pm2_thread_create(spin_worker,
+                                 reinterpret_cast<void*>(intptr_t{i + 1}),
+                                 "spin");
+    }
+    while (g_built.load() < 3) pm2_yield();
+    for (marcel::ThreadId id : ids) ASSERT_TRUE(rt.freeze_thread(id));
+    StoreCheckpointStats first = checkpoint_node_to_store(rt);
+    EXPECT_EQ(first.threads, 3u);
+    EXPECT_GT(first.bytes_written, 0u);
+    // Nothing ran in between: every page already equals the file.
+    StoreCheckpointStats second = checkpoint_node_to_store(rt);
+    EXPECT_EQ(second.threads, 3u);
+    EXPECT_EQ(second.bytes_written, 0u);
+    EXPECT_EQ(second.bytes_skipped, first.bytes_written + first.bytes_skipped);
+    for (marcel::ThreadId id : ids) EXPECT_TRUE(file_matches_memory(rt, id));
+    for (marcel::ThreadId id : ids) ASSERT_TRUE(rt.unfreeze_thread(id));
+    g_phase = 1;
+    pm2_wait_signals(3);
+    EXPECT_EQ(g_done.load(), 3);
+  });
+  EXPECT_TRUE(g_ok.load());
 }
 
-// clear_refs resets soft-dirty bits for the *whole process*, so a second
-// in-process Runtime's baseline reset would silently wipe the dirty bits
-// this node's next delta depends on (and vice versa).  Shared address
-// space => every checkpoint round must stay a full image.
-TEST(SlotStore, InprocMultiNodeCheckpointsStayFull) {
+// --- demotion writes only what the file lacks -------------------------------
+
+TEST(SlotStore, DemoteAfterCheckpointWritesNoDataPages) {
   g_phase = 0;
-  g_node_built[0] = 0;
-  g_node_built[1] = 0;
+  g_done = 0;
+  g_ok = true;
+  AppConfig cfg;
+  cfg.nodes = 1;
+  cfg.rt.slot_store_dir = make_store_dir();
+  run_app(cfg, [](Runtime& rt) {
+    marcel::ThreadId id = pm2_thread_create(tier_worker, nullptr, "tier");
+    while (g_phase.load() < 1) pm2_yield();
+    ASSERT_TRUE(rt.freeze_thread(id));
+    StoreCheckpointStats ckpt = checkpoint_node_to_store(rt);
+    ASSERT_EQ(ckpt.threads, 1u);
+    const uint64_t out0 = rt.slot_store()->stats().bytes_out;
+    ASSERT_TRUE(rt.demote_thread(id));
+    // The checkpoint left the file equal to the frozen thread's memory.
+    EXPECT_EQ(rt.slot_store()->stats().bytes_out - out0, 0u);
+    EXPECT_GT(rt.demoted_bytes(), 0u);
+    ASSERT_TRUE(rt.unfreeze_thread(id));
+    g_phase = 2;
+    pm2_wait_signals(1);
+    EXPECT_EQ(g_done.load(), 1);
+  });
+  EXPECT_TRUE(g_ok.load());
+}
+
+// --- multi-node in-process sessions -----------------------------------------
+
+std::atomic<int> g_node_built[2];
+std::atomic<int> g_node_phase[2];
+
+void shared_as_worker(void*) {
+  const uint32_t me = pm2_self();
+  auto* data = static_cast<unsigned char*>(pm2_isomalloc(16 * 1024));
+  std::memset(data, 0x77, 16 * 1024);
+  g_node_built[me] = 1;
+  while (g_node_phase[me].load() < 1) pm2_yield();
+  data[8192] = 0x78;  // one page changes between the node's two rounds
+  g_node_built[me] = 2;
+  while (g_phase.load() < 1) pm2_yield();
+  pm2_isofree(data);
+  pm2_signal(me);
+}
+
+// Two Runtimes share one address space, each with its own store file: each
+// node's second round writes only what changed in its own threads, and
+// each file ends byte-equal to its node's memory.
+TEST(SlotStore, InprocMultiNodeSecondRoundsWriteOnlyChanges) {
+  g_phase = 0;
+  for (int i = 0; i < 2; ++i) {
+    g_node_built[i] = 0;
+    g_node_phase[i] = 0;
+  }
   g_ok = true;
   AppConfig cfg;
   cfg.nodes = 2;
   cfg.rt.slot_store_dir = make_store_dir();
   run_app(cfg, [](Runtime& rt) {
-    rt.barrier();  // both Runtimes constructed before the counter is read
-    EXPECT_EQ(Runtime::live_in_process(), 2u);
-    pm2_thread_create(shared_as_worker, nullptr, "shared");
-    while (g_node_built[rt.self()].load() == 0) pm2_yield();
+    const uint32_t me = rt.self();
+    marcel::ThreadId id =
+        pm2_thread_create(shared_as_worker, nullptr, "shared");
+    while (g_node_built[me].load() < 1) pm2_yield();
+    ASSERT_TRUE(rt.freeze_thread(id));
     StoreCheckpointStats first = checkpoint_node_to_store(rt);
     EXPECT_EQ(first.threads, 1u);
-    EXPECT_FALSE(first.incremental);
     EXPECT_GT(first.bytes_written, 0u);
+    ASSERT_TRUE(rt.unfreeze_thread(id));
+    g_node_phase[me] = 1;
+    while (g_node_built[me].load() < 2) pm2_yield();
+    ASSERT_TRUE(rt.freeze_thread(id));
+    rt.barrier();  // both nodes' first rounds and writes are done
     StoreCheckpointStats second = checkpoint_node_to_store(rt);
-    // A one-Runtime process would go incremental here (the first round
-    // arms the soft-dirty baseline); sharing the address space forbids it.
-    EXPECT_FALSE(second.incremental);
+    EXPECT_EQ(second.threads, 1u);
     EXPECT_GT(second.bytes_written, 0u);
+    EXPECT_LT(second.bytes_written, first.bytes_written);
+    EXPECT_TRUE(file_matches_memory(rt, id));
+    ASSERT_TRUE(rt.unfreeze_thread(id));
     rt.barrier();  // both nodes checkpoint before either releases its worker
     g_phase = 1;
     pm2_wait_signals(1);
