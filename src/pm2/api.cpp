@@ -86,7 +86,7 @@ void pm2_halt() { rt().halt(); }
 void pm2_signal(uint32_t node) { rt().send_signal(node); }
 void pm2_wait_signals(uint64_t count) { rt().wait_signals(count); }
 
-Future<MigrateResult> migrate_async(marcel::ThreadId id, uint32_t dest) {
+RpcFuture<MigrateResult> migrate_async(marcel::ThreadId id, uint32_t dest) {
   return rt().migrate_async(id, dest);
 }
 

@@ -137,7 +137,7 @@ RpcFuture<R> call_async(uint32_t node, const char* name,
 
 /// Preemptive migration with a completion future (acked by the
 /// destination once the thread is installed there).
-Future<MigrateResult> migrate_async(marcel::ThreadId id, uint32_t dest);
+RpcFuture<MigrateResult> migrate_async(marcel::ThreadId id, uint32_t dest);
 
 /// Per-node migration observers (pm2_set_pre/post_migration_func).
 void on_migration(MigrationHook pre, MigrationHook post);

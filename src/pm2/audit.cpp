@@ -127,19 +127,8 @@ AuditReport audit_session(Runtime& rt) {
   rt.sched().resume_workers();
   for (uint32_t node = 0; node < rt.n_nodes(); ++node) {
     if (node == rt.self()) continue;
-    uint64_t corr = rt.next_corr_.fetch_add(1, std::memory_order_relaxed);
-    // No deadline: audits run under the system lock; the peer-down sweep
-    // fails this future (fut.failed() below reports the abort) if the
-    // audited peer dies mid-inventory.
-    marcel::Future<std::vector<uint8_t>> fut = rt.register_pending(corr, node, 0);
-    fabric::Message req;
-    req.type = kAuditReq;
-    req.dst = node;
-    req.corr = corr;
-    rt.fabric_send(std::move(req));
-    fut.wait();
-    PM2_CHECK(!fut.failed()) << "audit aborted: " << fut.error();
-    std::vector<uint8_t> resp = fut.take();
+    std::vector<uint8_t> resp =
+        rt.await_control_reply(node, kAuditReq, "audit");
     ByteReader r(resp);
     for (HeldRun& run : unpack_inventory(r)) held.push_back(run);
   }

@@ -177,6 +177,23 @@ void Runtime::apply_deferred_releases() {
   }
 }
 
+std::vector<uint8_t> Runtime::await_control_reply(uint32_t node,
+                                                  MsgType type,
+                                                  const char* what) {
+  // No deadline: gathers and audits run under the system lock, whose own
+  // waiter is failed by the peer-down sweep; the sweep also fails this
+  // correlation if `node` dies mid-request.
+  auto [corr, fut] = pending_.open(node, 0);
+  fabric::Message req;
+  req.type = type;
+  req.dst = node;
+  req.corr = corr;
+  fabric_send(std::move(req));
+  fut.wait();
+  PM2_CHECK(!fut.failed()) << what << " aborted: " << fut.error();
+  return fut.take();
+}
+
 std::vector<Bitmap> Runtime::gather_all_bitmaps() {
   PM2_DEBUG << "gathering bitmaps";
   // Sequential per-peer gather: the paper's measured cost grows linearly,
@@ -187,19 +204,8 @@ std::vector<Bitmap> Runtime::gather_all_bitmaps() {
   slot_lock_.unlock();
   for (uint32_t node = 0; node < config_.n_nodes; ++node) {
     if (node == config_.node) continue;
-    uint64_t corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
-    // No deadline: gathers run under the system lock, whose own waiter is
-    // failed by the peer-down sweep; the sweep also fails these futures if
-    // the gathered peer dies mid-collection.
-    marcel::Future<std::vector<uint8_t>> fut = register_pending(corr, node, 0);
-    fabric::Message req;
-    req.type = kGatherReq;
-    req.dst = node;
-    req.corr = corr;
-    fabric_send(std::move(req));
-    fut.wait();
-    PM2_CHECK(!fut.failed()) << "negotiation gather aborted: " << fut.error();
-    std::vector<uint8_t> resp = fut.take();
+    std::vector<uint8_t> resp =
+        await_control_reply(node, kGatherReq, "negotiation gather");
     ByteReader r(resp);
     bitmaps[node] =
         Bitmap::from_words(area_.n_slots(), r.get_vector<uint64_t>());

@@ -43,7 +43,7 @@ enum MsgType : uint16_t {
 
   // v2 asynchronous RPC / migration completions
   kReplyError,  // {string why}       corr = matching request (fails the future)
-  kMigrateAck,  // {u64 thread id}    corr = matching migrate_async
+  kMigrateAck,  // {MigrateResult}    corr = matching migrate_async
 
   // Failure detection: periodic liveness beacon from each comm daemon.
   // Empty payload; best-effort (a heartbeat to a dead peer is dropped, not

@@ -33,61 +33,76 @@ class RuntimeBinding {
   Runtime* prev_;
 };
 
-// Fault-injection hook point: wrap the transport when a plan is configured
-// (RuntimeConfig::fault_plan, else the PM2_FAULT_PLAN env var — the env
-// path is what lets multiprocess tests inject into spawned node
-// processes).  Runs in the fabric_ member initializer, before channels_
-// captures the fabric reference.
-std::unique_ptr<fabric::Fabric> wrap_runtime_fabric(
-    const RuntimeConfig& config, std::unique_ptr<fabric::Fabric> inner) {
-  fabric::FaultPlan plan = config.fault_plan.empty()
-                               ? fabric::FaultPlan::from_env()
-                               : fabric::FaultPlan::parse(config.fault_plan);
-  return fabric::wrap_with_faults(std::move(inner), plan);
+/// Positive integer value of environment variable `name`, else 0.
+uint64_t env_count(const char* name) {
+  const char* env = std::getenv(name);
+  long v = env != nullptr ? std::strtol(env, nullptr, 10) : 0;
+  return v > 0 ? static_cast<uint64_t>(v) : 0;
+}
+
+/// The session's one read of the environment.  Explicit config values win;
+/// the environment fills only zero or empty fields, which is what lets CI
+/// run whole suites multi-worker (PM2_WORKERS) and chaos runs arm deadlines
+/// (PM2_RPC_TIMEOUT_MS) and faults (PM2_FAULT_PLAN) in spawned node
+/// processes without code changes.
+RuntimeConfig resolve_env(RuntimeConfig c) {
+  uint64_t workers = c.workers != 0 ? c.workers : env_count("PM2_WORKERS");
+  // An explicit request (config or env) is honored even above the core
+  // count — oversubscribed workers still exercise every multi-worker code
+  // path, which is exactly what CI on small boxes needs.  Only a sanity
+  // cap applies; 0 (auto, no env) is the historical single-loop scheduler.
+  c.workers = static_cast<uint32_t>(std::clamp<uint64_t>(workers, 1, 64));
+  if (c.rpc_timeout_ns == 0)
+    c.rpc_timeout_ns = env_count("PM2_RPC_TIMEOUT_MS") * 1'000'000ull;
+  if (c.fault_plan.empty()) {
+    if (const char* env = std::getenv("PM2_FAULT_PLAN")) c.fault_plan = env;
+  }
+  return c;
+}
+
+marcel::Future<std::vector<uint8_t>> failed_future(std::string why) {
+  marcel::Promise<std::vector<uint8_t>> p;
+  p.set_error(std::move(why));
+  return p.future();
+}
+
+/// kPeerDown-classified error text about `node`.
+std::string peer_down_error(uint32_t node, const char* what) {
+  return std::string(kRpcPeerDownPrefix) + ": node " + std::to_string(node) +
+         " " + what;
+}
+
+/// A migrate_async completion, packed the way RpcFuture<MigrateResult>
+/// unpacks it.
+std::vector<uint8_t> pack_result(const MigrateResult& r) {
+  mad::PackBuffer pb;
+  mad::pack_value(pb, r);
+  return pb.finalize();
+}
+
+/// kRpc wire payload: a staged service hash spliced ahead of the caller's
+/// argument chain — borrowed pack regions go to the wire from the caller's
+/// memory, never flattened here.
+mad::BufferChain rpc_chain(uint32_t service, mad::PackBuffer&& args) {
+  mad::PackBuffer head;
+  head.pack<uint32_t>(service);
+  mad::BufferChain chain = head.take_chain();
+  chain.append_chain(args.take_chain());
+  return chain;
 }
 }  // namespace
 
 Runtime* Runtime::current() { return t_runtime; }
 
-uint32_t RuntimeConfig::resolved_workers() const {
-  uint32_t w = workers;
-  if (w == 0) {
-    // Auto: PM2_WORKERS if set (lets CI run whole suites multi-worker
-    // without per-test edits), else the historical single-loop scheduler.
-    const char* env = std::getenv("PM2_WORKERS");
-    if (env != nullptr && *env != '\0') {
-      long v = std::strtol(env, nullptr, 10);
-      if (v > 0) w = static_cast<uint32_t>(v);
-    }
-    if (w == 0) w = 1;
-  }
-  // An explicit request (config or env) is honored even above the core
-  // count — oversubscribed workers still exercise every multi-worker code
-  // path, which is exactly what CI on small boxes needs.  Only a sanity
-  // cap applies.
-  constexpr uint32_t kMaxWorkers = 64;
-  if (w > kMaxWorkers) w = kMaxWorkers;
-  return w == 0 ? 1 : w;
-}
-
-uint64_t RuntimeConfig::resolved_rpc_timeout_ns() const {
-  if (rpc_timeout_ns != 0) return rpc_timeout_ns;
-  // Env override only fills in an *unset* default, so explicit configs win
-  // and PM2_RPC_TIMEOUT_MS can arm whole multiprocess chaos runs at once.
-  const char* env = std::getenv("PM2_RPC_TIMEOUT_MS");
-  if (env != nullptr && *env != '\0') {
-    long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<uint64_t>(v) * 1'000'000ull;
-  }
-  return 0;
-}
-
 Runtime::Runtime(const RuntimeConfig& config, iso::Area& area,
                  std::unique_ptr<fabric::Fabric> fabric)
-    : config_(config),
+    : config_(resolve_env(config)),
       area_(area),
-      fabric_(wrap_runtime_fabric(config, std::move(fabric))),
-      sched_(config.resolved_workers()),
+      // Fault-injection hook point: an active plan wraps the transport
+      // before channels_ captures the fabric reference.
+      fabric_(fabric::wrap_with_faults(
+          std::move(fabric), fabric::FaultPlan::parse(config_.fault_plan))),
+      sched_(config_.workers),
       slot_mgr_(area, [&] {
         iso::SlotManagerConfig sc = config.slots;
         sc.node = config.node;
@@ -101,7 +116,6 @@ Runtime::Runtime(const RuntimeConfig& config, iso::Area& area,
       << "fabric/runtime node configuration mismatch";
   mig_placer_ = std::make_unique<MigrationPlacer>(*this);
   fabric_->set_placer(kMigrate, mig_placer_.get());
-  rpc_timeout_ns_ = config_.resolved_rpc_timeout_ns();
   // Peer-health slots exist only when the failure detector can run — a
   // null array keeps every legacy path (peer_seen, fail-fast checks) at a
   // single pointer test.
@@ -243,7 +257,13 @@ void Runtime::thread_trampoline(void* descriptor) {
 marcel::ThreadId Runtime::spawn(marcel::EntryFn fn, void* arg,
                                 const char* name) {
   sched_.maybe_preempt();
-  return create_thread_in_slots(fn, arg, name, 0)->id;
+  // Read the id while the newborn is still frozen: once it runs it may
+  // migrate away (an in-process install rewrites its descriptor) or exit.
+  marcel::Thread* t =
+      create_thread_in_slots(fn, arg, name, 0, /*start_frozen=*/true);
+  marcel::ThreadId id = t->id;
+  sched_.unfreeze(t);
+  return id;
 }
 
 struct Runtime::SpawnLocalCtx {
@@ -260,9 +280,13 @@ void Runtime::local_trampoline(void* p) {
 marcel::ThreadId Runtime::spawn_local(std::function<void()> fn,
                                       const char* name) {
   auto* ctx = new SpawnLocalCtx{std::move(fn)};
-  return create_thread_in_slots(&Runtime::local_trampoline, ctx, name,
-                                marcel::Thread::kFlagPinned)
-      ->id;
+  // Frozen until its id is read, as in spawn(): it may exit at once.
+  marcel::Thread* t = create_thread_in_slots(
+      &Runtime::local_trampoline, ctx, name, marcel::Thread::kFlagPinned,
+      /*start_frozen=*/true);
+  marcel::ThreadId id = t->id;
+  sched_.unfreeze(t);
+  return id;
 }
 
 marcel::ThreadId Runtime::spawn_copy(marcel::EntryFn fn, const void* data,
@@ -842,90 +866,58 @@ bool Runtime::migrate(marcel::ThreadId id, uint32_t dest) {
   return true;
 }
 
-marcel::Future<MigrateResult> Runtime::migrate_async(marcel::ThreadId id,
-                                                     uint32_t dest,
-                                                     uint64_t timeout_ns) {
-  marcel::Promise<MigrateResult> promise;
-  marcel::Future<MigrateResult> fut = promise.future();
+RpcFuture<MigrateResult> Runtime::migrate_async(marcel::ThreadId id,
+                                                uint32_t dest,
+                                                uint64_t timeout_ns) {
   PM2_CHECK(dest < config_.n_nodes) << "migrate to unknown node " << dest;
-  if (halting()) {
-    promise.set_error("session halting");
-    return fut;
-  }
-  if (peer_down(dest)) {
-    promise.set_error(std::string(kRpcPeerDownPrefix) + ": node " +
-                      std::to_string(dest) + " is down");
-    return fut;
-  }
+  auto failed = [](std::string why) {
+    return RpcFuture<MigrateResult>(failed_future(std::move(why)));
+  };
+  if (halting()) return failed("session halting");
+  if (peer_down(dest)) return failed(peer_down_error(dest, "is down"));
   marcel::Thread* t = sched_.find(id);
-  if (t == nullptr) {
-    promise.set_error("no such thread on this node");
-    return fut;
-  }
+  if (t == nullptr) return failed("no such thread on this node");
   ensure_resident(t);  // demoted descriptor is PROT_NONE until faulted back
-  if (dest == config_.node) {
-    promise.set_value(MigrateResult{id, dest});  // already there
-    return fut;
+  if (dest == config_.node) {  // already there
+    marcel::Promise<std::vector<uint8_t>> done;
+    done.set_value(pack_result(MigrateResult{id, dest}));
+    return RpcFuture<MigrateResult>(done.future());
   }
-  if (t == marcel::Scheduler::self()) {
-    promise.set_error("migrate_async cannot move the caller; use migrate_self");
-    return fut;
-  }
+  if (t == marcel::Scheduler::self())
+    return failed("migrate_async cannot move the caller; use migrate_self");
   if (t->is_pinned() ||
       (t->state != marcel::ThreadState::kFrozen && !sched_.freeze(t))) {
-    promise.set_error("thread not migratable (pinned, running, or blocked)");
-    return fut;
+    return failed("thread not migratable (pinned, running, or blocked)");
   }
   uint64_t deadline = resolve_deadline(timeout_ns);
-  // Rollback state: the runs (recorded while the thread is still resident
-  // and ours) let a timeout / peer-down sweep reclaim the cached pages and
-  // adopt the descriptor back.
-  std::vector<std::pair<size_t, size_t>> runs;
+  // Rollback record, only when a deadline or the failure detector can use
+  // it: the runs (recorded while the thread is still resident and ours)
+  // let fail() reclaim the cached pages and adopt the descriptor back.
+  std::optional<MigrationRollback> rollback;
   if (deadline != 0 || peers_ != nullptr) {
+    MigrationRollback& rb =
+        rollback.emplace(MigrationRollback{t, id, {}, false});
     iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* slot) {
-      runs.emplace_back(area_.slot_of(slot), slot->nslots);
+      rb.runs.emplace_back(area_.slot_of(slot), slot->nslots);
     });
   }
-  uint64_t corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
-  pending_lock_.lock();
-  if (halting()) {
-    // halt()'s drain already swept the map; registering now would hang the
-    // future forever.  Re-freeze nothing — fail fast like the check above.
-    pending_lock_.unlock();
+  CorrelationTable::Opened req =
+      pending_.open(dest, deadline, std::move(rollback));
+  if (req.corr == 0) {  // halt drained the table while we froze the thread
     sched_.unfreeze(t);
-    promise.set_error("session halting");
-    return fut;
+    return RpcFuture<MigrateResult>(std::move(req.future));
   }
-  pending_migrations_.emplace(
-      corr, PendingMigration{std::move(promise), dest, deadline, t, id,
-                             std::move(runs), /*shipped=*/false});
-  pending_lock_.unlock();
   ++migrations_out_;
-  ship_thread(*this, t, dest, corr);
+  ship_thread(*this, t, dest, req.corr);
   // Only now — with the pack sent and the descriptor forgotten — may the
-  // failure paths roll this migration back: arm the deadline and, if the
-  // destination went down while we were shipping (its sweep skipped the
-  // unshipped entry), fail it ourselves.
-  std::optional<PendingMigration> lost;
-  pending_lock_.lock();
-  if (auto it = pending_migrations_.find(corr);
-      it != pending_migrations_.end()) {  // ack may already have landed
-    it->second.shipped = true;
-    if (peer_down(dest)) {
-      lost = std::move(it->second);
-      pending_migrations_.erase(it);
-    } else if (deadline != 0) {
-      arm_deadline_locked(corr, deadline, /*migration=*/true);
-    }
-  }
-  pending_lock_.unlock();
-  if (lost) {
+  // failure paths roll this migration back.  A destination declared down
+  // while we were shipping skipped the unshipped entry: fail it here.
+  if (auto lost = pending_.arm_after_ship(req.corr,
+                                          [&] { return peer_down(dest); })) {
     peer_down_failures_.fetch_add(1, std::memory_order_relaxed);
-    rollback_migration(std::move(*lost),
-                       std::string(kRpcPeerDownPrefix) + ": node " +
-                           std::to_string(dest) + " unreachable");
+    fail(std::move(*lost), peer_down_error(dest, "unreachable"));
   }
-  return fut;
+  return RpcFuture<MigrateResult>(std::move(req.future));
 }
 
 // ---------------------------------------------------------------------------
@@ -1001,19 +993,6 @@ void Runtime::rpc_trampoline(void* p) {
   rt->thread_exit();
 }
 
-namespace {
-/// kRpc wire payload: a staged service hash spliced ahead of the caller's
-/// argument chain — borrowed pack regions go to the wire from the caller's
-/// memory, never flattened here.
-mad::BufferChain rpc_chain(uint32_t service, mad::PackBuffer&& args) {
-  mad::PackBuffer head;
-  head.pack<uint32_t>(service);
-  mad::BufferChain chain = head.take_chain();
-  chain.append_chain(args.take_chain());
-  return chain;
-}
-}  // namespace
-
 void Runtime::dispatch_rpc(uint32_t service, uint32_t src, uint64_t corr,
                            std::vector<uint8_t>&& args, size_t args_offset) {
   // Lock-free lookup: the service table is grow-only (registration is
@@ -1026,20 +1005,9 @@ void Runtime::dispatch_rpc(uint32_t service, uint32_t src, uint64_t corr,
     // peer registered, so a request expecting a reply gets an error back
     // (failing the caller's future) instead of killing this node.
     if (corr != 0) {
-      std::string why = "unknown service hash " + std::to_string(service) +
-                        " on node " + std::to_string(config_.node);
-      if (src == config_.node) {
-        fail_pending(corr, std::move(why), "local unknown-service");
-      } else {
-        fabric::Message msg;
-        msg.type = kReplyError;
-        msg.dst = src;
-        msg.corr = corr;
-        ByteWriter w;
-        w.put_string(why);
-        msg.payload = w.take();
-        fabric_send(std::move(msg));
-      }
+      fail_reply(src, corr,
+                 "unknown service hash " + std::to_string(service) +
+                     " on node " + std::to_string(config_.node));
       return;
     }
     // Fire-and-forget: a *local* miss is this node's own bug — fail fast.
@@ -1069,190 +1037,81 @@ void Runtime::dispatch_rpc(uint32_t service, uint32_t src, uint64_t corr,
                        entry->thread_flags);
 }
 
-void Runtime::rpc_hash(uint32_t node, uint32_t service,
-                       mad::PackBuffer&& args) {
+void Runtime::send_request(uint32_t node, uint32_t service,
+                           mad::BufferChain framed, uint64_t corr) {
   PM2_CHECK(node < config_.n_nodes);
   if (node == config_.node) {
-    dispatch_rpc(service, config_.node, 0, args.finalize(), 0);
-    return;
-  }
-  fabric::Message msg;
-  msg.type = kRpc;
-  msg.dst = node;
-  msg.chain = rpc_chain(service, std::move(args));
-  fabric_send(std::move(msg));
-}
-
-void Runtime::rpc_framed(uint32_t node, uint32_t service,
-                         mad::PackBuffer&& framed) {
-  PM2_CHECK(node < config_.n_nodes);
-  if (node == config_.node) {
-    // The buffer starts with the u32 service hash: skip it by offset.
-    dispatch_rpc(service, config_.node, 0, framed.finalize(),
+    dispatch_rpc(service, config_.node, corr, framed.take_flat(),
                  sizeof(uint32_t));
     return;
   }
   fabric::Message msg;
   msg.type = kRpc;
   msg.dst = node;
-  msg.chain = framed.take_chain();
+  msg.corr = corr;
+  msg.chain = std::move(framed);
   fabric_send(std::move(msg));
 }
 
-marcel::Future<std::vector<uint8_t>> Runtime::call_async_hash(
-    uint32_t node, uint32_t service, mad::PackBuffer&& args,
-    uint64_t timeout_ns) {
+CorrelationTable::Opened Runtime::open_request(uint32_t node,
+                                               uint64_t timeout_ns) {
   PM2_CHECK(node < config_.n_nodes);
-  if (halting()) {
-    marcel::Promise<std::vector<uint8_t>> p;
-    p.set_error("session halting");
-    return p.future();
-  }
-  if (node != config_.node && peer_down(node)) {
-    marcel::Promise<std::vector<uint8_t>> p;
-    p.set_error(std::string(kRpcPeerDownPrefix) + ": node " +
-                std::to_string(node) + " is down");
-    return p.future();
-  }
-  uint64_t corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
-  marcel::Future<std::vector<uint8_t>> fut =
-      register_pending(corr, node, resolve_deadline(timeout_ns));
-  if (fut.failed()) return fut;
-  if (node == config_.node) {
-    dispatch_rpc(service, config_.node, corr, args.finalize(), 0);
-  } else {
-    fabric::Message msg;
-    msg.type = kRpc;
-    msg.dst = node;
-    msg.corr = corr;
-    msg.chain = rpc_chain(service, std::move(args));
-    fabric_send(std::move(msg));
-  }
-  return fut;
+  if (node != config_.node && peer_down(node))
+    return {0, failed_future(peer_down_error(node, "is down"))};
+  return pending_.open(node, resolve_deadline(timeout_ns));
 }
 
-marcel::Future<std::vector<uint8_t>> Runtime::call_async_framed(
-    uint32_t node, uint32_t service, mad::PackBuffer&& framed,
+void Runtime::rpc(uint32_t node, const char* service_name,
+                  mad::PackBuffer&& args) {
+  uint32_t sid = service_id(service_name);
+  send_request(node, sid, rpc_chain(sid, std::move(args)), 0);
+}
+
+marcel::Future<std::vector<uint8_t>> Runtime::call_async(
+    uint32_t node, const char* service_name, mad::PackBuffer&& args,
     uint64_t timeout_ns) {
-  PM2_CHECK(node < config_.n_nodes);
-  if (halting()) {
-    marcel::Promise<std::vector<uint8_t>> p;
-    p.set_error("session halting");
-    return p.future();
-  }
-  if (node != config_.node && peer_down(node)) {
-    marcel::Promise<std::vector<uint8_t>> p;
-    p.set_error(std::string(kRpcPeerDownPrefix) + ": node " +
-                std::to_string(node) + " is down");
-    return p.future();
-  }
-  uint64_t corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
-  marcel::Future<std::vector<uint8_t>> fut =
-      register_pending(corr, node, resolve_deadline(timeout_ns));
-  if (fut.failed()) return fut;
-  if (node == config_.node) {
-    dispatch_rpc(service, config_.node, corr, framed.finalize(),
-                 sizeof(uint32_t));
-  } else {
-    fabric::Message msg;
-    msg.type = kRpc;
-    msg.dst = node;
-    msg.corr = corr;
-    msg.chain = framed.take_chain();
-    fabric_send(std::move(msg));
-  }
-  return fut;
+  uint32_t sid = service_id(service_name);
+  CorrelationTable::Opened req = open_request(node, timeout_ns);
+  if (req.corr != 0)
+    send_request(node, sid, rpc_chain(sid, std::move(args)), req.corr);
+  return std::move(req.future);
 }
 
 std::vector<uint8_t> Runtime::call(uint32_t node, const char* service_name,
                                    mad::PackBuffer&& args) {
   PM2_CHECK(marcel::Scheduler::self() != nullptr) << "call outside a thread";
-  marcel::Future<std::vector<uint8_t>> fut = call_async_hash(
-      node, service_id(service_name), std::move(args), kTimeoutFromConfig);
+  marcel::Future<std::vector<uint8_t>> fut =
+      call_async(node, service_name, std::move(args));
   fut.wait();
   if (fut.failed()) throw RpcError(fut.error());
   return fut.take();
 }
 
-marcel::Future<std::vector<uint8_t>> Runtime::register_pending(
-    uint64_t corr, uint32_t dest, uint64_t deadline_ns) {
-  marcel::Promise<std::vector<uint8_t>> promise;
-  marcel::Future<std::vector<uint8_t>> fut = promise.future();
-  pending_lock_.lock();
-  if (halting()) {
-    // halt()'s drain already swept the map (the halting_ store precedes the
-    // drain's lock hold): an entry registered now would never complete.
-    pending_lock_.unlock();
-    promise.set_error("session halting");
-    return fut;
-  }
-  pending_calls_.emplace(corr,
-                         PendingCall{std::move(promise), dest, deadline_ns});
-  if (deadline_ns != 0) arm_deadline_locked(corr, deadline_ns, false);
-  pending_lock_.unlock();
-  return fut;
-}
-
-void Runtime::arm_deadline_locked(uint64_t corr, uint64_t deadline_ns,
-                                  bool migration) {
-  deadlines_.push(DeadlineEnt{deadline_ns, corr, migration});
-  // Monotonic min: the heap top only moves earlier on a push.
-  if (deadline_ns < next_deadline_ns_.load(std::memory_order_relaxed))
-    next_deadline_ns_.store(deadline_ns, std::memory_order_relaxed);
-}
-
 uint64_t Runtime::resolve_deadline(uint64_t timeout_ns) const {
-  uint64_t t = timeout_ns == kTimeoutFromConfig ? rpc_timeout_ns_ : timeout_ns;
+  uint64_t t =
+      timeout_ns == kTimeoutFromConfig ? config_.rpc_timeout_ns : timeout_ns;
   return t == 0 ? 0 : now_ns() + t;
 }
 
 void Runtime::expire_deadlines(uint64_t now) {
-  if (next_deadline_ns_.load(std::memory_order_relaxed) > now) return;
-  while (true) {
-    // Extract one due correlation at a time: resolving a promise (or
-    // rolling a migration back) runs scheduler code and must happen
-    // outside pending_lock_.
-    std::optional<PendingCall> call;
-    std::optional<PendingMigration> mig;
-    pending_lock_.lock();
-    while (!deadlines_.empty() && deadlines_.top().deadline_ns <= now) {
-      DeadlineEnt e = deadlines_.top();
-      deadlines_.pop();
-      if (e.migration) {
-        auto it = pending_migrations_.find(e.corr);
-        if (it == pending_migrations_.end()) continue;  // already resolved
-        mig = std::move(it->second);
-        pending_migrations_.erase(it);
-      } else {
-        auto it = pending_calls_.find(e.corr);
-        if (it == pending_calls_.end()) continue;  // already resolved
-        call = std::move(it->second);
-        pending_calls_.erase(it);
-      }
-      break;
-    }
-    next_deadline_ns_.store(
-        deadlines_.empty() ? UINT64_MAX : deadlines_.top().deadline_ns,
-        std::memory_order_relaxed);
-    pending_lock_.unlock();
-    if (!call && !mig) return;
-    if (call) {
-      rpc_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      call->promise.set_error(std::string(kRpcTimeoutPrefix) +
-                              ": no reply from node " +
-                              std::to_string(call->dest));
-    } else {
-      rpc_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      std::string why = std::string(kRpcTimeoutPrefix) +
-                        ": no install ack from node " +
-                        std::to_string(mig->dest);
-      rollback_migration(std::move(*mig), why);
-    }
+  if (pending_.next_deadline() > now) return;
+  for (CorrelationTable::Pending& p : pending_.take_due(now)) {
+    rpc_timeouts_.fetch_add(1, std::memory_order_relaxed);
+    std::string why = std::string(kRpcTimeoutPrefix) +
+                      (p.rollback ? ": no install ack from node "
+                                  : ": no reply from node ") +
+                      std::to_string(p.dest);
+    fail(std::move(p), why);
   }
 }
 
-void Runtime::rollback_migration(PendingMigration ent, const std::string& why) {
-  if (ent.thread != nullptr) {
+void Runtime::complete(uint64_t corr, std::vector<uint8_t>&& reply) {
+  if (auto p = pending_.take(corr)) p->promise.set_value(std::move(reply));
+}
+
+void Runtime::fail(CorrelationTable::Pending&& p, const std::string& why) {
+  if (p.rollback) {
+    const MigrationRollback& rb = *p.rollback;
     migration_rollbacks_.fetch_add(1, std::memory_order_relaxed);
     // ship_thread parked the runs in the migration slot cache, which kept
     // the pages (descriptor and stack included) committed.  Reclaim the
@@ -1260,7 +1119,7 @@ void Runtime::rollback_migration(PendingMigration ent, const std::string& why) {
     // thread.  An evicted entry means the descriptor bytes are gone and no
     // rollback exists — configure migration_slot_cache to span the
     // timeout window.
-    for (auto [first, count] : ent.runs) {
+    for (auto [first, count] : rb.runs) {
       PM2_CHECK(mig_cache_take(first, count))
           << "migration rollback window lost (run " << first << "+" << count
           << " evicted from the slot cache): migration_slot_cache must "
@@ -1270,39 +1129,11 @@ void Runtime::rollback_migration(PendingMigration ent, const std::string& why) {
     // descriptor becomes runnable here again.  Locally the stack bytes,
     // flags and sanitizer state were never touched, so no install-side
     // fixups apply.
-    sched_.adopt(ent.thread);
+    sched_.adopt(rb.thread);
     PM2_WARN << "node " << config_.node << ": rolled back migration of thread "
-             << ent.thread_id << " -> node " << ent.dest << " (" << why << ")";
+             << rb.id << " -> node " << p.dest << " (" << why << ")";
   }
-  ent.promise.set_error(why);
-}
-
-void Runtime::complete_pending(uint64_t corr, std::vector<uint8_t>&& result,
-                               const char* what) {
-  if (auto p = take_pending(pending_calls_, corr, what))
-    p->promise.set_value(std::move(result));
-}
-
-void Runtime::fail_pending(uint64_t corr, std::string why, const char* what) {
-  if (auto p = take_pending(pending_calls_, corr, what))
-    p->promise.set_error(std::move(why));
-}
-
-void Runtime::drain_pending(const std::string& why) {
-  // Swap the maps out under the lock first: set_error unparks waiters, and
-  // a woken thread must not find its corr still registered.
-  pending_lock_.lock();
-  auto calls = std::move(pending_calls_);
-  pending_calls_.clear();
-  auto migs = std::move(pending_migrations_);
-  pending_migrations_.clear();
-  // Armed deadlines die with their entries (take_pending tolerates late
-  // replies while halting anyway).
-  deadlines_ = {};
-  next_deadline_ns_.store(UINT64_MAX, std::memory_order_relaxed);
-  pending_lock_.unlock();
-  for (auto& [corr, ent] : calls) ent.promise.set_error(why);
-  for (auto& [corr, ent] : migs) ent.promise.set_error(why);
+  p.promise.set_error(why);
 }
 
 void RpcContext::fail(const std::string& why) {
@@ -1310,19 +1141,23 @@ void RpcContext::fail(const std::string& why) {
   replied_ = true;
   // Route through the *current* runtime, not rt_: the service may have
   // migrated, and the reply must leave through the node it now runs on.
-  Runtime& rt = *Runtime::current();
-  if (src_ == rt.self()) {
-    rt.fail_pending(corr_, "service failed: " + why, "service failure");
+  Runtime::current()->fail_reply(src_, corr_, "service failed: " + why);
+}
+
+void Runtime::fail_reply(uint32_t caller, uint64_t corr,
+                         const std::string& why) {
+  if (caller == config_.node) {
+    if (auto p = pending_.take(corr)) fail(std::move(*p), why);
     return;
   }
   fabric::Message msg;
   msg.type = kReplyError;
-  msg.dst = src_;
-  msg.corr = corr_;
+  msg.dst = caller;
+  msg.corr = corr;
   ByteWriter w;
-  w.put_string("service failed: " + why);
+  w.put_string(why);
   msg.payload = w.take();
-  rt.fabric_send(std::move(msg));
+  fabric_send(std::move(msg));
 }
 
 void RpcContext::reply(mad::PackBuffer&& result) {
@@ -1330,7 +1165,7 @@ void RpcContext::reply(mad::PackBuffer&& result) {
   PM2_CHECK(!replied_) << "double reply";
   replied_ = true;
   if (src_ == rt_.self()) {
-    rt_.complete_pending(corr_, result.finalize(), "local reply");
+    rt_.complete(corr_, result.finalize());
     return;
   }
   fabric::Message msg;
@@ -1353,8 +1188,7 @@ void Runtime::barrier() {
   if (peers_ != nullptr) {
     for (uint32_t n = 0; n < config_.n_nodes; ++n) {
       if (n != config_.node && peer_down(n))
-        throw RpcError(std::string(kRpcPeerDownPrefix) + ": node " +
-                       std::to_string(n) + " is down, barrier cannot complete");
+        throw RpcError(peer_down_error(n, "is down, barrier cannot complete"));
     }
   }
   marcel::Event ev;
@@ -1425,14 +1259,23 @@ void Runtime::wait_signals(uint64_t count) {
   for (uint64_t i = 0; i < count; ++i) signal_sem_.acquire();
 }
 
-void Runtime::halt() {
+void Runtime::begin_halt() {
   halting_.store(true);
   fabric_->set_teardown(true);  // peers may exit under late messages now
-  // Wake every thread parked on an outstanding call or migration ack with
-  // an error: the peers are shutting down and the replies may never come.
-  // A reply that does arrive after the drain is dropped (complete_pending
-  // tolerates unknown correlations while halting).
-  drain_pending("session shutdown");
+  // Wake every thread parked on an outstanding reply with an error: the
+  // peers are shutting down and the replies may never come.  A reply that
+  // does arrive after the drain is dropped (the closed table tolerates
+  // unknown correlations).  Nothing rolls back: a shipped thread may
+  // already run at its destination, and an unshipped one still belongs to
+  // the worker packing it.
+  for (CorrelationTable::Pending& p : pending_.close()) {
+    p.rollback.reset();
+    fail(std::move(p), "session shutdown");
+  }
+}
+
+void Runtime::halt() {
+  begin_halt();
   for (uint32_t n = 0; n < config_.n_nodes; ++n) {
     if (n == config_.node) continue;
     fabric::Message msg;
@@ -1490,7 +1333,7 @@ void Runtime::peer_seen(uint32_t node) {
     // Any frame from a suspect/down peer is proof of recovery: a healed
     // partition or a flapping link rejoins without ceremony.  (Pending
     // requests already failed by the down sweep stay failed — at-least-once
-    // callers retry; take_pending drops the stale replies.)
+    // callers retry; the table drops the stale replies.)
     h.state.store(static_cast<uint8_t>(PeerState::kUp),
                   std::memory_order_release);
     PM2_WARN << "node " << node << " is back up";
@@ -1542,43 +1385,12 @@ void Runtime::mark_peer_down(uint32_t node) {
                            std::memory_order_release);
   PM2_WARN << "node " << node << " declared down ("
            << config_.heartbeat_miss_limit << " heartbeats missed)";
-  const std::string why = std::string(kRpcPeerDownPrefix) + ": node " +
-                          std::to_string(node) + " unreachable";
-  // Sweep the correlation tables under pending_lock_; resolve the futures
-  // outside it (set_error may direct-switch to the woken thread).
-  std::vector<PendingCall> calls;
-  std::vector<PendingMigration> migs;
-  pending_lock_.lock();
-  for (auto it = pending_calls_.begin(); it != pending_calls_.end();) {
-    if (it->second.dest == node) {
-      calls.push_back(std::move(it->second));
-      it = pending_calls_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = pending_migrations_.begin();
-       it != pending_migrations_.end();) {
-    // Skip unshipped entries: the migrating worker is still mid-pack and
-    // owns the thread; its post-ship code re-checks peer_down and rolls
-    // back on its own.
-    if (it->second.dest == node && it->second.shipped) {
-      migs.push_back(std::move(it->second));
-      it = pending_migrations_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  pending_lock_.unlock();
-  // Stale deadline-heap entries for the swept correlations are popped
-  // lazily by expire_deadlines (resolved corr -> map miss -> skip).
-  for (PendingCall& c : calls) {
+  const std::string why = peer_down_error(node, "unreachable");
+  // The sweep leaves migrations still being shipped to their sender (see
+  // migrate_async); stale deadline-heap entries are skipped lazily.
+  for (CorrelationTable::Pending& p : pending_.take_for(node)) {
     peer_down_failures_.fetch_add(1, std::memory_order_relaxed);
-    c.promise.set_error(why);
-  }
-  for (PendingMigration& m : migs) {
-    peer_down_failures_.fetch_add(1, std::memory_order_relaxed);
-    rollback_migration(std::move(m), why);
+    fail(std::move(p), why);
   }
   // A parked barrier can never complete without `node`: wake the waiter
   // with the error recorded instead of leaving it parked forever.
@@ -1608,14 +1420,6 @@ void Runtime::mark_peer_down(uint32_t node) {
 
 void Runtime::daemon_trampoline(void* runtime) {
   static_cast<Runtime*>(runtime)->comm_daemon_body();
-}
-
-bool Runtime::reply_is_imminent() const {
-  // A non-empty correlation table means some local thread issued a request
-  // whose reply is the next thing this node is waiting for — the only
-  // situation where burning the idle window on a poll loop buys latency.
-  sys::SpinGuard g(pending_lock_);
-  return !pending_calls_.empty() || !pending_migrations_.empty();
 }
 
 void Runtime::fabric_send(fabric::Message msg) {
@@ -1681,8 +1485,7 @@ void Runtime::comm_daemon_body() {
     }
     // Deadline/heartbeat upkeep on every lap, busy or idle: a busy lap only
     // pays one relaxed load when no deadline is armed and detection is off.
-    if (failure_detection ||
-        next_deadline_ns_.load(std::memory_order_relaxed) != UINT64_MAX) {
+    if (failure_detection || pending_.next_deadline() != UINT64_MAX) {
       uint64_t nw = now_ns();
       expire_deadlines(nw);
       if (failure_detection) check_peers(nw);
@@ -1710,10 +1513,11 @@ void Runtime::comm_daemon_body() {
     // Clamp the park to the nearest RPC/migration deadline and the next
     // heartbeat tick: an expiry must fire on time even on a frame-silent
     // node (satellite of the 500 ms idle cap, not a replacement for it).
-    deadline =
-        std::min(deadline, next_deadline_ns_.load(std::memory_order_relaxed));
+    deadline = std::min(deadline, pending_.next_deadline());
     if (failure_detection) deadline = std::min(deadline, next_heartbeat_ns_);
-    if (config_.comm_busy_poll_us > 0 && reply_is_imminent()) {
+    // A non-empty correlation table means some local thread awaits a reply
+    // — the only situation where a poll loop buys latency.
+    if (config_.comm_busy_poll_us > 0 && pending_.busy()) {
       uint64_t spin_end =
           std::min(deadline, now + config_.comm_busy_poll_us * 1000);
       bool got = false;
@@ -1762,9 +1566,7 @@ void Runtime::handle_message(fabric::Message& msg) {
     case kHeartbeat:
       break;  // liveness already recorded above; no payload
     case kHalt:
-      halting_.store(true);
-      fabric_->set_teardown(true);
-      drain_pending("session shutdown");
+      begin_halt();
       break;
     case kBarrierArrive: {
       PM2_CHECK(config_.node == 0) << "barrier arrival at non-coordinator";
@@ -1815,23 +1617,19 @@ void Runtime::handle_message(fabric::Message& msg) {
       handle_rpc(msg);
       break;
     case kReply:
-      complete_pending(msg.corr, std::move(msg.flat()), "reply");
+    case kMigrateAck:
+    case kAuditResp:
+    case kGatherResp:
+      complete(msg.corr, std::move(msg.flat()));
       break;
     case kReplyError: {
       ByteReader r(msg.flat());
-      fail_pending(msg.corr, r.get_string(), "error reply");
+      if (auto p = pending_.take(msg.corr)) fail(std::move(*p), r.get_string());
       break;
     }
     case kMigrate:
       handle_migrate(msg);
       break;
-    case kMigrateAck: {
-      if (auto p = take_pending(pending_migrations_, msg.corr, "migrate ack")) {
-        ByteReader r(msg.flat());
-        p->promise.set_value(MigrateResult{r.get<uint64_t>(), msg.src});
-      }
-      break;
-    }
     case kLockReq:
       handle_lock_req(msg.src);
       break;
@@ -1851,12 +1649,6 @@ void Runtime::handle_message(fabric::Message& msg) {
       break;
     case kAuditReq:
       handle_audit_req(msg);
-      break;
-    case kAuditResp:
-      complete_pending(msg.corr, std::move(msg.flat()), "audit resp");
-      break;
-    case kGatherResp:
-      complete_pending(msg.corr, std::move(msg.flat()), "gather resp");
       break;
     case kNegoUpdate:
       handle_nego_update(msg);
@@ -1904,15 +1696,14 @@ void Runtime::handle_migrate(fabric::Message& msg) {
   if (post_migration_) post_migration_(t);
   // migrate_async ack — sent only after migrations_in() counts the arrival
   // and the post-migration hook ran, so the source-side future completing
-  // implies the thread is fully installed here.
+  // implies the thread is fully installed here.  It resolves like any
+  // reply; its own frame type keeps it out of the fault plans' loss filter.
   if (msg.corr != 0) {
     fabric::Message ack;
     ack.type = kMigrateAck;
     ack.dst = msg.src;
     ack.corr = msg.corr;
-    ByteWriter w;
-    w.put<uint64_t>(t->id);
-    ack.payload = w.take();
+    ack.payload = pack_result(MigrateResult{t->id, config_.node});
     fabric_->send(std::move(ack));
   }
 }

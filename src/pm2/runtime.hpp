@@ -13,11 +13,17 @@
 // scheduler kernel threads (1 = the original single-kernel-thread node).
 // The comm daemon is a PM2 daemon thread pinned to worker 0; it owns the
 // fabric's receive side and dispatches control messages inline.  Runtime
-// state that multiple workers touch on the hot path (services, pending
-// correlations, slot bitmap, invocation pool) is guarded by short
-// sys::SpinLocks; sends from non-daemon workers go through fabric_send(),
-// which is direct when the transport allows concurrent sends and otherwise
-// defers to the daemon via an outbox.
+// state that multiple workers touch on the hot path (services, slot
+// bitmap, invocation pool) is guarded by short sys::SpinLocks; sends from
+// non-daemon workers go through fabric_send(), which is direct when the
+// transport allows concurrent sends and otherwise defers to the daemon via
+// an outbox.
+//
+// Every reply the node awaits — RPC calls, migration install acks,
+// negotiation gathers, audits — is one entry of the CorrelationTable
+// (pm2/correlation.hpp), and fail() is the one place a failed entry is
+// resolved (rolling a migration back when the entry carries a rollback
+// record).
 #pragma once
 
 #include <atomic>
@@ -27,7 +33,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -49,6 +54,7 @@
 #include "madeleine/typed.hpp"
 #include "marcel/scheduler.hpp"
 #include "marcel/sync.hpp"
+#include "pm2/correlation.hpp"
 #include "pm2/protocol.hpp"
 #include "sys/spinlock.hpp"
 #include "sys/striped_map.hpp"
@@ -262,7 +268,7 @@ struct RuntimeConfig {
   uint64_t invocation_pool_decay_us = 200'000;
   /// Scheduler worker kernel threads per node.  0 = auto: the PM2_WORKERS
   /// environment variable if set, else 1 (the historical single-loop
-  /// scheduler).  Clamped to [1, hardware_concurrency].
+  /// scheduler).  Capped at 64.
   uint32_t workers = 0;
   /// Slot store (iso::SlotStore): directory holding this node's backing
   /// file ("" disables the store entirely — no demotion, no
@@ -285,9 +291,9 @@ struct RuntimeConfig {
   /// with a kTimeout error when no reply arrived within this window (the
   /// late reply is dropped instead of double-resolving).  0 (default)
   /// keeps the legacy unbounded behavior bit-for-bit; the
-  /// PM2_RPC_TIMEOUT_MS environment variable overrides a
-  /// zero value, so chaos runs can arm deadlines in spawned node processes
-  /// without code changes.  Per-call deadlines override both.
+  /// PM2_RPC_TIMEOUT_MS environment variable fills a zero value, so chaos
+  /// runs can arm deadlines in spawned node processes without code
+  /// changes.  Per-call deadlines override both.
   uint64_t rpc_timeout_ns = 0;
   /// Deterministic fault injection: when non-empty, the runtime wraps its
   /// fabric in a fabric::FaultFabric driven by this plan spec (grammar in
@@ -309,11 +315,9 @@ struct RuntimeConfig {
   /// Consecutive missed heartbeat periods before a peer is declared down;
   /// the first miss already marks it suspect (observable, no action).
   uint32_t heartbeat_miss_limit = 5;
-
-  /// The worker count run() will actually use (auto/env/clamp applied).
-  uint32_t resolved_workers() const;
-  /// rpc_timeout_ns with the PM2_RPC_TIMEOUT_MS override applied.
-  uint64_t resolved_rpc_timeout_ns() const;
+  // The Runtime constructor resolves workers, rpc_timeout_ns and
+  // fault_plan against the environment once; Runtime::config() reports
+  // the values in use.
 };
 
 class Runtime {
@@ -419,10 +423,11 @@ class Runtime {
   bool migrate(marcel::ThreadId id, uint32_t dest);
 
   /// Preemptive migration with a completion future: the destination node
-  /// sends a kMigrateAck once the thread is installed there, completing
-  /// the future *after* the destination's migrations_in() already counts
-  /// the arrival.  Fails the future (never CHECKs) when the thread is
-  /// unknown, pinned, running, blocked, or the session is halting.
+  /// sends a kMigrateAck (an ordinary reply carrying the MigrateResult)
+  /// once the thread is installed there, completing the future *after*
+  /// the destination's migrations_in() already counts the arrival.  Fails
+  /// the future (never CHECKs) when the thread is unknown, pinned,
+  /// running, blocked, or the session is halting.
   ///
   /// `timeout_ns` bounds the wait for the install ack (default: the
   /// configured rpc_timeout_ns; 0 = unbounded).  On expiry — or when the
@@ -434,7 +439,7 @@ class Runtime {
   /// payload merely *delayed* past the deadline would install a second
   /// copy at the destination.  Deadline-armed migrations therefore require
   /// migration_slot_cache large enough to span the timeout window.
-  marcel::Future<MigrateResult> migrate_async(
+  RpcFuture<MigrateResult> migrate_async(
       marcel::ThreadId id, uint32_t dest,
       uint64_t timeout_ns = kTimeoutFromConfig);
 
@@ -490,9 +495,7 @@ class Runtime {
 
   /// Fire-and-forget by name, pre-packed args: create a thread running the
   /// service on `node`.
-  void rpc(uint32_t node, const char* service_name, mad::PackBuffer&& args) {
-    rpc_hash(node, service_id(service_name), std::move(args));
-  }
+  void rpc(uint32_t node, const char* service_name, mad::PackBuffer&& args);
 
   /// Fire-and-forget by name, typed args.  Typed entry points frame the
   /// service hash into the same pack buffer as the arguments (one staged
@@ -503,7 +506,7 @@ class Runtime {
     mad::PackBuffer pb;
     pb.pack<uint32_t>(sid);
     mad::pack_values(pb, args...);
-    rpc_framed(node, sid, std::move(pb));
+    send_request(node, sid, pb.take_chain(), 0);
   }
 
   /// Blocking request/response by name, pre-packed args: like rpc() but
@@ -522,10 +525,7 @@ class Runtime {
   /// the configured rpc_timeout_ns; explicit 0 = wait forever).
   marcel::Future<std::vector<uint8_t>> call_async(
       uint32_t node, const char* service_name, mad::PackBuffer&& args,
-      uint64_t timeout_ns = kTimeoutFromConfig) {
-    return call_async_hash(node, service_id(service_name), std::move(args),
-                           timeout_ns);
-  }
+      uint64_t timeout_ns = kTimeoutFromConfig);
 
   /// Typed asynchronous call: packs `args` with mad::pack_values, returns
   /// a future whose take() unpacks the service's R.
@@ -548,8 +548,9 @@ class Runtime {
     mad::PackBuffer pb;
     pb.pack<uint32_t>(sid);
     mad::pack_values(pb, args...);
-    return RpcFuture<R>(
-        call_async_framed(node, sid, std::move(pb), timeout_ns));
+    CorrelationTable::Opened req = open_request(node, timeout_ns);
+    if (req.corr != 0) send_request(node, sid, pb.take_chain(), req.corr);
+    return RpcFuture<R>(std::move(req.future));
   }
 
   /// Typed blocking call: call<R>(node, "name", args...) -> R.
@@ -706,9 +707,7 @@ class Runtime {
   /// Replies/acks that arrived after their correlation was resolved
   /// (timeout, peer-down sweep, or an injected duplicate) and were dropped
   /// instead of double-resolving a promise.
-  uint64_t late_replies_dropped() const {
-    return late_replies_dropped_.load(std::memory_order_relaxed);
-  }
+  uint64_t late_replies_dropped() const { return pending_.late_replies(); }
   /// Pending requests failed with kPeerDown by the failure sweep.
   uint64_t peer_down_failures() const {
     return peer_down_failures_.load(std::memory_order_relaxed);
@@ -804,24 +803,17 @@ class Runtime {
   uint32_t register_service_handler(const char* name, ServiceHandler fn,
                                     uint32_t thread_flags = 0);
 
-  /// Wire-level RPC entry points keyed by the service-name hash — what
-  /// the public name-keyed overloads compile down to.  The `_hash`
-  /// variants splice the hash ahead of a caller-packed argument buffer;
-  /// the `_framed` variants take a buffer that already starts with the
-  /// u32 hash (the typed wrappers pack it in place).
-  void rpc_hash(uint32_t node, uint32_t service, mad::PackBuffer&& args);
-  void rpc_framed(uint32_t node, uint32_t service, mad::PackBuffer&& framed);
-  marcel::Future<std::vector<uint8_t>> call_async_hash(uint32_t node,
-                                                       uint32_t service,
-                                                       mad::PackBuffer&& args,
-                                                       uint64_t timeout_ns);
-  marcel::Future<std::vector<uint8_t>> call_async_framed(
-      uint32_t node, uint32_t service, mad::PackBuffer&& framed,
-      uint64_t timeout_ns);
-
-  /// Comm-daemon spin gate: true while some local thread awaits a reply
-  /// or migration ack (see comm_daemon_body's adaptive busy-poll).
-  bool reply_is_imminent() const;
+  /// The one request sender every public RPC entry point compiles down
+  /// to.  `framed` starts with the u32 service hash (typed wrappers pack
+  /// it in place; untyped ones splice it ahead of the caller's buffer);
+  /// `corr` != 0 names the open correlation the reply resolves.  A local
+  /// request is flattened once and dispatched with the hash skipped by
+  /// offset.
+  void send_request(uint32_t node, uint32_t service, mad::BufferChain framed,
+                    uint64_t corr);
+  /// Open the correlation of a call to `node`: fails fast (corr 0, failed
+  /// future) when `node` is down or the session is halting.
+  CorrelationTable::Opened open_request(uint32_t node, uint64_t timeout_ns);
 
   template <typename F>
   uint32_t service_with_flags(const char* name, F&& handler, uint32_t flags) {
@@ -834,80 +826,16 @@ class Runtime {
         flags);
   }
 
-  /// An outstanding call: the promise its reply completes, plus the data
-  /// the failure paths need — which peer must answer (peer-down sweep) and
-  /// the absolute deadline, if any (0 = unbounded).
-  struct PendingCall {
-    marcel::Promise<std::vector<uint8_t>> promise;
-    uint32_t dest = 0;
-    uint64_t deadline_ns = 0;
-  };
-  /// An outstanding migration awaiting its install ack.  Carries rollback
-  /// state: the forgotten descriptor and its recorded slot runs (pages
-  /// kept committed by the migration slot cache), enough to adopt the
-  /// thread back if the ack never comes.
-  struct PendingMigration {
-    marcel::Promise<MigrateResult> promise;
-    uint32_t dest = 0;
-    uint64_t deadline_ns = 0;
-    marcel::Thread* thread = nullptr;
-    marcel::ThreadId thread_id = 0;
-    std::vector<std::pair<size_t, size_t>> runs;
-    // The entry is registered *before* ship_thread so an early ack always
-    // finds it, but rollback is only legal once the pack/forget/send has
-    // finished — the deadline is armed and the peer-down sweep may touch
-    // the entry only after migrate_async flips this post-ship.
-    bool shipped = false;
-  };
-
-  /// Correlation bookkeeping shared by RPC replies, negotiation gathers
-  /// and audits: register_pending hands out the future completed by
-  /// complete_pending / fail_pending when the matching corr arrives.
-  /// `dest` is the node the reply must come from; `deadline_ns` (absolute,
-  /// 0 = none) arms the timeout machinery.
-  marcel::Future<std::vector<uint8_t>> register_pending(uint64_t corr,
-                                                        uint32_t dest,
-                                                        uint64_t deadline_ns);
-  void complete_pending(uint64_t corr, std::vector<uint8_t>&& result,
-                        const char* what);
-  void fail_pending(uint64_t corr, std::string why, const char* what);
-
-  /// Remove and return the entry for `corr`.  nullopt for an unknown
-  /// correlation, which is tolerated in two cases: the corr was already
-  /// resolved (deadline expiry, peer-down sweep, injected duplicate — the
-  /// late frame is counted and dropped), or the session is halting (a
-  /// reply may race the shutdown drain).  Anything else is a protocol bug.
-  /// Locks pending_lock_ internally; the caller resolves the promise
-  /// *outside* the lock (completion unblocks the waiter, which may run
-  /// scheduler code).
-  template <typename Map>
-  std::optional<typename Map::mapped_type> take_pending(Map& pending,
-                                                        uint64_t corr,
-                                                        const char* what) {
-    pending_lock_.lock();
-    auto it = pending.find(corr);
-    if (it == pending.end()) {
-      pending_lock_.unlock();
-      // Correlation ids are never reused (next_corr_ only grows), so an id
-      // this node issued that is no longer pending was resolved before.
-      if (corr != 0 && corr < next_corr_.load(std::memory_order_relaxed)) {
-        late_replies_dropped_.fetch_add(1, std::memory_order_relaxed);
-        PM2_DEBUG << "dropping late " << what << " (corr " << corr << ")";
-        return std::nullopt;
-      }
-      PM2_CHECK(halting()) << what << " with no pending waiter";
-      return std::nullopt;
-    }
-    typename Map::mapped_type ent = std::move(it->second);
-    pending.erase(it);
-    pending_lock_.unlock();
-    return ent;
-  }
-
-  /// Push `corr` on the deadline heap and refresh the daemon's cached
-  /// next-deadline.  Callers only arm non-zero deadlines.
-  void arm_deadline_locked(uint64_t corr, uint64_t deadline_ns,
-                           bool migration) PM2_REQUIRES(pending_lock_);
+  /// Resolve `corr` with its reply (an unknown corr is the table's call:
+  /// dropped as late, or tolerated while halting).
+  void complete(uint64_t corr, std::vector<uint8_t>&& reply);
+  /// The only failure resolver: an entry carrying a rollback record adopts
+  /// its thread back onto this node first, then the future fails with
+  /// `why`.  Callers took the entry from the table and hold no locks.
+  void fail(CorrelationTable::Pending&& p, const std::string& why);
+  /// Fail the request `corr` of node `caller` with `why`: resolved here
+  /// for a local caller, sent as a kReplyError otherwise.
+  void fail_reply(uint32_t caller, uint64_t corr, const std::string& why);
   /// Fail every armed correlation whose deadline passed (comm daemon;
   /// early-outs on the cached next-deadline, so un-armed sessions pay one
   /// relaxed load per lap).
@@ -915,10 +843,6 @@ class Runtime {
   /// Map a per-request timeout parameter (kTimeoutFromConfig sentinel /
   /// explicit value / 0) to an absolute deadline (0 = unbounded).
   uint64_t resolve_deadline(uint64_t timeout_ns) const;
-  /// Adopt a timed-out / peer-down migration's thread back onto this
-  /// node's scheduler and fail its future.  Callers must have removed the
-  /// entry from pending_migrations_ and hold no locks.
-  void rollback_migration(PendingMigration ent, const std::string& why);
 
   /// Liveness bookkeeping (the comm daemon is the only writer): any
   /// received frame marks its sender up.
@@ -929,9 +853,10 @@ class Runtime {
   /// Declare `node` dead: fail its pending calls with kPeerDown, roll back
   /// its in-flight migrations, and unwedge barrier/negotiation waiters.
   void mark_peer_down(uint32_t node);
-  /// halt(): wake every thread blocked on a pending call or migration ack
-  /// with an error instead of leaving it parked forever.
-  void drain_pending(const std::string& why);
+  /// halt() or a received kHalt: mark the session halting and close the
+  /// table, waking every thread blocked on a pending reply with an error
+  /// instead of leaving it parked forever.
+  void begin_halt();
   void handle_lock_req(uint32_t from);
   void handle_unlock(uint32_t from);
   void handle_gather_req(fabric::Message& msg);
@@ -947,6 +872,11 @@ class Runtime {
   void lock_system();
   void unlock_system();
   void apply_deferred_releases();
+  /// Send a `type` request to `node` and park until its reply (negotiation
+  /// gathers, audits).  CHECK-fails naming `what` when the session halted
+  /// or `node` was declared down first.
+  std::vector<uint8_t> await_control_reply(uint32_t node, MsgType type,
+                                           const char* what);
   /// Step (b): collect every node's bitmap (must hold the system lock).
   std::vector<Bitmap> gather_all_bitmaps();
   /// Step (e): push updated bitmaps to the other nodes and adopt our own.
@@ -1026,42 +956,16 @@ class Runtime {
   sys::StripedMap<uint32_t, ServiceEntry, 8> services_{
       sys::LockRank::kRuntimeMaps};
 
-  // Outstanding correlations: calls awaiting a reply and migrations
-  // awaiting their install ack.  Unbounded — this is what lets one thread
-  // pipeline arbitrarily many call_async requests.  Both maps (and the
-  // corr counter's pairing with map insertion) live under pending_lock_;
-  // promises are completed outside it.
-  mutable sys::SpinLock pending_lock_{sys::LockRank::kRuntimeMaps};
-  std::atomic<uint64_t> next_corr_{1};
-  std::unordered_map<uint64_t, PendingCall> pending_calls_
-      PM2_GUARDED_BY(pending_lock_);
-  std::unordered_map<uint64_t, PendingMigration> pending_migrations_
-      PM2_GUARDED_BY(pending_lock_);
-
-  // Deadline machinery: min-heap of armed (non-zero) deadlines, popped
-  // lazily (an entry is live only while its corr is still pending).  The
-  // cached earliest deadline lets the comm daemon's busy laps detect
-  // expiry with one relaxed load — zero-timeout sessions keep the heap
-  // empty and the cache at UINT64_MAX, i.e. the legacy fast path.
-  struct DeadlineEnt {
-    uint64_t deadline_ns;
-    uint64_t corr;
-    bool migration;
-  };
-  struct DeadlineLater {
-    bool operator()(const DeadlineEnt& a, const DeadlineEnt& b) const {
-      return a.deadline_ns > b.deadline_ns;
-    }
-  };
-  std::priority_queue<DeadlineEnt, std::vector<DeadlineEnt>, DeadlineLater>
-      deadlines_ PM2_GUARDED_BY(pending_lock_);
-  std::atomic<uint64_t> next_deadline_ns_{UINT64_MAX};
-  uint64_t rpc_timeout_ns_ = 0;  // resolved at construction (env applied)
+  // Every awaited reply (calls, migration acks, gathers, audits), its
+  // deadline heap and the late-reply rule.  Unbounded — this is what lets
+  // one thread pipeline arbitrarily many call_async requests.
+  CorrelationTable pending_;
 
   // Peer health, lock-free by design: the sweep on a down transition takes
-  // pending_lock_ (same rank as every other runtime map), so the health
-  // state itself must not live under a kRuntimeMaps lock.  The comm daemon
-  // is the only writer; workers read `state` for fail-fast sends.
+  // the correlation table's lock (same rank as every other runtime map),
+  // so the health state itself must not live under a kRuntimeMaps lock.
+  // The comm daemon is the only writer; workers read `state` for
+  // fail-fast sends.
   struct PeerHealth {
     std::atomic<uint64_t> last_seen_ns{0};
     std::atomic<uint8_t> state{0};  // PeerState
@@ -1071,7 +975,6 @@ class Runtime {
   uint64_t next_peer_scan_ns_ = 0;       // comm daemon only
   std::atomic<uint64_t> heartbeats_sent_{0};
   std::atomic<uint64_t> rpc_timeouts_{0};
-  std::atomic<uint64_t> late_replies_dropped_{0};
   std::atomic<uint64_t> peer_down_failures_{0};
   std::atomic<uint64_t> migration_rollbacks_{0};
 

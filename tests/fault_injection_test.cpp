@@ -426,7 +426,7 @@ TEST(FaultInjection, TimedOutMigrationRollsBackToSource) {
     rt.run([&] {
       marcel::ThreadId tid = rt.spawn(&rb_worker, nullptr, "rb");
       uint64_t start = now_ns();
-      marcel::Future<MigrateResult> fut =
+      RpcFuture<MigrateResult> fut =
           rt.migrate_async(tid, 1, kDeadlineNs);
       fut.wait();
       elapsed = now_ns() - start;
@@ -501,7 +501,7 @@ void mp_worker(void*) {
     // the install ack never comes).
     marcel::ThreadId tid = rt.spawn(&mp_worker, nullptr, "mp");
     RpcFuture<int> call_fut = rt.call_async_within<int>(0, 1, "echo", 1);
-    marcel::Future<MigrateResult> mig_fut = rt.migrate_async(tid, 1, 0);
+    RpcFuture<MigrateResult> mig_fut = rt.migrate_async(tid, 1, 0);
     touch(dir + "/sent");
     CHILD_REQUIRE(wait_for_file(dir + "/killed", 30'000));
     // Heartbeat detection (5 x 100 ms of silence) declares node 1 down and

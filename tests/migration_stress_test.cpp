@@ -8,99 +8,16 @@
 #include <atomic>
 #include <cstring>
 
-#include "common/random.hpp"
 #include "fabric/message.hpp"
-#include "isomalloc/heap.hpp"
 #include "pm2/api.hpp"
 #include "pm2/app.hpp"
 #include "pm2/migration.hpp"
 #include "pm2/runtime.hpp"
+#include "stress_worker.hpp"
 #include "sys/socket.hpp"
 
 namespace pm2 {
 namespace {
-
-std::atomic<bool> g_ok{true};
-std::atomic<uint64_t> g_hops{0};
-
-#define ST_EXPECT(cond)                                                \
-  do {                                                                 \
-    if (!(cond)) {                                                     \
-      g_ok = false;                                                    \
-      pm2_printf("stress failure: %s line %d (node %u)\n", #cond,      \
-                 __LINE__, pm2_self());                                \
-    }                                                                  \
-  } while (0)
-
-// Each worker keeps a private table of (pointer, size, fill) in iso-memory
-// and randomly allocates / frees / rewrites / verifies / migrates.
-struct StressState {
-  static constexpr int kMaxLive = 24;
-  void* ptr[kMaxLive];
-  uint32_t size[kMaxLive];
-  uint8_t fill[kMaxLive];
-  int live;
-  uint64_t seed;
-  int steps;
-};
-
-void stress_worker(void* arg) {
-  auto seed = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(arg));
-  // The state table itself must migrate too: put it in iso-memory.
-  auto* st = static_cast<StressState*>(pm2_isomalloc(sizeof(StressState)));
-  std::memset(st, 0, sizeof(*st));
-  st->seed = seed;
-  st->steps = 300;
-
-  Rng rng(seed);
-  uint32_t nodes = pm2_nodes();
-  for (int step = 0; step < st->steps; ++step) {
-    double dice = rng.next_double();
-    if (dice < 0.30 && st->live < StressState::kMaxLive) {
-      int i = st->live++;
-      st->size[i] = static_cast<uint32_t>(rng.next_range(1, 20000));
-      st->fill[i] = static_cast<uint8_t>(rng.next() | 1);
-      st->ptr[i] = pm2_isomalloc(st->size[i]);
-      std::memset(st->ptr[i], st->fill[i], st->size[i]);
-    } else if (dice < 0.45 && st->live > 0) {
-      int i = static_cast<int>(rng.next_below(st->live));
-      pm2_isofree(st->ptr[i]);
-      st->ptr[i] = st->ptr[st->live - 1];
-      st->size[i] = st->size[st->live - 1];
-      st->fill[i] = st->fill[st->live - 1];
-      --st->live;
-    } else if (dice < 0.65 && st->live > 0) {
-      // Verify a random block end-to-end.
-      int i = static_cast<int>(rng.next_below(st->live));
-      auto* p = static_cast<uint8_t*>(st->ptr[i]);
-      for (uint32_t k = 0; k < st->size[i]; k += 97)
-        ST_EXPECT(p[k] == st->fill[i]);
-    } else if (dice < 0.80 && st->live > 0) {
-      // Rewrite with a new fill byte.
-      int i = static_cast<int>(rng.next_below(st->live));
-      st->fill[i] = static_cast<uint8_t>(rng.next() | 1);
-      std::memset(st->ptr[i], st->fill[i], st->size[i]);
-    } else if (nodes > 1) {
-      auto dest = static_cast<uint32_t>(rng.next_below(nodes));
-      pm2_migrate(marcel_self(), dest);
-      ++g_hops;
-    } else {
-      pm2_yield();
-    }
-  }
-  // Final verification + drain on whatever node we ended at.
-  for (int i = 0; i < st->live; ++i) {
-    auto* p = static_cast<uint8_t*>(st->ptr[i]);
-    for (uint32_t k = 0; k < st->size[i]; k += 61) {
-      ST_EXPECT(p[k] == st->fill[i]);
-    }
-    pm2_isofree(st->ptr[i]);
-  }
-  iso::ThreadHeap::check_invariants(marcel_self()->slot_list,
-                                    Runtime::current()->area().slot_size());
-  pm2_isofree(st);
-  pm2_signal(0);
-}
 
 class MigrationStress
     : public ::testing::TestWithParam<std::tuple<uint32_t, int, uint64_t>> {};
@@ -140,42 +57,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(3u, 6, 44ull),
                       std::make_tuple(4u, 8, 55ull),
                       std::make_tuple(4u, 8, 56ull)));
-
-// The same randomized stress, but across the *socket* fabric (in-process
-// logical nodes over real UNIX sockets), with the zero-copy acceptance
-// assertion: ship_thread's payload segments go slot memory -> writev with
-// no intermediate flatten, so every node's send-path payload copy counter
-// must stay exactly 0 for the whole churn.
-TEST(MigrationZeroCopy, SocketShipPerformsNoFlattenCopies) {
-  g_ok = true;
-  g_hops = 0;
-  static std::atomic<uint64_t> copy_bytes{0};
-  static std::atomic<uint64_t> wire_bytes{0};
-  copy_bytes = 0;
-  wire_bytes = 0;
-  AppConfig cfg;
-  cfg.nodes = 2;
-  cfg.socket_fabric = true;
-  run_app(cfg, [](Runtime& rt) {
-    if (rt.self() == 0) {
-      for (int w = 0; w < 4; ++w) {
-        pm2_thread_create(
-            &stress_worker,
-            reinterpret_cast<void*>(static_cast<uintptr_t>(99 + w * 7919)),
-            "stress");
-      }
-      pm2_wait_signals(4);
-    }
-    rt.barrier();
-    copy_bytes += rt.fabric().payload_copy_bytes();
-    wire_bytes += rt.fabric().bytes_sent();
-  });
-  EXPECT_TRUE(g_ok.load());
-  EXPECT_GT(g_hops.load(), 0u);
-  EXPECT_GT(wire_bytes.load(), 0u);
-  EXPECT_EQ(copy_bytes.load(), 0u)
-      << "migration payloads were flattened on the socket send path";
-}
 
 // The receive side over the socket fabric with every socket write forced
 // down to one byte, so each migration frame arrives in fragments that
@@ -269,7 +150,9 @@ TEST(MigrationZeroCopy, PackChainBorrowsSlotMemory) {
 
     marcel::Thread* t = rt.sched().find(id);
     ASSERT_NE(t, nullptr);
-    ASSERT_TRUE(rt.sched().freeze(t));
+    // Pause-gated: at workers > 1 the probe may be running on another
+    // worker, where an ungated freeze fails.
+    ASSERT_TRUE(rt.freeze_thread(id));
 
     for (bool blocks_only : {true, false}) {
       mad::BufferChain chain = pack_thread_chain(rt, t, blocks_only);

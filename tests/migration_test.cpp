@@ -314,10 +314,13 @@ TEST(Migration, MigrateToSelfIsNoop) {
 
 // --- Pack/install unit-level checks ------------------------------------------
 
+std::atomic<bool> g_sleeper_ready{false};
+
 void sleeper_worker(void*) {
   // Allocate, then yield forever until moved; used to inspect payloads.
   void* p = pm2_isomalloc(10000);
   std::memset(p, 0x55, 10000);
+  g_sleeper_ready = true;
   while (pm2_self() == 0) pm2_yield();
   pm2_isofree(p);
   pm2_signal(0);
@@ -327,17 +330,19 @@ TEST(Migration, BlocksOnlyPayloadIsSmaller) {
   std::atomic<size_t> full{0}, sparse{0};
   run_app(mig_config(2), [&](Runtime& rt) {
     if (rt.self() == 0) {
+      g_sleeper_ready = false;
       auto id = pm2_thread_create(&sleeper_worker, nullptr, "sleeper");
-      pm2_yield();  // let it allocate and park in its yield loop
-      pm2_yield();
+      // Let it allocate and park in its yield loop (it may run on another
+      // worker, so wait for it rather than counting yields).
+      while (!g_sleeper_ready) pm2_yield();
       marcel::Thread* t = rt.sched().find(id);
       ASSERT_NE(t, nullptr);
-      ASSERT_TRUE(rt.sched().freeze(t));
+      // Pause-gated: an ungated freeze fails while the sleeper runs on
+      // another worker.
+      ASSERT_TRUE(rt.freeze_thread(id));
       full = migration_payload_size(rt, t, /*blocks_only=*/false);
       sparse = migration_payload_size(rt, t, /*blocks_only=*/true);
-      // Un-freeze by re-adopting locally, then actually ship it.
-      rt.sched().forget(t);
-      rt.sched().adopt(t);
+      // migrate() ships a caller-frozen thread as is.
       ASSERT_TRUE(rt.migrate(id, 1));
       pm2_wait_signals(1);
     }

@@ -16,6 +16,7 @@
 #include "pm2/api.hpp"
 #include "pm2/app.hpp"
 #include "pm2/runtime.hpp"
+#include "stress_worker.hpp"
 
 namespace pm2 {
 namespace {
@@ -175,6 +176,35 @@ TEST(MultiProcess, MultiSlotFullImagesTakeTheDirectTail) {
     CHILD_REQUIRE(rt.migrations_in() == kBigHops);
     CHILD_REQUIRE(rt.fabric().recv_copy_bytes() * 4 <=
                   rt.migrations_in() * kBigBlock);
+  });
+  EXPECT_EQ(rc, 0);
+}
+
+// The randomized migration stress over the socket fabric, with the
+// zero-copy acceptance assertion: ship_thread's payload segments go slot
+// memory -> writev with no intermediate flatten, so every node's send-path
+// payload copy counter must stay exactly 0 for the whole churn.  Separate
+// processes for the same reason as above: ASan checks a sendmsg's bytes
+// only after the in-process destination may have re-poisoned them.
+TEST(MultiProcess, SocketShipPerformsNoFlattenCopies) {
+  int rc = run_app(mp_config(2), [](Runtime& rt) {
+    if (rt.self() == 0) {
+      for (int w = 0; w < 4; ++w) {
+        pm2_thread_create(
+            &stress_worker,
+            reinterpret_cast<void*>(static_cast<uintptr_t>(99 + w * 7919)),
+            "stress");
+      }
+      pm2_wait_signals(4);
+    }
+    rt.barrier();
+    CHILD_REQUIRE(g_ok.load());
+    if (rt.self() == 0) {
+      CHILD_REQUIRE(rt.migrations_out() > 0);
+    }
+    CHILD_REQUIRE(rt.fabric().bytes_sent() > 0);
+    PM2_CHECK(rt.fabric().payload_copy_bytes() == 0)
+        << "migration payloads were flattened on the socket send path";
   });
   EXPECT_EQ(rc, 0);
 }

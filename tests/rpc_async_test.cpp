@@ -265,6 +265,9 @@ TEST(RpcAsync, MigrateAsyncAcksAfterInstall) {
   run_app(cfg, [&](Runtime& rt) {
     if (rt.self() == 0) {
       marcel::ThreadId id = rt.spawn(&yielding_worker, nullptr, "roamer");
+      // Pause-gated freeze first: at workers > 1 the roamer may be running
+      // on another worker, where migrate_async's own freeze fails.
+      rt.freeze_thread(id);
       auto fut = rt.migrate_async(id, 1);
       MigrateResult res = fut.take();
       ack_ok = res.thread == id && res.dest == 1;
