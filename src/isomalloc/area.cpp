@@ -55,4 +55,11 @@ bool Area::committed(size_t index) const {
       config_.base + index * config_.slot_size, 1);
 }
 
+sys::WriteWatch& Area::write_watch() {
+  std::call_once(watch_once_, [this] {
+    watch_ = std::make_unique<sys::WriteWatch>(config_.base, config_.size);
+  });
+  return *watch_;
+}
+
 }  // namespace pm2::iso

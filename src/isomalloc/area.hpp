@@ -13,6 +13,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 
 #include "sys/sanitizer.hpp"
 #include "sys/vm.hpp"
@@ -88,9 +90,15 @@ class Area {
   /// For tests: is the first byte of the slot readable?
   bool committed(size_t index) const;
 
+  /// The kernel write watch over the whole area, created on first use (the
+  /// first slot store opened on the area), so in-process nodes share one.
+  sys::WriteWatch& write_watch();
+
  private:
   AreaConfig config_;
   sys::VmReservation reservation_;
+  std::once_flag watch_once_;
+  std::unique_ptr<sys::WriteWatch> watch_;
 };
 
 }  // namespace pm2::iso

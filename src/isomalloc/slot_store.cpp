@@ -50,8 +50,9 @@ uint64_t round_up(uint64_t v, uint64_t align) {
 }  // namespace
 
 SlotStore::SlotStore(Area& area, const SlotStoreConfig& config,
-                     uint64_t binary_stamp, uint32_t node, uint32_t n_nodes)
-    : area_(area), config_(config) {
+                     uint64_t binary_stamp, uint32_t node, uint32_t n_nodes,
+                     sys::WriteWatch* watch)
+    : area_(area), config_(config), watch_(watch) {
   PM2_CHECK(!config_.path.empty()) << "slot store needs a backing file path";
   const uint64_t dir_bytes =
       uint64_t{config_.dir_capacity} * sizeof(StoreDirEntry);
@@ -151,6 +152,13 @@ void SlotStore::mark_imaged(size_t first, size_t count) {
   }
 }
 
+void SlotStore::forget(size_t first, size_t count) {
+  for (size_t s = first; s < first + count; ++s) {
+    imaged_[s / 64].fetch_and(~(uint64_t{1} << (s % 64)),
+                              std::memory_order_release);
+  }
+}
+
 // --- residency ---------------------------------------------------------
 
 void SlotStore::demote(size_t first, size_t count) {
@@ -178,7 +186,15 @@ uint64_t SlotStore::write_changed(size_t first, size_t count) {
   const char* file =
       static_cast<const char*>(data_.data()) + uint64_t{first} * slot_size;
   sys::san_unpoison(mem, len);
+  // Pages written since this run was last scanned; an imaged page outside
+  // that set still equals the file.  Scanning before comparing means a
+  // write racing the compare is reported again next round.
+  std::vector<uint8_t> touched;
+  const bool tracked =
+      watch_ != nullptr &&
+      watch_->take_written(reinterpret_cast<uintptr_t>(mem), len, touched);
   uint64_t written = 0;
+  uint64_t compared = 0;
   size_t stretch = len;  // start of the pending differing pages; len = none
   auto flush = [&](size_t end) {
     if (stretch == len) return;
@@ -189,7 +205,12 @@ uint64_t SlotStore::write_changed(size_t first, size_t count) {
   for (size_t s = 0; s < count; ++s) {
     const bool whole = !imaged(first + s);
     for (size_t off = s * slot_size; off < (s + 1) * slot_size; off += ps) {
-      if (whole || std::memcmp(mem + off, file + off, ps) != 0) {
+      bool differs = whole;
+      if (!whole && (!tracked || touched[off / ps] != 0)) {
+        ++compared;
+        differs = std::memcmp(mem + off, file + off, ps) != 0;
+      }
+      if (differs) {
         if (stretch == len) stretch = off;
       } else {
         flush(off);
@@ -198,6 +219,7 @@ uint64_t SlotStore::write_changed(size_t first, size_t count) {
   }
   flush(len);
   mark_imaged(first, count);
+  pages_compared_.fetch_add(compared, std::memory_order_relaxed);
   return written;
 }
 
@@ -313,9 +335,12 @@ std::vector<SlotStore::RecordedThread> SlotStore::recorded_threads() const {
   return out;
 }
 
-void SlotStore::sync() {
-  meta_.sync();
+void SlotStore::sync(const std::vector<uint64_t>& seal) {
+  // Data first, then the seals vouching for it, then the directory: a
+  // machine crash can lose seals, never data behind a durable seal.
   ::fdatasync(fd_);
+  for (uint64_t id : seal) seal_thread(id);
+  meta_.sync();
 }
 
 SlotStoreStats SlotStore::stats() const {
@@ -324,6 +349,7 @@ SlotStoreStats SlotStore::stats() const {
   s.fault_backs = fault_backs_.load(std::memory_order_relaxed);
   s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
   s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
+  s.pages_compared = pages_compared_.load(std::memory_order_relaxed);
   return s;
 }
 

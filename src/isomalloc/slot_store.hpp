@@ -25,17 +25,25 @@
 //
 // One write rule serves both demotion and pm2::checkpoint_node_to_store:
 // write_changed() makes a run's file bytes equal to its memory by writing
-// only the pages that differ.  It compares against a read-only MAP_SHARED
-// view of the data region, mapped once at open (the page cache is the
-// comparison buffer; nothing is copied).  Because the file mirrors the
+// only the pages that differ, compared against a read-only MAP_SHARED view
+// of the data region mapped once at open.  Because the file mirrors the
 // iso-area at fixed offsets, a second round over an unchanged thread writes
-// nothing, whether or not the kernel tracks dirty pages.  A per-slot
-// *image bit* says the file already holds a complete image of the slot:
-// slots without it are written whole, never compared, so the file never has
-// holes inside a run (restores read it sequentially) and the view is never
-// read past end-of-file.  Bits are set after a whole write and, on
-// recovery, for the runs of sealed (kValid) records; the file keeps its
-// natural size.
+// nothing.  A per-slot *image bit* says the file already holds a complete
+// image of the slot: slots without it are written whole, never compared, so
+// the file never has holes inside a run (restores read it sequentially) and
+// the view is never read past end-of-file.  Bits are set after a whole
+// write and, on recovery, for the runs of sealed (kValid) records; the file
+// keeps its natural size.
+//
+// The compare is narrowed by the area's sys::WriteWatch (kernel write
+// tracking, shared by every store on the area): write_changed first takes
+// the run's pages written since its last scan and skips, with no memcmp,
+// an imaged page the kernel did not see written.  Every page is compared
+// when the store was opened without a watch or the watch is unavailable
+// (old kernel, seccomp, a forked child).  Another in-process node's scan
+// may consume the write bits of a slot while it is away, so the runtime
+// calls forget() whenever a slot leaves this node's threads: its next
+// image is written whole.
 //
 // File layout (PM2STOR1):
 //   [0, 4K)              StoreHeader — magic, version, binary stamp, area
@@ -118,6 +126,7 @@ struct SlotStoreStats {
   uint64_t fault_backs = 0;
   uint64_t bytes_out = 0;  // written by demote() (changed pages only)
   uint64_t bytes_in = 0;   // read by fault_back()/read_run()
+  uint64_t pages_compared = 0;  // imaged pages memcmp'd by write_changed()
 };
 
 class SlotStore {
@@ -126,9 +135,10 @@ class SlotStore {
   /// caller's code-identity hash (pm2::binary_stamp()); with
   /// `config.recover` the on-file header must match it and the area
   /// geometry exactly — a mismatched store is refused with a fatal check,
-  /// never silently adopted.
+  /// never silently adopted.  `watch` (nullable; the caller keeps it
+  /// alive) narrows write_changed's compare to the pages it saw written.
   SlotStore(Area& area, const SlotStoreConfig& config, uint64_t binary_stamp,
-            uint32_t node, uint32_t n_nodes);
+            uint32_t node, uint32_t n_nodes, sys::WriteWatch* watch = nullptr);
   ~SlotStore();
 
   SlotStore(const SlotStore&) = delete;
@@ -152,7 +162,8 @@ class SlotStore {
 
   /// Make the file bytes of the run equal to its (committed) memory: slots
   /// without an image bit are written whole, the others page by page,
-  /// writing maximal stretches of pages that differ from the file.  Sets
+  /// writing maximal stretches of pages that differ from the file (with a
+  /// watch, only pages it saw written are compared).  Sets
   /// the run's image bits.  Unpoisons the run first: frozen stacks carry
   /// redzone poison and parked pool stacks park poison; ASan checks the
   /// compare and the pwrite source, and the file must never capture poison
@@ -162,6 +173,10 @@ class SlotStore {
   /// Read the run's bytes from the file into (already committed) memory.
   void read_run(size_t first, size_t count);
 
+  /// Clear the run's image bits: its slots left this node's threads, and
+  /// their next image is written whole.
+  void forget(size_t first, size_t count);
+
   // --- thread directory --------------------------------------------------
 
   /// Begin (or restart) a record for `id`: state kWriting.  Returns false
@@ -169,7 +184,8 @@ class SlotStore {
   /// StoreDirEntry::kMaxRuns runs (the caller then skips persisting it).
   bool record_thread(uint64_t id, uint64_t desc_addr,
                      const std::vector<SlotRun>& runs);
-  /// Seal `id`'s record: state kValid.
+  /// Seal `id`'s record: state kValid.  Survives kill -9 at once (the
+  /// directory is MAP_SHARED); survives a machine crash only after sync().
   void seal_thread(uint64_t id);
   /// Drop `id`'s record (thread exited, migrated away, or was restored).
   void erase_thread(uint64_t id);
@@ -185,9 +201,12 @@ class SlotStore {
 
   // --- misc --------------------------------------------------------------
 
-  /// fdatasync the backing file (durability against machine crash; kill -9
-  /// survival needs nothing — the page cache persists).
-  void sync();
+  /// Durability against a machine crash (kill -9 survival needs nothing —
+  /// the page cache persists): fdatasync the data, then seal `seal`'s
+  /// records, then msync the directory, so no durable seal names data that
+  /// is not durable.  Demotion seals without a sync: its records are
+  /// kill -9-safe only.
+  void sync(const std::vector<uint64_t>& seal = {});
 
   SlotStoreStats stats() const;
 
@@ -200,6 +219,7 @@ class SlotStore {
 
   Area& area_;
   SlotStoreConfig config_;
+  sys::WriteWatch* watch_;
   int fd_ = -1;
   sys::FileMapping meta_;     // header + directory
   StoreHeader* hdr_ = nullptr;
@@ -217,6 +237,7 @@ class SlotStore {
   std::atomic<uint64_t> fault_backs_{0};
   std::atomic<uint64_t> bytes_out_{0};
   std::atomic<uint64_t> bytes_in_{0};
+  std::atomic<uint64_t> pages_compared_{0};
 };
 
 }  // namespace pm2::iso

@@ -1,5 +1,6 @@
 #include "pm2/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 
@@ -186,32 +187,46 @@ StoreCheckpointStats checkpoint_node_to_store(Runtime& rt) {
     targets.push_back(t);
   });
 
+  // Freeze and record every target, then write their runs sorted, adjacent
+  // runs as one span: one kernel write scan per span, not per run.  The
+  // records stay kWriting until the sync step seals them behind the data.
+  std::vector<uint64_t> written_ids;
+  std::vector<iso::SlotRun> runs;
+  std::vector<marcel::Thread*> thaw;
   for (marcel::Thread* t : targets) {
     // Quiesce READY targets exactly like a migration; frozen ones are
     // already quiescent and stay frozen afterwards.
-    const bool was_ready = t->state == marcel::ThreadState::kReady;
-    if (was_ready && !rt.sched().freeze(t)) {
-      PM2_WARN << "checkpoint_node_to_store: cannot freeze thread " << t->id
-               << "; not persisted";
-      continue;
-    }
-    std::vector<iso::SlotRun> runs;
-    iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
-      runs.emplace_back(rt.area().slot_of(s), s->nslots);
-    });
-    if (store->record_thread(t->id, reinterpret_cast<uint64_t>(t), runs)) {
-      for (auto [first, count] : runs) {
-        const uint64_t written = store->write_changed(first, count);
-        stats.bytes_written += written;
-        stats.bytes_skipped += uint64_t{count} * slot_size - written;
+    if (t->state == marcel::ThreadState::kReady) {
+      if (!rt.sched().freeze(t)) {
+        PM2_WARN << "checkpoint_node_to_store: cannot freeze thread " << t->id
+                 << "; not persisted";
+        continue;
       }
-      store->seal_thread(t->id);
+      thaw.push_back(t);
+    }
+    std::vector<iso::SlotRun> own;
+    iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
+      own.emplace_back(rt.area().slot_of(s), s->nslots);
+    });
+    if (store->record_thread(t->id, reinterpret_cast<uint64_t>(t), own)) {
+      runs.insert(runs.end(), own.begin(), own.end());
+      written_ids.push_back(t->id);
       ++stats.threads;
     }
-    if (was_ready) rt.sched().unfreeze(t);
   }
+  std::sort(runs.begin(), runs.end());
+  for (size_t i = 0; i < runs.size();) {
+    const size_t first = runs[i].first;
+    size_t count = 0;
+    for (; i < runs.size() && runs[i].first == first + count; ++i)
+      count += runs[i].second;
+    const uint64_t written = store->write_changed(first, count);
+    stats.bytes_written += written;
+    stats.bytes_skipped += uint64_t{count} * slot_size - written;
+  }
+  for (marcel::Thread* t : thaw) rt.sched().unfreeze(t);
 
-  store->sync();
+  store->sync(written_ids);
   rt.sched().resume_workers();
   return stats;
 }

@@ -84,7 +84,7 @@ std::vector<uint8_t> load_checkpoint(const std::string& path);
 // write rule, SlotStore::write_changed: compare each run with the file and
 // write only the pages that differ (slots with no complete image yet are
 // written whole).  A round over threads that changed little writes little,
-// with no kernel dirty-page tracking.
+// and with the area's kernel write watch compares little too.
 
 struct StoreCheckpointStats {
   uint64_t threads = 0;        // threads persisted this round
@@ -97,11 +97,13 @@ struct StoreCheckpointStats {
 /// threads are already byte-exact in the file (their record was written at
 /// demotion) and are skipped as pure savings; running (the caller),
 /// blocked and daemon threads are not checkpointable and are skipped with
-/// a warning for blocked ones.  Each run is written with
-/// SlotStore::write_changed, so only pages that differ from the file are
-/// written; `bytes_written + bytes_skipped` is the node's persisted slot
-/// bytes.  Ends with SlotStore::sync().  Requires
-/// RuntimeConfig::slot_store_dir.
+/// a warning for blocked ones.  The targets' runs are written with
+/// SlotStore::write_changed, adjacent runs as one span, so only pages that
+/// differ from the file are written; `bytes_written + bytes_skipped` is the
+/// node's persisted slot
+/// bytes.  The round's records stay unsealed (kWriting) until its closing
+/// SlotStore::sync() seals them between the data sync and the directory
+/// sync.  Requires RuntimeConfig::slot_store_dir.
 StoreCheckpointStats checkpoint_node_to_store(Runtime& rt);
 
 /// Crash restart: adopt every thread recorded in a recovered slot store

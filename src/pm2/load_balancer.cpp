@@ -1,5 +1,6 @@
 #include "pm2/load_balancer.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/time.hpp"
@@ -10,9 +11,11 @@ namespace pm2 {
 
 namespace {
 
-void balancer_loop(Runtime& rt, LoadBalancerConfig cfg) {
+void balancer_loop(Runtime& rt, LoadBalancerConfig cfg,
+                   LoadBalancerStatus& status) {
   marcel::Scheduler& sched = rt.sched();
-  while (!rt.halting()) {
+  // One iteration is one decision round; the increment counts it done.
+  for (; !rt.halting(); status.rounds.fetch_add(1, std::memory_order_release)) {
     sched.sleep_us(cfg.period_us);
     // Halt may have arrived during the sleep: do not gossip to nodes that
     // are already draining (their processes may exit at any moment).
@@ -44,9 +47,13 @@ void balancer_loop(Runtime& rt, LoadBalancerConfig cfg) {
       if (t->state == marcel::ThreadState::kReady && !t->is_pinned())
         candidates.push_back(t->id);
     });
+    // Ship at most half the gap: moving k threads narrows it by 2k, and an
+    // overshoot makes the victim ship them straight back, round after round.
+    const uint64_t cap = std::min<uint64_t>(cfg.max_migrations_per_round,
+                                            (my - victim_load) / 2);
     uint32_t shipped = 0;
     for (marcel::ThreadId id : candidates) {
-      if (shipped >= cfg.max_migrations_per_round) break;
+      if (shipped >= cap) break;
       if (rt.migrate(id, victim)) ++shipped;
     }
     if (shipped > 0) {
@@ -59,16 +66,16 @@ void balancer_loop(Runtime& rt, LoadBalancerConfig cfg) {
 
 }  // namespace
 
-void LoadBalancer::start(Runtime& rt, const LoadBalancerConfig& config) {
+std::shared_ptr<const LoadBalancerStatus> LoadBalancer::start(
+    Runtime& rt, const LoadBalancerConfig& config) {
   // Pinned thread: participates in scheduling but never migrates; exits by
   // itself when the session halts.
   Runtime* rtp = &rt;
   LoadBalancerConfig cfg = config;
-  rt.spawn_local([rtp, cfg] { balancer_loop(*rtp, cfg); }, "load-balancer");
-}
-
-uint64_t LoadBalancer::migrations_triggered(Runtime& rt) {
-  return rt.migrations_out();
+  auto status = std::make_shared<LoadBalancerStatus>();
+  rt.spawn_local([rtp, cfg, status] { balancer_loop(*rtp, cfg, *status); },
+                 "load-balancer");
+  return status;
 }
 
 }  // namespace pm2

@@ -7,7 +7,9 @@
 // threads from overloaded to underloaded nodes.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 
 namespace pm2 {
 
@@ -22,14 +24,17 @@ struct LoadBalancerConfig {
   uint32_t max_migrations_per_round = 1;
 };
 
+/// A started balancer's progress: decision rounds completed so far.
+struct LoadBalancerStatus {
+  std::atomic<uint64_t> rounds{0};
+};
+
 class LoadBalancer {
  public:
   /// Start the balancer daemon on this node (call on every node, SPMD).
   /// The daemon stops itself at halt.
-  static void start(Runtime& rt, const LoadBalancerConfig& config = {});
-
-  /// Total threads this node's balancer pushed away (diagnostics).
-  static uint64_t migrations_triggered(Runtime& rt);
+  static std::shared_ptr<const LoadBalancerStatus> start(
+      Runtime& rt, const LoadBalancerConfig& config = {});
 };
 
 }  // namespace pm2

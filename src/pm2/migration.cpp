@@ -208,7 +208,8 @@ void ship_thread(Runtime& rt, marcel::Thread* t, uint32_t dest,
   // ships, so a crash restart here must not resurrect it.
   rt.ensure_resident(t);
   PM2_TRACE << "shipping thread " << t->id << " to node " << dest;
-  if (auto* store = rt.slot_store()) store->erase_thread(t->id);
+  iso::SlotStore* store = rt.slot_store();
+  if (store != nullptr) store->erase_thread(t->id);
 
   // Observer hook (pm2_set_pre_migration_func): the thread is frozen but
   // still entirely resident — the hook may inspect it, not unfreeze it.
@@ -222,6 +223,11 @@ void ship_thread(Runtime& rt, marcel::Thread* t, uint32_t dest,
   iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* slot) {
     runs.emplace_back(rt.area().slot_of(slot), slot->nslots);
   });
+  // Its image bits go too: another in-process node's store may scan the
+  // runs (consuming their kernel write bits) before they come back.
+  if (store != nullptr) {
+    for (auto [first, count] : runs) store->forget(first, count);
+  }
 
   // keep_fiber: an in-process install (hub fabric, or socket nodes sharing
   // the process) adopts the byte-copied stack on its original TSan fiber.

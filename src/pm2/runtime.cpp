@@ -96,6 +96,13 @@ Runtime* Runtime::current() { return t_runtime; }
 
 Runtime::Runtime(const RuntimeConfig& config, iso::Area& area,
                  std::unique_ptr<fabric::Fabric> fabric)
+    : Runtime(config, area, std::move(fabric),
+              config.slot_store_dir.empty() ? nullptr : &area.write_watch()) {
+}
+
+Runtime::Runtime(const RuntimeConfig& config, iso::Area& area,
+                 std::unique_ptr<fabric::Fabric> fabric,
+                 sys::WriteWatch* watch)
     : config_(resolve_env(config)),
       area_(area),
       // Fault-injection hook point: an active plan wraps the transport
@@ -140,7 +147,7 @@ Runtime::Runtime(const RuntimeConfig& config, iso::Area& area,
               std::to_string(config_.node) + ".store";
     sc.recover = config_.slot_store_recover;
     store_ = std::make_unique<iso::SlotStore>(
-        area_, sc, binary_stamp(), config_.node, config_.n_nodes);
+        area_, sc, binary_stamp(), config_.node, config_.n_nodes, watch);
     if (store_->recovered()) {
       // Fence off every recorded image before this node serves anything:
       // a pending RPC racing the restart would otherwise allocate a
@@ -812,6 +819,9 @@ bool Runtime::acquire_slots_at(size_t first, size_t count) {
 }
 
 void Runtime::release_slots(size_t first, size_t count) {
+  // Back to the free distribution: the next thread to own the run writes
+  // a fresh image (see SlotStore::forget).
+  if (store_ != nullptr) store_->forget(first, count);
   sys::SpinGuard g(slot_lock_);
   if (bitmap_freeze_ > 0) {
     // The bitmap is inside someone's system-wide critical section; the

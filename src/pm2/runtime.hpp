@@ -326,6 +326,11 @@ class Runtime {
   /// same object for in-process nodes; same AreaConfig across processes).
   Runtime(const RuntimeConfig& config, iso::Area& area,
           std::unique_ptr<fabric::Fabric> fabric);
+  /// As above, with the write watch the node's slot store narrows its
+  /// compares with injected (the form above passes the area's).  nullptr
+  /// opens a store that compares every page.
+  Runtime(const RuntimeConfig& config, iso::Area& area,
+          std::unique_ptr<fabric::Fabric> fabric, sys::WriteWatch* watch);
   ~Runtime();
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;

@@ -2,10 +2,14 @@
 
 #include <errno.h>
 #include <fcntl.h>
+#include <linux/userfaultfd.h>
+#include <sys/ioctl.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -146,60 +150,108 @@ void FileMapping::release() {
   }
 }
 
-bool clear_soft_dirty() {
-  int fd = ::open("/proc/self/clear_refs", O_WRONLY | O_CLOEXEC);
-  if (fd < 0) return false;
-  ssize_t rc = ::write(fd, "4", 1);
-  ::close(fd);
-  return rc == 1;
-}
-
-bool read_soft_dirty(uintptr_t addr, size_t len, std::vector<uint8_t>& bits) {
-  bits.clear();
-  const size_t ps = page_size();
-  PM2_CHECK(addr % ps == 0) << "soft-dirty read not page aligned";
-  int fd = ::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
-  const size_t pages = (len + ps - 1) / ps;
-  bits.resize(pages, 1);  // unknown pages count as dirty (conservative)
-  std::vector<uint64_t> entries(pages);
-  off_t off = static_cast<off_t>(addr / ps) * 8;
-  size_t filled = 0;
-  while (filled < pages) {
-    ssize_t rc = ::pread(fd, entries.data() + filled, (pages - filled) * 8,
-                         off + static_cast<off_t>(filled) * 8);
-    if (rc <= 0) {
-      ::close(fd);
-      bits.clear();
-      return false;
-    }
-    filled += static_cast<size_t>(rc) / 8;
-  }
-  ::close(fd);
-  for (size_t i = 0; i < pages; ++i) {
-    bits[i] = (entries[i] >> 55) & 1 ? 1 : 0;
-  }
-  return true;
-}
-
 bool soft_dirty_supported() {
   // One live self-test: clear the bits, dirty a private page, and check the
-  // kernel reports exactly that page dirty.  Some kernels/containers hide
-  // pagemap bits (CONFIG_MEM_SOFT_DIRTY off, lockdown).
+  // kernel reports it dirty (pagemap bit 55).  Some kernels/containers hide
+  // the bit (CONFIG_MEM_SOFT_DIRTY off, lockdown).
   static const bool supported = [] {
-    if (!clear_soft_dirty()) return false;
     const size_t ps = page_size();
+    const int refs = ::open("/proc/self/clear_refs", O_WRONLY | O_CLOEXEC);
+    const int pagemap = ::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC);
     void* p = ::mmap(nullptr, ps, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) return false;
-    *static_cast<volatile char*>(p) = 1;
-    std::vector<uint8_t> bits;
-    bool ok = read_soft_dirty(reinterpret_cast<uintptr_t>(p), ps, bits) &&
-              bits.size() == 1 && bits[0] == 1;
-    ::munmap(p, ps);
+    bool ok = refs >= 0 && pagemap >= 0 && p != MAP_FAILED &&
+              ::write(refs, "4", 1) == 1;
+    if (ok) {
+      *static_cast<volatile char*>(p) = 1;
+      uint64_t entry = 0;
+      const auto off = static_cast<off_t>(reinterpret_cast<uintptr_t>(p) / ps);
+      ok = ::pread(pagemap, &entry, 8, off * 8) == 8 && (entry >> 55 & 1);
+    }
+    if (p != MAP_FAILED) ::munmap(p, ps);
+    if (pagemap >= 0) ::close(pagemap);
+    if (refs >= 0) ::close(refs);
     return ok;
   }();
   return supported;
+}
+
+// --- WriteWatch ---------------------------------------------------------
+//
+// The ABI below postdates some distributions' kernel headers (6.1 lacks
+// both), so it is spelled out here: include/uapi/linux/userfaultfd.h and
+// include/uapi/linux/fs.h of Linux 6.7.
+
+namespace {
+
+constexpr uint64_t kUffdFeatureWpAsync = uint64_t{1} << 15;
+
+struct PageRegion {
+  uint64_t start, end, categories;
+};
+
+struct PmScanArg {
+  uint64_t size = 0, flags = 0, start = 0, end = 0, walk_end = 0, vec = 0,
+           vec_len = 0, max_pages = 0, category_inverted = 0,
+           category_mask = 0, category_anyof_mask = 0, return_mask = 0;
+};
+
+constexpr unsigned long kPagemapScan = _IOWR('f', 16, PmScanArg);
+constexpr uint64_t kPageIsWritten = uint64_t{1} << 1;
+constexpr uint64_t kPmScanWpMatching = uint64_t{1} << 0;
+constexpr uint64_t kPmScanCheckWpAsync = uint64_t{1} << 1;
+
+}  // namespace
+
+WriteWatch::WriteWatch(uintptr_t base, size_t size) : pid_(::getpid()) {
+  uffd_ = static_cast<int>(
+      ::syscall(SYS_userfaultfd, O_CLOEXEC | O_NONBLOCK | UFFD_USER_MODE_ONLY));
+  uffdio_api api{.api = UFFD_API, .features = kUffdFeatureWpAsync, .ioctls = 0};
+  uffdio_register reg{.range = {.start = base, .len = size},
+                      .mode = UFFDIO_REGISTER_MODE_WP,
+                      .ioctls = 0};
+  if (uffd_ < 0 || ::ioctl(uffd_, UFFDIO_API, &api) != 0 ||
+      ::ioctl(uffd_, UFFDIO_REGISTER, &reg) != 0 ||
+      (pagemap_ = ::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC)) < 0) {
+    error_ = errno;
+    return;
+  }
+  // A kernel with userfaultfd but without PAGEMAP_SCAN (6.4-6.6) fails a
+  // one-page probe scan (taken before any store relies on the watch).
+  std::vector<uint8_t> pages;
+  if (!take_written(base, page_size(), pages)) error_ = errno;
+}
+
+WriteWatch::~WriteWatch() {
+  if (pagemap_ >= 0) ::close(pagemap_);
+  if (uffd_ >= 0) ::close(uffd_);
+}
+
+bool WriteWatch::take_written(uintptr_t addr, size_t len,
+                              std::vector<uint8_t>& pages) {
+  if (pagemap_ < 0 || error_ != 0 || ::getpid() != pid_) return false;
+  const size_t ps = page_size();
+  pages.assign((len + ps - 1) / ps, 0);
+  PageRegion regions[32];
+  PmScanArg arg{.size = sizeof(PmScanArg),
+                .flags = kPmScanWpMatching | kPmScanCheckWpAsync,
+                .start = addr,
+                .end = addr + len,
+                .vec = reinterpret_cast<uintptr_t>(regions),
+                .vec_len = std::size(regions),
+                .category_mask = kPageIsWritten,
+                .return_mask = kPageIsWritten};
+  // A full region vector ends the walk early (walk_end < end).
+  while (arg.start < arg.end) {
+    const int n = ::ioctl(pagemap_, kPagemapScan, &arg);
+    if (n < 0) return false;
+    for (int i = 0; i < n; ++i) {
+      for (uint64_t p = regions[i].start; p < regions[i].end; p += ps)
+        pages[(p - addr) / ps] = 1;
+    }
+    arg.start = arg.walk_end;
+  }
+  return true;
 }
 
 bool probe_readable(uintptr_t addr, size_t len) {

@@ -63,6 +63,39 @@ class VmReservation {
   size_t size_ = 0;
 };
 
+/// Kernel write tracking over a range: one userfaultfd registered in async
+/// write-protect mode (UFFD_FEATURE_WP_ASYNC: a write to a protected page
+/// just unprotects it) plus the PAGEMAP_SCAN ioctl, which reports a range's
+/// unprotected ("written") pages and protects them again in the same call —
+/// CRIU's incremental-dump mechanism (Linux >= 6.7).  Kernel-side writes
+/// (read(2) into the range) and zapped pages (MADV_DONTNEED) count as
+/// written.  Unavailable when the kernel refuses any step (no userfaultfd,
+/// seccomp, kernel < 6.7) and in a forked child, whose inherited pagemap fd
+/// still reads the parent's address space.
+class WriteWatch {
+ public:
+  /// Register [base, base+size) (page aligned, mapped anonymous memory).
+  WriteWatch(uintptr_t base, size_t size);
+  ~WriteWatch();
+  WriteWatch(const WriteWatch&) = delete;
+  WriteWatch& operator=(const WriteWatch&) = delete;
+
+  /// errno of the step that failed at construction; 0 when usable.
+  int error() const { return error_; }
+
+  /// Report which pages of [addr, addr+len) were written since they were
+  /// last taken, and protect them again: `pages` gets one byte per page
+  /// (1 = written).  Returns false when the watch is unavailable or the
+  /// scan failed; `pages` is then meaningless.  Thread-safe.
+  bool take_written(uintptr_t addr, size_t len, std::vector<uint8_t>& pages);
+
+ private:
+  int uffd_ = -1;
+  int pagemap_ = -1;
+  int pid_ = 0;
+  int error_ = 0;
+};
+
 /// True if [addr, addr+len) is currently readable (committed) — used by
 /// tests to assert commit/decommit behaviour without faulting.
 bool probe_readable(uintptr_t addr, size_t len);
@@ -108,15 +141,5 @@ class FileMapping {
 /// process (writable /proc/self/clear_refs + pagemap bit 55 visible).
 /// Probed once with a live write-then-read self-test.
 bool soft_dirty_supported();
-
-/// Reset the soft-dirty bit on every page of this process (writes "4" to
-/// /proc/self/clear_refs).  Returns false if the kernel refused.
-bool clear_soft_dirty();
-
-/// Read the soft-dirty bit for each page of [addr, addr+len): `bits` gets
-/// one byte per page (1 = written since the last clear_soft_dirty()).
-/// `addr` must be page aligned.  Returns false (and leaves `bits` empty)
-/// when pagemap is unavailable.
-bool read_soft_dirty(uintptr_t addr, size_t len, std::vector<uint8_t>& bits);
 
 }  // namespace pm2::sys

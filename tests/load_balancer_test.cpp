@@ -14,10 +14,13 @@ namespace {
 
 std::atomic<int> g_done{0};
 std::atomic<uint32_t> g_finish_mask{0};
+std::atomic<bool> g_go{false};
 
-// CPU-ish worker that yields often and never asks to migrate.
+// CPU-ish worker that yields often and never asks to migrate.  It starts
+// its iterations once g_go is set (READY until then, so migratable).
 void lb_worker(void* arg) {
   auto iters = static_cast<int>(reinterpret_cast<intptr_t>(arg));
+  while (!g_go.load()) pm2_yield();
   volatile long sink = 0;
   for (int i = 0; i < iters; ++i) {
     for (int k = 0; k < 2000; ++k) sink = sink + k;
@@ -31,6 +34,7 @@ void lb_worker(void* arg) {
 TEST(LoadBalancer, SpreadsWorkAcrossNodes) {
   g_done = 0;
   g_finish_mask = 0;
+  g_go = false;
   constexpr int kWorkers = 12;
   std::atomic<uint64_t> moved{0};
 
@@ -41,13 +45,17 @@ TEST(LoadBalancer, SpreadsWorkAcrossNodes) {
     lb.period_us = 200;
     lb.imbalance_threshold = 2;
     lb.max_migrations_per_round = 2;
-    LoadBalancer::start(rt, lb);
+    auto status = LoadBalancer::start(rt, lb);
     if (rt.self() == 0) {
       // All work lands on node 0; the balancer must push some of it away.
       for (int i = 0; i < kWorkers; ++i) {
         pm2_thread_create(&lb_worker, reinterpret_cast<void*>(intptr_t{400}),
                           "worker");
       }
+      // The iterations start only after one balancer round saw the
+      // workers: otherwise they can all finish before the first round.
+      while (status->rounds.load() < 1) pm2_yield();
+      g_go = true;
       pm2_wait_signals(kWorkers);
       moved = rt.migrations_out();
     }
@@ -84,6 +92,7 @@ TEST(LoadBalancer, RespectsThreshold) {
     lb.period_us = 100;
     lb.imbalance_threshold = 100;  // effectively never
     LoadBalancer::start(rt, lb);
+    g_go = true;
     if (rt.self() == 0) {
       for (int i = 0; i < 4; ++i)
         pm2_thread_create(&lb_worker, reinterpret_cast<void*>(intptr_t{50}),

@@ -324,6 +324,8 @@ TEST(RpcAsync, MigrationHooksFire) {
       [&](Runtime& rt) {
         if (rt.self() == 0) {
           marcel::ThreadId id = rt.spawn(&yielding_worker, nullptr, "hooked");
+          // Pause-gated freeze first, as in MigrateAsyncAcksAfterInstall.
+          rt.freeze_thread(id);
           rt.migrate_async(id, 1).take();
           g_stop_worker = true;
         } else {

@@ -515,6 +515,35 @@ TEST(SlotStore, BackToBackRoundsOverFrozenThreadsWriteNothing) {
   EXPECT_TRUE(g_ok.load());
 }
 
+// --- durability order: a round's seals wait for its data sync --------------
+
+// checkpoint_node_to_store records and writes every thread first and seals
+// them only in its closing sync step (data, then seals, then directory), so
+// no record can turn adoptable before the data it names is on disk.
+TEST(SlotStore, RecordStaysUnsealedUntilTheSyncStep) {
+  iso::AreaConfig ac;
+  ac.base = iso::offset_area_base(14);
+  ac.size = 64ull << 20;
+  iso::Area area(ac);
+  iso::SlotStoreConfig sc;
+  sc.path = make_store_dir() + "/order.store";
+  iso::SlotStore store(area, sc, binary_stamp(), 0, 1);
+  auto sealed = [&store](uint64_t id) {
+    for (const auto& rec : store.recorded_threads()) {
+      if (rec.id == id) return true;
+    }
+    return false;
+  };
+  area.commit(2, 1);
+  std::memset(area.slot_addr(2), 0x5c, area.slot_size());
+  ASSERT_TRUE(store.record_thread(77, 0, {{2, 1}}));
+  EXPECT_EQ(store.write_changed(2, 1), area.slot_size());
+  EXPECT_TRUE(store.has_record(77));
+  EXPECT_FALSE(sealed(77));
+  store.sync({77});
+  EXPECT_TRUE(sealed(77));
+}
+
 // --- demotion writes only what the file lacks -------------------------------
 
 TEST(SlotStore, DemoteAfterCheckpointWritesNoDataPages) {
