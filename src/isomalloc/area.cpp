@@ -31,10 +31,10 @@ bool Area::contains(const void* addr) const {
   return a >= config_.base && a < config_.base + config_.size;
 }
 
-void Area::commit(size_t first, size_t count) {
-  PM2_CHECK(first + count <= n_slots());
-  reservation_.commit(config_.base + first * config_.slot_size,
-                      count * config_.slot_size);
+void Area::commit(size_t first, size_t count, size_t from) {
+  PM2_CHECK(first + count <= n_slots() && from <= count * config_.slot_size);
+  reservation_.commit(config_.base + first * config_.slot_size + from,
+                      count * config_.slot_size - from);
 }
 
 void Area::decommit(size_t first, size_t count) {
@@ -44,10 +44,10 @@ void Area::decommit(size_t first, size_t count) {
                         count * config_.slot_size);
 }
 
-void Area::decommit_force(size_t first, size_t count) {
-  PM2_CHECK(first + count <= n_slots());
-  reservation_.decommit(config_.base + first * config_.slot_size,
-                        count * config_.slot_size);
+void Area::decommit_force(size_t first, size_t count, size_t from) {
+  PM2_CHECK(first + count <= n_slots() && from <= count * config_.slot_size);
+  reservation_.decommit(config_.base + first * config_.slot_size + from,
+                        count * config_.slot_size - from);
 }
 
 bool Area::committed(size_t index) const {

@@ -76,16 +76,18 @@ class Area {
   size_t slot_of(const void* addr) const;
   bool contains(const void* addr) const;
 
-  /// Make `count` slots starting at `first` read-writable.
-  void commit(size_t first, size_t count);
+  /// Make `count` slots starting at `first` read-writable, from byte
+  /// `from` (page aligned) of the run on.
+  void commit(size_t first, size_t count, size_t from = 0);
   /// Release physical memory and access for the range.
   void decommit(size_t first, size_t count);
-  /// Like decommit(), but ignores AreaConfig::skip_decommit.  Used by the
-  /// slot store when it demotes a *thread-owned* run to the backing file:
-  /// no other in-process node ever touches a thread-owned address, so
-  /// yanking the pages is safe even in a shared-address-space session (and
-  /// is the whole point — the demotion must actually free RAM).
-  void decommit_force(size_t first, size_t count);
+  /// Like decommit(), but ignores AreaConfig::skip_decommit and spares the
+  /// run's bytes below `from` (page aligned).  Used by the slot store when
+  /// it demotes a *thread-owned* run to the backing file: no other
+  /// in-process node ever touches a thread-owned address, so yanking the
+  /// pages is safe even in a shared-address-space session (and is the
+  /// whole point — the demotion must actually free RAM).
+  void decommit_force(size_t first, size_t count, size_t from = 0);
 
   /// For tests: is the first byte of the slot readable?
   bool committed(size_t index) const;

@@ -163,15 +163,19 @@ void SlotStore::forget(size_t first, size_t count) {
 
 void SlotStore::demote(size_t first, size_t count) {
   const uint64_t written = write_changed(first, count);
-  area_.decommit_force(first, count);
+  area_.decommit_force(first, count, sys::page_size());
   demotions_.fetch_add(1, std::memory_order_relaxed);
   bytes_out_.fetch_add(written, std::memory_order_relaxed);
 }
 
 void SlotStore::fault_back(size_t first, size_t count) {
-  area_.commit(first, count);  // mprotect RW + shadow unpoison
-  const size_t len = count * area_.slot_size();
-  pread_all(fd_, area_.slot_addr(first), len, file_off(first));
+  // The header page stayed resident and may hold newer node-local fields
+  // than the file: only the pages demote() dropped come back.
+  const size_t ps = sys::page_size();
+  area_.commit(first, count, ps);  // mprotect RW + shadow unpoison
+  const size_t len = count * area_.slot_size() - ps;
+  pread_all(fd_, static_cast<char*>(area_.slot_addr(first)) + ps, len,
+            file_off(first) + ps);
   fault_backs_.fetch_add(1, std::memory_order_relaxed);
   bytes_in_.fetch_add(len, std::memory_order_relaxed);
 }

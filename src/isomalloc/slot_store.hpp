@@ -9,12 +9,22 @@
 //
 //   * hot          — committed anonymous RAM, as always;
 //   * demoted      — run bytes written to a per-node backing file keyed by
-//                    slot index, pages MADV_DONTNEED'd and re-protected
-//                    PROT_NONE (Area::decommit_force), so a cold frozen or
-//                    parked thread stops pinning physical memory;
-//   * faulted-back — re-committed and read back from the file at the same
-//                    iso-address when the thread resumes, packs for
-//                    migration, or is checkpointed.
+//                    slot index, and every page but the run's first
+//                    released (Area::decommit_force), so a cold frozen or
+//                    parked thread stops pinning physical memory.  The
+//                    first page holds the run's SlotHeader and, for a stack
+//                    run, the Thread descriptor and its canary: a demoted
+//                    thread's descriptor and slot chain stay readable;
+//   * faulted-back — the released pages re-committed and read back from
+//                    the file at the same iso-addresses when the thread
+//                    resumes, packs for migration, or is checkpointed.
+//
+// While a thread is demoted only node-local descriptor fields (a joiner
+// link, say) may change in the kept page, so the record sealed at demotion
+// stays the thread's checkpoint: restore re-adopts the thread through
+// Scheduler::adopt(), which resets those fields.  Fault-back never re-reads
+// the kept page, which would lose them.  The kept pages (one per demoted
+// run) stay resident outside RuntimeConfig::slot_store_budget.
 //
 // The same backing file doubles as the persistence layer: a thread
 // *directory* (MAP_SHARED header + records, so `kill -9` cannot lose it —
@@ -150,12 +160,12 @@ class SlotStore {
   // --- residency ---------------------------------------------------------
 
   /// Bring the run's file image up to date (write_changed) and release its
-  /// memory (pages dropped, protection PROT_NONE).  The *caller*
-  /// re-establishes any ASan poison after fault_back().
+  /// memory except the first page (pages dropped, protection PROT_NONE).
+  /// The *caller* re-establishes any ASan poison after fault_back().
   void demote(size_t first, size_t count);
 
-  /// Re-commit the run and read its bytes back from the file at the same
-  /// iso-addresses.
+  /// Re-commit the pages demote() released and read their bytes back from
+  /// the file at the same iso-addresses.  The first page is left as is.
   void fault_back(size_t first, size_t count);
 
   // --- checkpoint I/O (residency unchanged) ------------------------------

@@ -22,23 +22,14 @@ struct HeldRun {
 /// Inventory of slot runs held by the threads registered on one node —
 /// plus the invocation pool's parked service threads, which sit off the
 /// scheduler registry but still own their stack run.  Demoted threads are
-/// inventoried from their demotion record: their slot chain (descriptor
-/// included) is PROT_NONE, so not a single descriptor field may be read —
-/// exactly-one-owner must keep covering runs whose bytes live in the store
-/// file, and this is where that coverage comes from.
+/// walked like any other (their slot headers stay resident): exactly-one-
+/// owner must keep covering runs whose bytes live in the store file.
 std::vector<HeldRun> local_inventory(Runtime& rt) {
   std::vector<HeldRun> runs;
   auto add = [&](marcel::Thread* t) {
-    marcel::ThreadId id = 0;
-    std::vector<iso::SlotRun> demoted;
-    if (rt.demoted_info(t, &id, &demoted)) {
-      for (auto [first, count] : demoted) {
-        runs.push_back(HeldRun{id, first, count, 1});
-      }
-      return;
-    }
+    const uint8_t demoted = rt.thread_demoted(t) ? 1 : 0;
     iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
-      runs.push_back(HeldRun{t->id, rt.area().slot_of(s), s->nslots, 0});
+      runs.push_back(HeldRun{t->id, rt.area().slot_of(s), s->nslots, demoted});
     });
   };
   rt.sched().for_each(add);

@@ -67,8 +67,8 @@ std::vector<uint8_t> checkpoint_thread(Runtime& rt, marcel::ThreadId id) {
   rt.sched().pause_workers();
   marcel::Thread* t = rt.sched().find(id);
   PM2_CHECK(t != nullptr) << "checkpoint: no thread " << id << " here";
-  // A demoted thread's descriptor (and everything the pack walk reads) is
-  // PROT_NONE until its runs fault back in.
+  // A demoted thread's stack and data pages (everything the pack walk
+  // reads past the slot headers) live in the store file until faulted back.
   rt.ensure_resident(t);
   PM2_CHECK(!t->is_pinned()) << "checkpoint: pinned thread";
   bool frozen = rt.sched().freeze(t);
@@ -162,18 +162,15 @@ StoreCheckpointStats checkpoint_node_to_store(Runtime& rt) {
   rt.sched().pause_workers();
 
   // Pass 1 under the pause: pick the checkpointable threads.  Demoted
-  // threads must not have a single field read — their descriptor is
-  // PROT_NONE — and need no I/O at all: the bytes written at demotion are
-  // still exact (nothing could have touched the protected pages), so the
-  // record made then *is* this round's checkpoint.
+  // threads need no I/O at all: the record sealed at demotion is still
+  // their checkpoint (only node-local descriptor fields can have changed,
+  // and adopt() resets those on restore).
   std::vector<marcel::Thread*> targets;
   rt.sched().for_each([&](marcel::Thread* t) {
-    std::vector<iso::SlotRun> druns;
-    if (rt.demoted_info(t, nullptr, &druns)) {
-      for (auto [first, count] : druns) {
-        (void)first;
-        stats.bytes_skipped += uint64_t{count} * slot_size;
-      }
+    if (rt.thread_demoted(t)) {
+      iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
+        stats.bytes_skipped += uint64_t{s->nslots} * slot_size;
+      });
       ++stats.threads;
       return;
     }

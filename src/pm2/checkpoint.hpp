@@ -94,8 +94,8 @@ struct StoreCheckpointStats {
 
 /// Persist every checkpointable thread of this node into its slot store:
 /// READY and frozen threads get directory records + slot images; demoted
-/// threads are already byte-exact in the file (their record was written at
-/// demotion) and are skipped as pure savings; running (the caller),
+/// threads keep the record sealed at demotion (only node-local descriptor
+/// fields can have changed since) and are skipped as pure savings; running (the caller),
 /// blocked and daemon threads are not checkpointable and are skipped with
 /// a warning for blocked ones.  The targets' runs are written with
 /// SlotStore::write_changed, adjacent runs as one span, so only pages that

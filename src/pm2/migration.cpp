@@ -201,9 +201,8 @@ size_t migration_payload_size(Runtime& rt, marcel::Thread* t,
 void ship_thread(Runtime& rt, marcel::Thread* t, uint32_t dest,
                  uint64_t ack_corr) {
   PM2_CHECK(dest != rt.self());
-  // Demoted runs fault back through the store before any descriptor field
-  // (including t->id below) is readable; the pack walk needs the bytes hot
-  // anyway.  The thread's directory record — if a demotion or checkpoint
+  // Demoted runs fault back through the store: the pack walk needs the
+  // bytes hot.  The thread's directory record — if a demotion or checkpoint
   // left one — no longer describes slots this node owns once the thread
   // ships, so a crash restart here must not resurrect it.
   rt.ensure_resident(t);
@@ -252,7 +251,6 @@ void ship_thread(Runtime& rt, marcel::Thread* t, uint32_t dest,
   // (bounded) so a returning thread skips the commit/page-fault cycle —
   // the paper's §6 slot-cache idea on the migration path.
   for (auto [first, count] : runs) rt.mig_cache_put(first, count);
-  rt.trace_event(trace::Event::kMigrationOut, 0, dest);
 }
 
 std::vector<std::pair<size_t, uint32_t>> payload_slot_runs(

@@ -235,7 +235,6 @@ std::optional<size_t> Runtime::negotiate(size_t run) {
   PM2_CHECK(marcel::Scheduler::self() != nullptr)
       << "negotiation outside a PM2 thread";
   ++negotiations_initiated_;
-  trace_event(trace::Event::kNegotiationStart, run);
   PM2_DEBUG << "negotiating for " << run << " contiguous slots";
 
   // One critical-section client per node at a time.
@@ -299,8 +298,6 @@ std::optional<size_t> Runtime::negotiate(size_t run) {
   nego_mutex_.unlock();
   PM2_DEBUG << "negotiation done: acquired="
             << (acquired ? static_cast<long>(*acquired) : -1);
-  trace_event(trace::Event::kNegotiationEnd,
-              acquired ? *acquired : ~uint64_t{0});
   return acquired;
 }
 

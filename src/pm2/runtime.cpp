@@ -215,7 +215,7 @@ marcel::Thread* Runtime::create_thread_in_slots(marcel::EntryFn fn, void* arg,
         << "-slot stack run locally; use block-cyclic/partitioned "
            "distribution (or stack_slots=1) so bootstrap threads need no "
            "negotiation";
-    mig_cache_invalidate(*first, config_.stack_slots);
+    (void)mig_cache_take(*first, config_.stack_slots);
   }
   PM2_CHECK(first.has_value()) << "out of iso-address slots for thread stack";
 
@@ -249,7 +249,6 @@ marcel::Thread* Runtime::create_thread_in_slots(marcel::EntryFn fn, void* arg,
   t->home_node = config_.node;
   t->slot_list = sh;
   if (!start_frozen) sched_.unfreeze(t);
-  trace_event(trace::Event::kThreadCreate, id);
   return t;
 }
 
@@ -327,7 +326,6 @@ marcel::ThreadId Runtime::spawn_copy(marcel::EntryFn fn, const void* data,
 bool Runtime::join(marcel::ThreadId id) { return sched_.join(id); }
 
 void Runtime::reap_thread(marcel::Thread* t) {
-  trace_event(trace::Event::kThreadExit, t->id);
   // An exited thread's slots return to circulation, so a checkpoint record
   // naming them must not survive — a crash restart adopting it would claim
   // runs that may belong to someone else by then.
@@ -435,7 +433,6 @@ marcel::Thread* Runtime::spawn_service_thread(marcel::EntryFn fn, void* arg,
     t->user_arg = arg;
     t->home_node = config_.node;
     sched_.unfreeze(t);
-    trace_event(trace::Event::kThreadCreate, id);
     return t;
   }
   ++pool_misses_;
@@ -516,6 +513,16 @@ void Runtime::for_each_parked(
 // Slot store: buffer-managed slot residency
 // ---------------------------------------------------------------------------
 
+// Demotion keeps each run's first page resident (SlotStore::demote).  A
+// stack run's header, descriptor and canary all sit in that page (see
+// create_thread_in_slots and Scheduler::create), so a demoted thread's
+// descriptor and slot chain stay readable.
+static_assert(((sizeof(iso::SlotHeader) + 63) & ~size_t{63}) +
+                      ((sizeof(marcel::Thread) + 63) & ~size_t{63}) +
+                      sizeof(marcel::Thread::kCanary) <=
+                  4096,
+              "a stack run's descriptor and canary must fit its first page");
+
 bool Runtime::demote_locked(marcel::Thread* t, bool parked) {
   std::vector<iso::SlotRun> runs;
   size_t bytes = 0;
@@ -525,8 +532,9 @@ bool Runtime::demote_locked(marcel::Thread* t, bool parked) {
   });
   marcel::ThreadId id = t->id;
   // Frozen threads get a directory record too: their file image is a
-  // complete, current checkpoint (PROT_NONE pages cannot go stale), so a
-  // crash restart adopts them for free.  Parked pool shells are dead
+  // complete, current checkpoint (only node-local descriptor fields can
+  // change while demoted, and adopt() resets those), so a crash restart
+  // adopts them for free.  Parked pool shells are dead
   // invocations — their bytes back the fault-back path only, never a
   // restart.
   if (!parked && store_->record_thread(id, reinterpret_cast<uint64_t>(t),
@@ -537,7 +545,7 @@ bool Runtime::demote_locked(marcel::Thread* t, bool parked) {
   for (const iso::SlotRun& r : runs) store_->demote(r.first, r.second);
   if (!parked) store_->seal_thread(id);
   store_lock_.lock();
-  demoted_.emplace(t, DemotedRec{id, std::move(runs), bytes, parked});
+  demoted_.emplace(t, DemotedRec{bytes, parked});
   store_lock_.unlock();
   demoted_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   demotions_.fetch_add(1, std::memory_order_relaxed);
@@ -552,12 +560,14 @@ void Runtime::ensure_resident(marcel::Thread* t) {
     store_lock_.unlock();
     return;
   }
-  DemotedRec rec = std::move(it->second);
+  DemotedRec rec = it->second;
   demoted_.erase(it);
   // The fault-back I/O completes under the lock: a second resumer (or the
   // audit walking inventories) must never observe the record gone while
   // the bytes are still on their way in.
-  for (const iso::SlotRun& r : rec.runs) store_->fault_back(r.first, r.second);
+  iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
+    store_->fault_back(area_.slot_of(s), s->nslots);
+  });
   if (rec.parked) {
     // Re-establish the park poison the demotion round trip scrubbed: a
     // parked stack stays a use-after-return tripwire until rearm().
@@ -569,33 +579,13 @@ void Runtime::ensure_resident(marcel::Thread* t) {
 }
 
 bool Runtime::thread_demoted(marcel::ThreadId id) const {
-  sys::SpinGuard g(store_lock_);
-  for (const auto& kv : demoted_) {
-    if (kv.second.id == id) return true;
-  }
-  return false;
+  marcel::Thread* t = sched_.find(id);
+  return t != nullptr && thread_demoted(t);
 }
 
-bool Runtime::demoted_runs(marcel::ThreadId id,
-                           std::vector<iso::SlotRun>* out) const {
+bool Runtime::thread_demoted(marcel::Thread* t) const {
   sys::SpinGuard g(store_lock_);
-  for (const auto& kv : demoted_) {
-    if (kv.second.id == id) {
-      if (out != nullptr) *out = kv.second.runs;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool Runtime::demoted_info(marcel::Thread* t, marcel::ThreadId* id,
-                           std::vector<iso::SlotRun>* runs) const {
-  sys::SpinGuard g(store_lock_);
-  auto it = demoted_.find(t);
-  if (it == demoted_.end()) return false;
-  if (id != nullptr) *id = it->second.id;
-  if (runs != nullptr) *runs = it->second.runs;
-  return true;
+  return demoted_.count(t) != 0;
 }
 
 size_t Runtime::demoted_count() const {
@@ -606,10 +596,7 @@ size_t Runtime::demoted_count() const {
 bool Runtime::freeze_thread(marcel::ThreadId id) {
   sched_.pause_workers();
   marcel::Thread* t = sched_.find(id);
-  // A demoted thread is already frozen (and its descriptor is PROT_NONE):
-  // refuse before any field access.
-  bool ok = t != nullptr && t != marcel::Scheduler::self() &&
-            !thread_demoted(id) && sched_.freeze(t);
+  bool ok = t != nullptr && t != marcel::Scheduler::self() && sched_.freeze(t);
   sched_.resume_workers();
   return ok;
 }
@@ -631,8 +618,8 @@ bool Runtime::demote_thread(marcel::ThreadId id) {
   if (store_ == nullptr) return false;
   sched_.pause_workers();
   marcel::Thread* t = sched_.find(id);
-  bool ok = t != nullptr && !thread_demoted(id) &&
-            t->state == marcel::ThreadState::kFrozen;
+  bool ok = t != nullptr && t->state == marcel::ThreadState::kFrozen &&
+            !thread_demoted(t);
   if (ok) ok = demote_locked(t, /*parked=*/false);
   sched_.resume_workers();
   return ok;
@@ -642,16 +629,10 @@ void Runtime::store_decay(uint64_t now) {
   if (store_ == nullptr || config_.slot_store_budget == SIZE_MAX) return;
   const uint64_t horizon = config_.slot_store_decay_us * 1000;
   // Cheap racy pre-scan (no pause): is any cold thread past the horizon
-  // and still resident?  Reads only age stamps and the demoted map — never
-  // a demoted thread's (PROT_NONE) descriptor, because demoted threads are
-  // filtered by pointer before any field access.
+  // and still resident?  Reads only age stamps, states and the demoted map.
   bool candidates = false;
   auto prescan = [&](marcel::Thread* t, bool parked) {
-    if (candidates) return;
-    store_lock_.lock();
-    bool demoted = demoted_.count(t) > 0;
-    store_lock_.unlock();
-    if (demoted) return;
+    if (candidates || thread_demoted(t)) return;
     // Registered threads must be frozen to qualify; parked pool shells
     // (kDead) are cold by construction.
     if (!parked && t->state != marcel::ThreadState::kFrozen) return;
@@ -675,10 +656,7 @@ void Runtime::store_decay(uint64_t now) {
   std::vector<Cand> cold;
   size_t resident_cold = 0;
   auto consider = [&](marcel::Thread* t, bool parked) {
-    store_lock_.lock();
-    bool demoted = demoted_.count(t) > 0;
-    store_lock_.unlock();
-    if (demoted) return;  // already paid for
+    if (thread_demoted(t)) return;  // already paid for
     if (!parked && t->state != marcel::ThreadState::kFrozen) return;
     size_t bytes = 0;
     iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
@@ -800,7 +778,7 @@ std::optional<size_t> Runtime::acquire_slots_negotiating(size_t count) {
   if (!s && config_.n_nodes > 1) s = negotiate(count);
   // Slots re-entering local ownership must leave the migration cache (the
   // cached commit is now owned by the new user; never decommit it later).
-  if (s) mig_cache_invalidate(*s, count);
+  if (s) (void)mig_cache_take(*s, count);
   return s;
 }
 
@@ -814,7 +792,7 @@ bool Runtime::acquire_slots_at(size_t first, size_t count) {
   }
   bool ok = slot_mgr_.acquire_at(first, count);
   slot_lock_.unlock();
-  if (ok) mig_cache_invalidate(first, count);
+  if (ok) (void)mig_cache_take(first, count);
   return ok;
 }
 
@@ -857,10 +835,6 @@ bool Runtime::migrate(marcel::ThreadId id, uint32_t dest) {
   PM2_CHECK(dest < config_.n_nodes);
   marcel::Thread* t = sched_.find(id);
   if (t == nullptr) return false;
-  // A demoted thread's descriptor is PROT_NONE: fault it back before any
-  // field access.  (Registry + demoted ⇒ frozen, so this is the
-  // freeze → demote → migrate tier cycle; the pack below reads the runs.)
-  ensure_resident(t);
   if (t->is_pinned()) return false;
   if (dest == config_.node) return true;  // already there
   if (t == marcel::Scheduler::self()) {
@@ -887,7 +861,6 @@ RpcFuture<MigrateResult> Runtime::migrate_async(marcel::ThreadId id,
   if (peer_down(dest)) return failed(peer_down_error(dest, "is down"));
   marcel::Thread* t = sched_.find(id);
   if (t == nullptr) return failed("no such thread on this node");
-  ensure_resident(t);  // demoted descriptor is PROT_NONE until faulted back
   if (dest == config_.node) {  // already there
     marcel::Promise<std::vector<uint8_t>> done;
     done.set_value(pack_result(MigrateResult{id, dest}));
@@ -1029,7 +1002,6 @@ void Runtime::dispatch_rpc(uint32_t service, uint32_t src, uint64_t corr,
              << " to unknown service hash " << service;
     return;
   }
-  trace_event(trace::Event::kRpcIn, service, src);
   RpcInvocation* inv = nullptr;
   inv_lock_.lock();
   if (!inv_free_.empty()) {
@@ -1192,7 +1164,6 @@ void RpcContext::reply(mad::PackBuffer&& result) {
 
 void Runtime::barrier() {
   PM2_CHECK(marcel::Scheduler::self() != nullptr) << "barrier outside thread";
-  trace_event(trace::Event::kBarrier);
   // A barrier cannot complete without every node: with failure detection
   // on, error out instead of parking forever behind a dead peer.
   if (peers_ != nullptr) {
@@ -1469,6 +1440,13 @@ void Runtime::comm_daemon_body() {
   // missed-wakeup bug to one lap instead of a hang, at zero latency cost
   // (every frame still wakes the fabric handle immediately).
   constexpr uint64_t kIdleBlockNs = 500'000'000;
+  // Adaptive busy-poll window: when the node goes idle *while a reply or
+  // migration ack is outstanding*, poll the fabric this long (yielding the
+  // core between probes) before parking on its readiness handle.  The
+  // paper's BIP/Myrinet layer was polling-mode — a poll catches the reply
+  // without paying the blocking wake-up — but a node with nothing in
+  // flight always blocks, so idle nodes burn no CPU.
+  constexpr uint64_t kBusyPollNs = 200'000;
   // Failure detection runs on this daemon's clock: initialize every peer
   // as freshly seen so a slow-starting peer gets a full miss budget before
   // the first suspicion.
@@ -1527,9 +1505,8 @@ void Runtime::comm_daemon_body() {
     if (failure_detection) deadline = std::min(deadline, next_heartbeat_ns_);
     // A non-empty correlation table means some local thread awaits a reply
     // — the only situation where a poll loop buys latency.
-    if (config_.comm_busy_poll_us > 0 && pending_.busy()) {
-      uint64_t spin_end =
-          std::min(deadline, now + config_.comm_busy_poll_us * 1000);
+    if (pending_.busy()) {
+      uint64_t spin_end = std::min(deadline, now + kBusyPollNs);
       bool got = false;
       while (now_ns() < spin_end) {
         if (auto msg = fabric_->try_recv()) {
@@ -1702,7 +1679,6 @@ void Runtime::handle_migrate(fabric::Message& msg) {
       msg.placed ? adopt_thread(*this, payload.data(), payload.size())
                  : install_thread(*this, payload.data(), payload.size());
   ++migrations_in_;
-  trace_event(trace::Event::kMigrationIn, t->id, msg.src);
   if (post_migration_) post_migration_(t);
   // migrate_async ack — sent only after migrations_in() counts the arrival
   // and the post-migration hook ran, so the source-side future completing
@@ -1775,22 +1751,17 @@ void Runtime::mig_cache_put(size_t first, size_t count) {
 }
 
 bool Runtime::mig_cache_take(size_t first, size_t count) {
+  // Every overlapping entry goes, not just an exact match: an entry of
+  // another shape left behind would decommit the new tenant's pages when
+  // it is evicted later.
   sys::SpinGuard g(mig_cache_lock_);
-  for (auto it = mig_cache_.begin(); it != mig_cache_.end(); ++it) {
-    if (it->first == first && it->count == count) {
-      mig_cache_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-void Runtime::mig_cache_invalidate(size_t first, size_t count) {
-  sys::SpinGuard g(mig_cache_lock_);
+  bool hit = false;
   for (auto it = mig_cache_.begin(); it != mig_cache_.end();) {
+    hit |= it->first == first && it->count == count;
     bool overlap = it->first < first + count && first < it->first + it->count;
     it = overlap ? mig_cache_.erase(it) : ++it;
   }
+  return hit;
 }
 
 void Runtime::printf(const char* fmt, ...) {

@@ -59,7 +59,6 @@
 #include "sys/spinlock.hpp"
 #include "sys/striped_map.hpp"
 #include "sys/thread_safety.hpp"
-#include "trace/trace.hpp"
 
 namespace pm2 {
 
@@ -234,14 +233,6 @@ struct RuntimeConfig {
   /// Migration payload: ship only slot headers + live blocks/stack instead
   /// of whole slots (paper §6 optimization).  Ablation A4 toggles this.
   bool migrate_blocks_only = true;
-  /// Adaptive busy-poll window: when the node goes idle *while a reply or
-  /// migration ack is outstanding*, the comm daemon polls the fabric for
-  /// this long (yielding the core between probes) before parking on the
-  /// fabric's readiness handle.  The paper's BIP/Myrinet layer was
-  /// polling-mode — a poll catches the reply without paying the blocking
-  /// wake-up — but a node with nothing in flight always blocks, so idle
-  /// nodes burn no CPU.  0 disables the window (always block when idle).
-  uint64_t comm_busy_poll_us = 200;
   /// Migration slot cache (the paper's §6 mmapped-slot cache applied to the
   /// migration path): slots of shipped threads stay committed, and a thread
   /// migrating back into cached slots skips the commit + page-fault cycle.
@@ -278,7 +269,9 @@ struct RuntimeConfig {
   /// committed slot bytes exceed this, the comm daemon's idle decay
   /// demotes the coldest ones to the backing file until back under budget.
   /// SIZE_MAX (default) never demotes by decay — explicit demote_thread()
-  /// and the checkpoint/restart paths still work.
+  /// and the checkpoint/restart paths still work.  A demoted thread keeps
+  /// the first page of each slot run resident (slot header, descriptor);
+  /// those pages do not count against the budget.
   size_t slot_store_budget = SIZE_MAX;
   /// Only cold threads idle at least this long are demotion candidates
   /// (mirrors invocation_pool_decay_us for the pool itself).
@@ -618,27 +611,15 @@ class Runtime {
   /// Record a shipped thread's slot run as still-committed (instead of
   /// decommitting).  Evicts (and decommits) the oldest run on overflow.
   void mig_cache_put(size_t first, size_t count);
-  /// If the exact run is cached, consume the entry and return true (the
-  /// caller may skip the commit; stale bytes in extent gaps are dead data
-  /// by construction).
+  /// Drop every cached run overlapping [first, first+count) without
+  /// decommitting; true when one of them was exactly this run (the caller
+  /// may skip the commit; stale bytes in extent gaps are dead data by
+  /// construction).  Also called, result ignored, when slots re-enter
+  /// local ownership.
   bool mig_cache_take(size_t first, size_t count);
-  /// Drop any cached run overlapping [first, first+count) without
-  /// decommitting — used when the slots re-enter local ownership.
-  void mig_cache_invalidate(size_t first, size_t count);
   size_t mig_cache_size() const {
     sys::SpinGuard g(mig_cache_lock_);
     return mig_cache_.size();
-  }
-
-  // --- tracing ----------------------------------------------------------------
-
-  /// Attach an event tracer (not owned; nullptr disables).  Runtime events
-  /// (thread lifecycle, migrations, negotiations, RPC, barriers) are
-  /// recorded with zero cost when detached.
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
-  trace::Tracer* tracer() { return tracer_; }
-  void trace_event(trace::Event e, uint64_t a = 0, uint64_t b = 0) {
-    if (tracer_ != nullptr) tracer_->record(e, a, b);
   }
 
   // --- stats -----------------------------------------------------------------
@@ -741,26 +722,21 @@ class Runtime {
   bool demote_thread(marcel::ThreadId id);
   /// The choke point every resume path funnels through (unfreeze, pool
   /// re-arm, migration pack, checkpoint, pool release): if `t` was
-  /// demoted, fault its runs back in — re-applying park poison for pool
-  /// entries — and drop the demotion record.  No-op for resident threads.
+  /// demoted, fault back the pages of every run of its slot chain —
+  /// re-applying park poison for pool entries — and drop the demotion
+  /// record.  No-op for resident threads.  A demoted thread's descriptor
+  /// and slot headers stay readable (each run keeps its first page), so
+  /// only its data and stack bytes wait for this call.
   void ensure_resident(marcel::Thread* t);
   /// Decay pass (comm daemon idle laps, beside pool_decay): demote cold
   /// threads past slot_store_decay_us, coldest first, until resident cold
   /// bytes fit slot_store_budget.  Exposed for tests.
   void store_decay(uint64_t now);
 
+  /// Is the registered thread `id` demoted?
   bool thread_demoted(marcel::ThreadId id) const;
-  /// Copy a demoted thread's recorded slot runs (audit inventories demoted
-  /// threads from the record — their slot chain is PROT_NONE).  False when
-  /// the thread is not demoted.
-  bool demoted_runs(marcel::ThreadId id,
-                    std::vector<iso::SlotRun>* out) const;
-  /// Pointer-keyed demotion lookup: never dereferences `t` (the descriptor
-  /// of a demoted thread is itself PROT_NONE).  Fills any non-null out
-  /// params from the demotion record.  Registry/audit walks must call this
-  /// *before* touching any field of a thread they did not resume.
-  bool demoted_info(marcel::Thread* t, marcel::ThreadId* id,
-                    std::vector<iso::SlotRun>* runs) const;
+  /// Is `t` (registered or parked) demoted?  One lookup under store_lock_.
+  bool thread_demoted(marcel::Thread* t) const;
   size_t demoted_count() const;
   size_t demoted_bytes() const {
     return demoted_bytes_.load(std::memory_order_relaxed);
@@ -1039,7 +1015,6 @@ class Runtime {
   // but the accesses themselves must not race.
   mutable sys::SpinLock load_lock_{sys::LockRank::kRuntimeMaps};
   std::vector<uint64_t> load_table_ PM2_GUARDED_BY(load_lock_);
-  trace::Tracer* tracer_ = nullptr;
   mad::ChannelMux channels_{*fabric_, kUserBase};
 
   struct MigCacheEntry {
@@ -1071,16 +1046,13 @@ class Runtime {
   std::atomic<uint64_t> pool_misses_{0};
   std::atomic<uint64_t> pool_evictions_{0};
 
-  // Slot store: demoted-thread map under store_lock_, keyed by the
-  // *descriptor pointer* — a demoted thread's descriptor lives inside its
-  // PROT_NONE run, so the key must never require a dereference (id
-  // lookups scan; the map is small and cold).  Demotion only happens with
-  // the workers paused (store_decay / demote_thread), and fault-back I/O
-  // completes under store_lock_, so no caller can resume a thread whose
-  // bytes are still in flight.
+  // Slot store: demoted-thread map under store_lock_, keyed by descriptor.
+  // The runs themselves come from the thread's slot chain, whose headers
+  // stay resident.  Demotion only happens with the workers paused
+  // (store_decay / demote_thread), and fault-back I/O completes under
+  // store_lock_, so no caller can resume a thread whose bytes are still in
+  // flight.
   struct DemotedRec {
-    marcel::ThreadId id = 0;
-    std::vector<iso::SlotRun> runs;
     size_t bytes = 0;
     bool parked = false;  // invocation-pool entry: re-poison on fault-back
   };

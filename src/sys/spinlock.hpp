@@ -86,7 +86,7 @@ inline void cpu_relax() {
 /// inbox/handoff slots (sys/chase_lev.hpp).  The rank is retired — the
 /// value stays unassigned so old rank numbers in crash logs stay readable.
 enum class LockRank : uint8_t {
-  kLeaf = 0x08,            // slot-store directory, tracer: acquire nothing
+  kLeaf = 0x08,            // slot-store directory: acquire nothing
   kRegistryShard = 0x20,   // Scheduler registry stripes (sys::StripedMap)
   kSyncState = 0x30,       // Mutex/Semaphore/Barrier/Event/RwLock/WaitQueue
   kSyncCondVar = 0x34,     // CondVar state (runs Mutex::unlock underneath)

@@ -133,5 +133,23 @@ TEST(MigCache, SlotsReusableAfterReturnAndDeath) {
   });
 }
 
+// An arriving run that overlaps a cached entry of another shape must evict
+// that entry too, without decommitting: left cached, its later eviction
+// would decommit pages of the thread now living in the overlap.
+TEST(MigCache, TakeDropsOverlappingEntriesOfAnotherShape) {
+  std::atomic<bool> hit{true};
+  std::atomic<size_t> left{999};
+  AppConfig cfg;
+  cfg.nodes = 1;
+  run_app(cfg, [&](Runtime& rt) {
+    const size_t a = rt.area().n_slots() - 8;
+    rt.mig_cache_put(a, 2);
+    hit = rt.mig_cache_take(a, 4);
+    left = rt.mig_cache_size();
+  });
+  EXPECT_FALSE(hit.load());
+  EXPECT_EQ(left.load(), 0u);
+}
+
 }  // namespace
 }  // namespace pm2

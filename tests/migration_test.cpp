@@ -162,11 +162,14 @@ TEST(Migration, PreemptiveMigrationOfReadyThread) {
   run_app(mig_config(2), [&](Runtime& rt) {
     if (rt.self() == 0) {
       auto id = pm2_thread_create(&oblivious_worker, nullptr, "oblivious");
-      // Let it start, then migrate it out from under its feet.
+      // Let it start, then migrate it out from under its feet.  Freeze
+      // pause-gated first: at workers > 1 an ungated migrate fails whenever
+      // the thread runs on another worker, which under load can be every
+      // try.
       pm2_yield();
       bool moved = false;
       for (int tries = 0; tries < 100 && !moved; ++tries) {
-        moved = rt.migrate(id, 1);
+        moved = rt.freeze_thread(id) && rt.migrate(id, 1);
         if (!moved) pm2_yield();
       }
       EXPECT_TRUE(moved);

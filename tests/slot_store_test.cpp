@@ -52,8 +52,9 @@ std::string make_store_dir() {
 }
 
 /// True when the page holding `addr` has resident (committed) physical
-/// memory.  Demotion decommits (MADV_DONTNEED + PROT_NONE), so a demoted
-/// run's pages read as non-resident without touching them.
+/// memory.  Demotion decommits (MADV_DONTNEED + PROT_NONE) every page of a
+/// run but its first, so those pages read as non-resident without touching
+/// them.
 bool page_resident(const void* addr) {
   uintptr_t page = reinterpret_cast<uintptr_t>(addr) & ~uintptr_t{4095};
   unsigned char vec = 0;
@@ -90,7 +91,9 @@ TEST(SlotStore, TierCycleFreezeDemoteUnfreeze) {
     while (g_phase.load() < 1) pm2_yield();
     marcel::Thread* t = rt.sched().find(id);
     ASSERT_NE(t, nullptr);
-    void* stack_probe = t->stack_base;
+    // The stack's top page (its live frames): demotion keeps only the
+    // run's first page, which holds the descriptor and the canary.
+    void* stack_probe = static_cast<char*>(t->stack_top) - 1;
     EXPECT_TRUE(page_resident(stack_probe));
 
     ASSERT_TRUE(rt.freeze_thread(id));
@@ -631,7 +634,7 @@ TEST(SlotStore, InprocMultiNodeSecondRoundsWriteOnlyChanges) {
 }
 
 // A demoted thread is already fully persisted: the node checkpoint counts
-// it without touching its (PROT_NONE) image.
+// it without touching its image (released but for each run's first page).
 TEST(SlotStore, NodeCheckpointSkipsDemotedThreads) {
   g_phase = 0;
   g_done = 0;

@@ -62,8 +62,8 @@ bool file_equals_memory(const std::string& path, iso::Area& area,
 }
 
 /// Sealed runs of `rt`'s store whose file image differs from memory (each
-/// one is reported).  Demoted threads are skipped: PROT_NONE, and exact by
-/// construction.
+/// one is reported).  Demoted threads are skipped: all but the first page
+/// of each run is released, and their record sealed at demotion stands.
 int mirror_mismatches(Runtime& rt) {
   const std::string path = rt.config().slot_store_dir + "/node" +
                            std::to_string(rt.self()) + ".store";
