@@ -21,15 +21,17 @@ namespace pm2::fabric {
 
 namespace {
 
-// Frames are parsed in place from the shared staging buffer (rxbuf_): a
-// frame that arrives whole is copied once, straight into its Message.  A
-// frame that straddles reads is finished into its own destinations — the
-// header struct, the payload vector, or the slots a Placer chose — and once
-// at least this many of its bytes are still to come, they are read from the
-// socket straight into those destinations (readv) with no staging copy at
-// all.  Below it, bulk recv() into the staging buffer wins: one call can
-// pick up the frame's tail and dozens of small frames behind it.
-constexpr size_t kDirectRecvMin = 8 * 1024;
+// Frames are parsed in place from the shared staging window (rxbuf_), which
+// one bulk recv() fills with at most this many bytes: a frame that fits is
+// copied once, straight into its Message.  A frame that straddles the
+// window is finished into its own destinations — the header struct, the
+// payload vector, or the slots a Placer chose — and once at least a window
+// of its bytes is still to come, they are read from the socket straight
+// into those destinations (readv) with no staging copy at all.  So a frame
+// copies at most a window at each end, even when it arrived whole; below a
+// window, bulk recv() wins: one call picks up the frame's tail and dozens of
+// small frames behind it.
+constexpr size_t kStageBytes = 4 * 1024;
 
 // sendmsg()/readv() reject iov counts above IOV_MAX (1024 on Linux); long
 // chains (one segment per live heap extent) are moved in slices.
@@ -160,7 +162,7 @@ class SocketFabric final : public Fabric {
   // straddles reads is copied to that frame's own destinations — so each
   // payload byte is copied at most once, and not at all when it is read
   // straight into place.
-  std::vector<uint8_t> rxbuf_ = std::vector<uint8_t>(64 * 1024);
+  std::vector<uint8_t> rxbuf_ = std::vector<uint8_t>(kStageBytes);
   std::vector<struct iovec> iov_;  // scratch gather list for send()
   bool teardown_ = false;
   uint64_t bytes_sent_ = 0;
@@ -571,7 +573,7 @@ void SocketFabric::drain_fd(size_t peer) {
   Conn& c = conns_[peer];
   while (true) {
     ssize_t n;
-    if (c.open && c.left >= kDirectRecvMin) {
+    if (c.open && c.left >= kStageBytes) {
       // Most of the open frame is still to come: read it straight into its
       // destinations (the placed slots, or the payload vector).
       n = ::readv(c.fd.get(), c.dst.data() + c.next,

@@ -98,7 +98,9 @@ SlotStore::SlotStore(Area& area, const SlotStoreConfig& config,
   dir_ = reinterpret_cast<StoreDirEntry*>(static_cast<char*>(meta_.data()) +
                                           4096);
   if (!config_.recover) {
-    std::memset(meta_.data(), 0, meta_bytes);
+    // O_TRUNC + ftruncate left the metadata a hole that reads as zeros:
+    // only the header page is written (and later synced), never the
+    // directory pages.
     hdr_->magic = StoreHeader::kMagic;
     hdr_->version = StoreHeader::kVersion;
     hdr_->node = node;

@@ -245,6 +245,7 @@ void Scheduler::push_ready(Thread* t, uint32_t w_idx, bool front) {
   // The container ops (Chase-Lev push/steal, mailbox exchange, inbox CAS)
   // carry their own release/acquire edge on top.
   t->state.store(ThreadState::kReady, std::memory_order_release);
+  bool stealable = false;  // landed on this worker's own deque
   if (front) {
     // Direct handoff: single-slot mailbox, checked before everything else
     // by the owner.  A displaced occupant (two handoffs racing) overflows
@@ -263,6 +264,7 @@ void Scheduler::push_ready(Thread* t, uint32_t w_idx, bool front) {
       w.pinned_tail = t;
     } else {
       w.deque.push_bottom(t);
+      stealable = true;
     }
   } else {
     // Chase-Lev pushes are owner-only; remote producers go via the inbox.
@@ -277,16 +279,35 @@ void Scheduler::push_ready(Thread* t, uint32_t w_idx, bool front) {
     // Worker 0's kernel thread may be parked deep inside the comm daemon's
     // blocking fabric receive, where no condvar reaches it.
     if (w_idx == 0 && me != 0 && external_wake_) external_wake_();
-  } else if (w.ready.load(std::memory_order_relaxed) > 1 &&
-             n_parked_.load(std::memory_order_relaxed) > 0) {
-    // Local surplus: give an idle peer a chance to steal.
+  } else if (stealable && has_surplus(w) && n_parked_.load() > 0) {
+    // Local surplus: hand it to one parked peer, whose park predicate sees
+    // the same surplus and leaves idle_park to steal.  Pinned requeues
+    // (the comm daemon's) never get here.  seq_cst loads: the ready
+    // increment above, these loads, and the parker's parked store and
+    // peer_surplus read form the Dekker pair that loses no wake.
     for (uint32_t i = 0; i < n_workers_; ++i) {
-      if (i != w_idx && workers_[i]->parked.load(std::memory_order_relaxed)) {
+      if (i != w_idx && workers_[i]->parked.load()) {
         wake_worker(i);
         break;
       }
     }
   }
+}
+
+bool Scheduler::has_surplus(const Worker& w) {
+  // The owner takes its next pick from the deque top too, so only what lies
+  // beyond it is work a thief can take without robbing the owner.
+  return w.deque.size() > 1;
+}
+
+bool Scheduler::peer_surplus(uint32_t idx) const {
+  for (uint32_t i = 0; i < n_workers_; ++i) {
+    // The seq_cst `ready` load acquires the pusher's increment, which is
+    // sequenced after its deque push: a surplus that pusher saw is seen here.
+    if (i != idx && workers_[i]->ready.load() > 1 && has_surplus(*workers_[i]))
+      return true;
+  }
+  return false;
 }
 
 void Scheduler::claim(Thread* t, uint32_t idx) {
@@ -892,7 +913,7 @@ void Scheduler::stop() {
   wake_all_workers();
 }
 
-void Scheduler::idle_park(Worker& w, uint32_t idx) {
+bool Scheduler::idle_park(Worker& w, uint32_t idx) {
   if (n_workers_ == 1) {
     // Historical single-loop behavior, preserved exactly; timers are
     // owner-confined, so the read needs no lock.
@@ -900,7 +921,8 @@ void Scheduler::idle_park(Worker& w, uint32_t idx) {
       uint64_t deadline = w.timers.begin()->first;
       // Lost-wakeup guard: a handoff/inbox push may have landed after
       // pop_local's empty read — re-check before committing to the sleep.
-      if (w.handoff.load() != nullptr || w.inbox.load() != nullptr) return;
+      if (w.handoff.load() != nullptr || w.inbox.load() != nullptr)
+        return false;
       // Park the kernel thread until the nearest deadline instead of
       // busy-waiting: a sleeping thread is the only local wake source
       // (cross-node events are owned by the comm daemon, which is a
@@ -909,11 +931,11 @@ void Scheduler::idle_park(Worker& w, uint32_t idx) {
       until.tv_sec = static_cast<time_t>(deadline / 1'000'000'000ull);
       until.tv_nsec = static_cast<long>(deadline % 1'000'000'000ull);
       ::clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &until, nullptr);
-      return;
+      return false;
     }
     if (w.ready.load() != 0 || w.handoff.load() != nullptr ||
         w.inbox.load() != nullptr)
-      return;
+      return false;
     // No runnable thread, no timer, no event source: with a cooperative
     // scheduler this state can never resolve itself.
     PM2_CHECK(registry_count_.load() != 0)
@@ -922,33 +944,37 @@ void Scheduler::idle_park(Worker& w, uint32_t idx) {
   }
 
   // Multi-worker: if a peer has surplus, spin back around and steal.
-  for (uint32_t i = 0; i < n_workers_; ++i) {
-    if (i != idx && workers_[i]->ready.load(std::memory_order_relaxed) > 1)
-      return;
-  }
+  if (peer_surplus(idx)) return false;
   uint64_t now = now_ns();
   uint64_t deadline = now + kIdleBackstopNs;
   uint64_t e = w.earliest.load(std::memory_order_relaxed);
   if (e < deadline) deadline = e;
-  if (deadline <= now) return;
+  if (deadline <= now) return false;
 
   std::unique_lock<std::mutex> lk(w.park_mu);
   w.parked.store(true);
   n_parked_.fetch_add(1);
   // Re-check under "parked" visibility: a pusher that saw parked == false
-  // is ordered before our ready load (both seq_cst), so either it sees the
-  // flag and notifies or we see its push here.  The handoff slot gets its
-  // own explicit re-check: a direct handoff is latency-critical, and its
-  // ready increment may still be in flight when this predicate runs.
+  // is ordered before our ready loads (all seq_cst), so either it sees the
+  // flag and notifies or we see its push here — a push into our own
+  // containers, or a peer's deque surplus, which ends the park so the loop
+  // steals it.  The handoff slot gets its own explicit re-check: a direct
+  // handoff is latency-critical, and its ready increment may still be in
+  // flight when this predicate runs.
   auto runnable = [&] {
     return w.ready.load() > 0 || w.handoff.load() != nullptr ||
-           stop_requested_.load() || pause_requested_.load();
+           stop_requested_.load() || pause_requested_.load() ||
+           peer_surplus(idx);
   };
+  bool woken = false;
   if (!runnable()) {
-    w.park_cv.wait_for(lk, std::chrono::nanoseconds(deadline - now), runnable);
+    woken = w.park_cv.wait_for(lk, std::chrono::nanoseconds(deadline - now),
+                               runnable) &&
+            !stop_requested_.load() && !pause_requested_.load();
   }
   w.parked.store(false);
   n_parked_.fetch_sub(1);
+  return woken;
 }
 
 void Scheduler::gate_wait(uint32_t idx) {
@@ -1002,11 +1028,15 @@ void Scheduler::worker_loop(uint32_t idx) {
   Worker& w = *workers_[idx];
   sys::san_current_stack(&w.san_stack_bottom, &w.san_stack_size);
   w.tsan_fiber = sys::san_fiber_current();
+  bool woken = false;  // the last park was ended by a wake, not the clock
   while (true) {
     if (pause_requested_.load(std::memory_order_relaxed)) gate_wait(idx);
     fire_expired_timers(w, idx);
     Thread* t = pop_local(w, idx);
     if (t == nullptr && n_workers_ > 1) t = try_steal(idx);
+    if (woken && t == nullptr)
+      w.futile_wakeups.fetch_add(1, std::memory_order_relaxed);
+    woken = false;
     if (t != nullptr) {
       dispatch(w, idx, t);
       if (w.post) {
@@ -1021,7 +1051,7 @@ void Scheduler::worker_loop(uint32_t idx) {
       continue;
     }
     if (stop_requested_.load() && registry_count_.load() == 0) break;
-    idle_park(w, idx);
+    woken = idle_park(w, idx);
   }
 }
 
@@ -1082,6 +1112,7 @@ std::vector<WorkerStats> Scheduler::worker_stats() const {
     out[i].steal_failures = w.steal_failures.load(std::memory_order_relaxed);
     out[i].handoffs = w.handoffs.load(std::memory_order_relaxed);
     out[i].idle_wakeups = w.idle_wakeups.load(std::memory_order_relaxed);
+    out[i].futile_wakeups = w.futile_wakeups.load(std::memory_order_relaxed);
   }
   return out;
 }

@@ -68,7 +68,10 @@ struct WorkerStats {
   uint64_t steals = 0;         // threads taken from a peer's deque top
   uint64_t steal_failures = 0; // steal rounds that found nothing
   uint64_t handoffs = 0;       // handoff-mailbox direct pushes
-  uint64_t idle_wakeups = 0;   // parked-worker wakeups by a remote push
+  uint64_t idle_wakeups = 0;   // notifies sent to this worker while parked
+                               // (a push to it, or a peer's deque surplus)
+  uint64_t futile_wakeups = 0; // parks a notify ended whose next pass found
+                               // nothing to run or steal
 };
 
 class Scheduler {
@@ -354,6 +357,7 @@ class Scheduler {
     std::atomic<uint64_t> steal_failures{0};
     std::atomic<uint64_t> handoffs{0};
     std::atomic<uint64_t> idle_wakeups{0};
+    std::atomic<uint64_t> futile_wakeups{0};
   };
 
   void worker_loop(uint32_t idx);
@@ -372,7 +376,14 @@ class Scheduler {
   bool freeze_quiesced(Thread* t);
   bool freeze_opportunistic(Thread* t);
   void fire_expired_timers(Worker& w, uint32_t idx);
-  void idle_park(Worker& w, uint32_t idx);
+  /// Park until there is work for this worker: its own, or a peer's deque
+  /// surplus to steal.  True when a wake (not the clock) ended the park.
+  bool idle_park(Worker& w, uint32_t idx);
+  /// `w`'s deque holds more than its owner's next pick: work a thief can
+  /// take.  Pinned, inbox and mailbox residents never count.
+  static bool has_surplus(const Worker& w);
+  /// Some worker other than `idx` has surplus (seq_cst: park protocol).
+  bool peer_surplus(uint32_t idx) const;
   void wake_worker(uint32_t w);
   void wake_all_workers();
   void gate_wait(uint32_t idx);

@@ -136,10 +136,10 @@ TEST(MultiProcess, FourNodeTour) {
 }
 
 // Whole-slot images (migrate_blocks_only=false) of threads whose heap
-// block spans several slots: each migration frame is several times the
-// socket fabric's 64 KB staging buffer, so most of it is read from the
-// socket straight into the slots — at most one staging buffer's worth of
-// a frame is ever copied.  Separate processes, because in-process nodes
+// block spans several slots: each migration frame is far larger than the
+// socket fabric's 4 KiB staging window, so most of it is read from the
+// socket straight into the slots — at most a window at each end of a
+// frame is ever copied.  Separate processes, because in-process nodes
 // share one address space: a whole stack slot sent in one sendmsg could be
 // running on the destination (re-poisoning its frames) before ASan checks
 // the sent bytes on the source.

@@ -36,6 +36,16 @@ void register_pool_stats(Runtime& rt) {
   });
 }
 
+// {idle_wakeups, futile_wakeups} summed over the node's workers.
+std::vector<uint64_t> sched_wake_stats(Runtime& rt) {
+  std::vector<uint64_t> out{0, 0};
+  for (const marcel::WorkerStats& w : rt.sched().worker_stats()) {
+    out[0] += w.idle_wakeups;
+    out[1] += w.futile_wakeups;
+  }
+  return out;
+}
+
 // Sequential blocking calls to a local service: the first dispatch builds
 // the thread (miss), every later one re-arms the same parked thread.
 TEST(InvocationPool, SequentialCallsReuseOneThread) {
@@ -250,6 +260,42 @@ TEST(InvocationPool, RemotePipelinedCallsHitPool) {
   // 32 invocations; only the first burst can miss.  Later rounds re-arm
   // parked threads (the exact split depends on arrival overlap).
   EXPECT_GE(g_hits.load(), 16u);
+}
+
+// Sequential calls at two workers per node: each request leaves one
+// service thread on the server's deque — the owner's next pick, nothing for
+// a thief — so no call may wake a parked worker, and no wake may be futile.
+TEST(InvocationPool, SequentialCallsAtTwoWorkersWakeNoParkedWorker) {
+  constexpr int kCalls = 1000;
+  std::atomic<uint64_t> wakeups{0};
+  std::atomic<uint64_t> futile{0};
+  AppConfig cfg;
+  cfg.nodes = 2;
+  cfg.rt.workers = 2;
+  run_app(
+      cfg,
+      [&](Runtime& rt) {
+        if (rt.self() != 0) return;
+        auto before = rt.call<std::vector<uint64_t>>(1, "wake-stats");
+        auto mine = sched_wake_stats(rt);
+        for (int i = 0; i < kCalls; ++i)
+          ASSERT_EQ(rt.call<int>(1, "inc", i), i + 1);
+        auto after = rt.call<std::vector<uint64_t>>(1, "wake-stats");
+        auto mine_after = sched_wake_stats(rt);
+        ASSERT_EQ(after.size(), 2u);
+        wakeups = after[0] - before[0] + mine_after[0] - mine[0];
+        futile = after[1] - before[1] + mine_after[1] - mine[1];
+      },
+      [](Runtime& rt) {
+        rt.service("inc", [](RpcContext&, int v) -> int { return v + 1; });
+        rt.service("wake-stats", [](RpcContext&) -> std::vector<uint64_t> {
+          return sched_wake_stats(*Runtime::current());
+        });
+      });
+  EXPECT_LE(wakeups.load(), kCalls / 10u)
+      << "parked workers were woken " << wakeups.load() << " times";
+  EXPECT_LE(futile.load(), kCalls / 100u)
+      << futile.load() << " wakes found nothing to run or steal";
 }
 
 }  // namespace

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
+#include <thread>
 #include <vector>
+
+#include "common/time.hpp"
 
 namespace pm2::marcel {
 namespace {
@@ -570,6 +574,65 @@ TEST(SchedulerSmp, UnfreezePublishesPreparedDescriptor) {
   EXPECT_EQ(pc.runs.load(), 100);
   EXPECT_EQ(pc.bad.load(), 0)
       << "a stolen thread observed a half-prepared descriptor";
+}
+
+// --- surplus wake ----------------------------------------------------------
+
+constexpr int kSurplusThreads = 16;
+
+struct SurplusCtx {
+  Pool* pool;
+  uint64_t t0_ns = 0;                       // just before the first create
+  std::atomic<uint64_t> first_steal_ns{0};  // first run on worker 1
+  std::atomic<int> exited{0};
+};
+
+void surplus_yielder(void* arg) {
+  auto* c = static_cast<SurplusCtx*>(arg);
+  // Bounded either way: a broken hand-off fails the latency assertion
+  // instead of hanging the test.
+  while (c->first_steal_ns.load() == 0 &&
+         now_ns() - c->t0_ns < 1'000'000'000) {
+    if (Scheduler::current_worker() == 1) {
+      uint64_t zero = 0;
+      c->first_steal_ns.compare_exchange_strong(zero, now_ns());
+    }
+    Scheduler::current_scheduler()->yield();
+  }
+  // Not before: a stop request makes parked workers spin instead of park.
+  if (c->exited.fetch_add(1) + 1 == kSurplusThreads)
+    Scheduler::current_scheduler()->stop();
+  exit_now();
+}
+
+void surplus_controller(void* arg) {
+  auto* c = static_cast<SurplusCtx*>(arg);
+  // Pinned to worker 0 and holding its kernel thread: worker 1 finds
+  // nothing to run or steal and parks on its backstop clock.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  c->t0_ns = now_ns();
+  Scheduler* s = Scheduler::current_scheduler();
+  for (int i = 0; i < kSurplusThreads; ++i)
+    s->create(c->pool->take(), kRegion, &surplus_yielder, c,
+              static_cast<ThreadId>(3000 + i), "y");
+  exit_now();
+}
+
+// Local surplus on worker 0's deque must reach the parked worker 1 as a
+// steal, not as a wake it sleeps through until the 100 ms backstop.
+TEST(SchedulerSmp, SurplusWakeReachesParkedThief) {
+  Pool pool;
+  Scheduler sched(2);
+  SurplusCtx c;
+  c.pool = &pool;
+  sched.create(pool.take(), kRegion, &surplus_controller, &c, 1, "ctl",
+               Thread::kFlagPinned);
+  sched.run();
+  uint64_t stolen = c.first_steal_ns.load();
+  ASSERT_NE(stolen, 0u) << "worker 1 never ran a yielder";
+  EXPECT_LT(stolen - c.t0_ns, 20'000'000u)
+      << "worker 1 stole only after " << (stolen - c.t0_ns) / 1000 << " us";
+  EXPECT_GT(sched.worker_stats()[1].steals, 0u);
 }
 
 TEST(SchedulerDeath, StackOverflowCaught) {

@@ -216,6 +216,8 @@ TEST(SocketFabric, ChainedSendGathersWithZeroCopies) {
 // --- receive-side placement --------------------------------------------------
 
 constexpr uint16_t kPlacedType = 40;
+// The socket fabric's staging window: one bulk recv() reads at most this.
+constexpr size_t kStageWindow = 4 * 1024;
 
 // Test placer: a placed payload's table is [u32 n][u32 len]*n, and each
 // extent lands in a fresh vector of its own, so a test can see where the
@@ -298,8 +300,8 @@ TEST(SocketPlacement, LargeBodyIsReadStraightIntoItsDestinations) {
   Pair p;
   VectorPlacer placer;
   p.f1->set_placer(kPlacedType, &placer);
-  // 3 MB in extents of every size: far more than the 64 KB staging buffer,
-  // so all but the first read's bytes must go socket -> destination.
+  // 3 MB in extents of every size: far more than the 4 KiB staging window,
+  // so all but the first and last window must go socket -> destination.
   std::vector<uint32_t> extents = {1, 4096, 65536, 7, 1 << 20, 333333,
                                    1 << 20, 12345};
   size_t total = 0;
@@ -317,10 +319,28 @@ TEST(SocketPlacement, LargeBodyIsReadStraightIntoItsDestinations) {
   EXPECT_EQ(got->payload, head);  // the delivered message keeps the head
   ASSERT_EQ(placer.frames.size(), 1u);
   EXPECT_EQ(placer.body(0), body);
-  // Copied at most once, and only what the first staged reads picked up
-  // with the head; everything after went straight into place.
-  EXPECT_LE(p.f1->recv_copy_bytes(), head.size() + 2 * 64 * 1024);
+  // Copied at most once, and only what a staged read picked up with the
+  // head or the tail; everything between went straight into place.
+  EXPECT_LE(p.f1->recv_copy_bytes(), head.size() + 2 * kStageWindow);
   EXPECT_EQ(p.f0->recv_copy_bytes(), 0u);
+}
+
+// A migration-sized frame already whole in the socket when the receiver
+// reads: only the first staging window is copied, the rest of the body is
+// read straight into its destinations.
+TEST(SocketPlacement, WholeArrivedFrameCopiesOneWindow) {
+  Pair p;
+  VectorPlacer placer;
+  p.f1->set_placer(kPlacedType, &placer);
+  const std::vector<uint8_t> head = placed_head({4096, 30'000, 9'000});
+  const std::vector<uint8_t> body = pattern(43'096, 9);
+  p.f0->send(placed_frame(1, head, body));  // fits the socket buffer
+  std::optional<Message> got;
+  while (!got) got = p.f1->recv(100);
+  EXPECT_TRUE(got->placed);
+  ASSERT_EQ(placer.frames.size(), 1u);
+  EXPECT_EQ(placer.body(0), body);
+  EXPECT_LE(p.f1->recv_copy_bytes(), kStageWindow);
 }
 
 TEST(SocketPlacement, SmallStagedFrameIsCopiedOnce) {
