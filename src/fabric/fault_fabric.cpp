@@ -54,7 +54,8 @@ double per_peer_or(const std::unordered_map<NodeId, double>& overrides,
 
 bool FaultPlan::active() const {
   return drop > 0 || dup > 0 || trunc > 0 ||
-         (delay_ns > 0 && delay_p > 0) || flap_p > 0 || short_writes > 0 ||
+         (delay_ns > 0 && (delay_p > 0 || !delay_p_per_peer.empty())) ||
+         flap_p > 0 || short_writes > 0 ||
          eintr > 0 || !partitions.empty() || !drop_per_peer.empty() ||
          !dup_per_peer.empty() || !trunc_per_peer.empty();
 }

@@ -112,9 +112,6 @@ class FaultFabric : public Fabric {
 
   NodeId node_id() const override { return inner_->node_id(); }
   NodeId n_nodes() const override { return inner_->n_nodes(); }
-  bool concurrent_send_safe() const override {
-    return inner_->concurrent_send_safe();
-  }
   void send(Message msg) override;
   void set_teardown(bool v) override { inner_->set_teardown(v); }
   /// Placement is a receive-side concern of the inner transport; injected

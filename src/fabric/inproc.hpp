@@ -29,9 +29,8 @@ class InProcEndpoint final : public Fabric {
 
   NodeId node_id() const override { return id_; }
   NodeId n_nodes() const override;
-  /// Any scheduler worker may send directly: delivery serializes on the
-  /// destination mailbox mutex, and the sender-side counters are atomic.
-  bool concurrent_send_safe() const override { return true; }
+  /// Delivery serializes on the destination mailbox mutex, and the
+  /// sender-side counters are atomic.
   void send(Message msg) override;
   std::optional<Message> try_recv() override;
   std::optional<Message> recv_until(uint64_t deadline_ns) override;

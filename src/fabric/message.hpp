@@ -99,12 +99,11 @@ class Placer {
 /// Abstract point-to-point transport endpoint bound to one node.
 ///
 /// Threading contract: receive-side calls (try_recv/recv_until) on a given
-/// Fabric instance are made from one kernel thread — the node's comm-daemon
-/// worker.  send() is also bound to that kernel thread unless the endpoint
-/// declares concurrent_send_safe(); with multiple scheduler workers the PM2
-/// runtime routes other workers' sends accordingly (direct for concurrent-
-/// safe endpoints, deferred to the daemon otherwise).  wake() is always
-/// callable from any thread.
+/// Fabric instance are made from one kernel thread, the receive owner — the
+/// node's comm-daemon worker.  send() is callable from any kernel thread,
+/// concurrently with other sends and with the owner's receives: each link
+/// serialises whole frames, so one sender's frames to one peer arrive in
+/// the order it sent them.  wake() is callable from any thread.
 class Fabric {
  public:
   virtual ~Fabric() = default;
@@ -112,16 +111,9 @@ class Fabric {
   virtual NodeId node_id() const = 0;
   virtual NodeId n_nodes() const = 0;
 
-  /// May send() be called from a kernel thread other than the receive
-  /// owner's, concurrently with send/try_recv/recv_until?  The in-process
-  /// hub is (per-destination mailbox locks); the socket fabric is not — its
-  /// send() drains incoming traffic while blocked on a full pipe, which
-  /// would race the daemon's receive state.
-  virtual bool concurrent_send_safe() const { return false; }
-
   /// Send to msg.dst.  Must not deadlock even if the peer is concurrently
-  /// sending a large message back (implementations drain incoming traffic
-  /// while blocked on a full pipe).
+  /// sending a large message back (the receive owner drains incoming
+  /// traffic while blocked on a full pipe).
   ///
   /// Borrowed chain segments only need to stay valid until send() returns:
   /// implementations either gather them to the wire synchronously (socket

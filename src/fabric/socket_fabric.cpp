@@ -1,14 +1,18 @@
 #include "fabric/socket_fabric.hpp"
 
 #include <errno.h>
+#include <poll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <deque>
+#include <mutex>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -68,7 +72,7 @@ class SocketFabric final : public Fabric {
   void wake() override;
   uint64_t bytes_sent() const override { return bytes_sent_; }
   uint64_t messages_sent() const override { return messages_sent_; }
-  uint64_t payload_copy_bytes() const override { return payload_copy_bytes_; }
+  uint64_t payload_copy_bytes() const override { return 0; }  // gathers
   uint64_t recv_copy_bytes() const override { return recv_copy_bytes_; }
   void set_teardown(bool teardown) override { teardown_ = teardown; }
   void set_placer(uint16_t type, Placer* placer) override {
@@ -81,7 +85,14 @@ class SocketFabric final : public Fabric {
   enum class Stage : uint8_t { kHeader, kHeadLen, kHead, kBody };
 
   struct Conn {
+    // Held for one whole frame (never across a thread switch); only the
+    // receive owner replaces `fd`, and only under it.
+    std::mutex send_lock;
     sys::Fd fd;
+    // Bumped whenever `fd` changes.  A non-owner that found generation g
+    // dead stores it in dead_gen, for the owner to reconnect.
+    std::atomic<uint32_t> gen{0};
+    std::atomic<uint32_t> dead_gen{UINT32_MAX};
     // The frame being received, once any of its bytes arrived without the
     // whole frame.  The rest of the current stage lands in dst[next..]
     // (`left` bytes), from the staging buffer or straight off the socket.
@@ -98,8 +109,8 @@ class SocketFabric final : public Fabric {
   };
 
   void connect_mesh();
-  /// Register a (fresh or replacement) peer link: socket buffers,
-  /// non-blocking mode, poller membership.
+  /// Register a (fresh or replacement) peer link, its hello done: socket
+  /// buffers, non-blocking mode, poller membership.
   void attach_conn(NodeId peer, sys::Fd fd);
   /// Accept a restarted peer's replacement connection (allow_reconnect):
   /// park it as a pending handshake, never blocking the pump loop.
@@ -109,12 +120,19 @@ class SocketFabric final : public Fabric {
   void pump_pending_hello(int raw_fd);
   /// Drop a dead peer's link so a replacement can take its place.
   void detach_conn(NodeId peer);
-  /// Block (bounded) until `peer` is connected again: higher peers dial us
-  /// (wait on the listener), lower peers are redialed.
+  /// Owner: retire `peer`'s dead link (if still attached) and block
+  /// (bounded) until it is connected again: higher peers dial us (wait on
+  /// the listener), lower peers are redialed.
   void await_reconnect(NodeId peer);
-  /// One sendmsg pass over a fully built iov_.  Returns false when the
-  /// link died mid-frame (reconnect then resends the whole frame).
-  bool send_frame(NodeId peer);
+  /// Non-owner: have the owner replace `peer`'s link, found dead at
+  /// generation `gen`, and wait (bounded) until it has.
+  void await_replacement(NodeId peer, uint32_t gen);
+  /// Owner: install `fd` under `c`'s send lock; the old fd closes here.
+  void swap_fd(Conn& c, sys::Fd fd);
+  /// One sendmsg pass over a frame, under the link lock.  Returns false
+  /// when the link died (or was replaced) mid-frame.
+  bool send_frame(Conn& c, uint32_t gen, std::vector<struct iovec>& iov,
+                  bool owner);
   /// Drain every readable peer; parse complete frames into the inbox.
   void pump(int timeout_ms);
   void pump_ns(uint64_t timeout_ns);
@@ -143,6 +161,11 @@ class SocketFabric final : public Fabric {
 
   SocketFabricConfig config_;
   std::vector<Conn> conns_;  // indexed by peer node id (self unused)
+  // The receive owner (see the header); until the first receive, the
+  // builder.  owner_sending_: the link whose lock the owner holds.
+  std::atomic<std::thread::id> owner_{std::this_thread::get_id()};
+  Conn* owner_sending_ = nullptr;
+  std::atomic<bool> redial_{false};  // some link has dead_gen == gen
   std::unordered_map<int, PendingHello> pending_;  // keyed by raw fd
   // Kept open for the whole session under allow_reconnect (polled with
   // kListenTag); otherwise closed once the mesh is up.
@@ -163,17 +186,15 @@ class SocketFabric final : public Fabric {
   // payload byte is copied at most once, and not at all when it is read
   // straight into place.
   std::vector<uint8_t> rxbuf_ = std::vector<uint8_t>(kStageBytes);
-  std::vector<struct iovec> iov_;  // scratch gather list for send()
-  bool teardown_ = false;
-  uint64_t bytes_sent_ = 0;
-  uint64_t messages_sent_ = 0;
-  uint64_t payload_copy_bytes_ = 0;
+  std::atomic<bool> teardown_{false};
+  std::atomic<uint64_t> bytes_sent_{0};
+  std::atomic<uint64_t> messages_sent_{0};
   uint64_t recv_copy_bytes_ = 0;
 };
 
-SocketFabric::SocketFabric(const SocketFabricConfig& config) : config_(config) {
+SocketFabric::SocketFabric(const SocketFabricConfig& config)
+    : config_(config), conns_(config.n_nodes) {
   PM2_CHECK(config_.node_id < config_.n_nodes);
-  conns_.resize(config_.n_nodes);
   wake_fd_ = sys::Fd(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK));
   PM2_CHECK(wake_fd_.valid()) << "eventfd: " << std::strerror(errno);
   poller_.add(wake_fd_.get(), kWakeTag);
@@ -205,30 +226,18 @@ void SocketFabric::connect_mesh() {
                                config_.connect_timeout_ms);
     uint32_t hello = self;
     sys::send_all(fd, &hello, sizeof(hello));
-    conns_[peer].fd = std::move(fd);
+    attach_conn(peer, std::move(fd));
   }
 
   // Accept from all higher-numbered nodes.
   for (NodeId k = self + 1; k < n; ++k) {
     sys::Fd fd = sys::accept_one(listener_);
-    if (config_.use_tcp) sys::set_nodelay(fd);
     uint32_t hello = 0;
     PM2_CHECK(sys::recv_all(fd, &hello, sizeof(hello)))
         << "peer hung up during hello";
     PM2_CHECK(hello > self && hello < n) << "bad hello id " << hello;
     PM2_CHECK(!conns_[hello].fd.valid()) << "duplicate connection from " << hello;
-    conns_[hello].fd = std::move(fd);
-  }
-
-  // Switch all links to non-blocking and register for polling.  Grow the
-  // socket buffers: migration payloads are slot-sized (64 KB+).
-  for (NodeId peer = 0; peer < n; ++peer) {
-    if (peer == self) continue;
-    int sz = 1 << 20;
-    ::setsockopt(conns_[peer].fd.get(), SOL_SOCKET, SO_SNDBUF, &sz, sizeof(sz));
-    ::setsockopt(conns_[peer].fd.get(), SOL_SOCKET, SO_RCVBUF, &sz, sizeof(sz));
-    sys::set_nonblocking(conns_[peer].fd, true);
-    poller_.add(conns_[peer].fd.get(), peer);
+    attach_conn(hello, std::move(fd));
   }
   if (config_.allow_reconnect && n > 1) {
     // The listener lives as long as the fabric: a peer that crashed and
@@ -242,20 +251,28 @@ void SocketFabric::connect_mesh() {
 
 void SocketFabric::attach_conn(NodeId peer, sys::Fd fd) {
   if (config_.use_tcp) sys::set_nodelay(fd);
+  // Migration payloads are slot-sized (64 KB+): grow the socket buffers.
   int sz = 1 << 20;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDBUF, &sz, sizeof(sz));
   ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &sz, sizeof(sz));
   sys::set_nonblocking(fd, true);
   poller_.add(fd.get(), peer);
-  conns_[peer].fd = std::move(fd);
+  swap_fd(conns_[peer], std::move(fd));
 }
 
 void SocketFabric::detach_conn(NodeId peer) {
   Conn& c = conns_[peer];
-  c.fd.reset();
+  swap_fd(c, sys::Fd());
   // A partial frame from the dead incarnation is void; frames that fully
   // arrived are already in the inbox and stay deliverable.
   drop_frame(c);
+}
+
+void SocketFabric::swap_fd(Conn& c, sys::Fd fd) {
+  std::unique_lock<std::mutex> g(c.send_lock, std::defer_lock);
+  if (&c != owner_sending_) g.lock();
+  c.fd = std::move(fd);
+  ++c.gen;
 }
 
 void SocketFabric::drop_frame(Conn& c) {
@@ -314,6 +331,11 @@ void SocketFabric::pump_pending_hello(int raw_fd) {
 }
 
 void SocketFabric::await_reconnect(NodeId peer) {
+  if (conns_[peer].fd.valid()) {
+    // sendmsg saw the break before recv did: retire the dead link.
+    poller_.remove(conns_[peer].fd.get());
+    detach_conn(peer);
+  }
   PM2_DEBUG << "waiting for node " << peer << " to come back";
   const uint64_t deadline =
       now_ns() + uint64_t{static_cast<uint64_t>(config_.connect_timeout_ms)} *
@@ -341,14 +363,16 @@ void SocketFabric::await_reconnect(NodeId peer) {
   attach_conn(peer, std::move(fd));
 }
 
-bool SocketFabric::send_frame(NodeId peer) {
+bool SocketFabric::send_frame(Conn& c, uint32_t gen,
+                              std::vector<struct iovec>& iov, bool owner) {
   size_t idx = 0;
-  while (idx < iov_.size()) {
-    const sys::Fd& fd = conns_[peer].fd;
-    if (!fd.valid()) return false;  // EOF was drained by a pump() below
+  while (idx < iov.size()) {
+    const sys::Fd& fd = c.fd;
+    // A pump() below may retire the link or take a replacement.
+    if (c.gen != gen || !fd.valid()) return false;
     struct msghdr mh {};
-    mh.msg_iov = iov_.data() + idx;
-    mh.msg_iovlen = std::min(iov_.size() - idx, kMaxIov);
+    mh.msg_iov = iov.data() + idx;
+    mh.msg_iovlen = std::min(iov.size() - idx, kMaxIov);
     ssize_t n;
     if (sys::fault_take_eintr()) {
       // Injected signal-interrupt: exercise the EINTR retry below.
@@ -357,7 +381,7 @@ bool SocketFabric::send_frame(NodeId peer) {
     } else if (sys::fault_take_short_write()) {
       // Injected short write: push one byte so the partial-write resume
       // logic (iov advance across segment boundaries) runs for real.
-      struct iovec one = iov_[idx];
+      struct iovec one = iov[idx];
       one.iov_len = 1;
       struct msghdr mh1 {};
       mh1.msg_iov = &one;
@@ -369,22 +393,27 @@ bool SocketFabric::send_frame(NodeId peer) {
     if (n > 0) {
       auto left = static_cast<size_t>(n);
       while (left > 0) {
-        if (left >= iov_[idx].iov_len) {
-          left -= iov_[idx].iov_len;
+        if (left >= iov[idx].iov_len) {
+          left -= iov[idx].iov_len;
           ++idx;
         } else {
-          iov_[idx].iov_base = static_cast<char*>(iov_[idx].iov_base) + left;
-          iov_[idx].iov_len -= left;
+          iov[idx].iov_base = static_cast<char*>(iov[idx].iov_base) + left;
+          iov[idx].iov_len -= left;
           left = 0;
         }
       }
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // The pipe to the peer is full.  The peer may itself be blocked
-      // sending to us; drain incoming traffic so both sides make progress
-      // (classic anti-deadlock for synchronous meshes).
-      pump(1);
+      if (owner) {
+        // The pipe to the peer is full, and the peer may itself be blocked
+        // sending to us: drain incoming traffic so both sides make progress
+        // (classic anti-deadlock for synchronous meshes).
+        pump(1);
+      } else {  // a dead peer reports POLLHUP/POLLERR
+        struct pollfd p {fd.get(), POLLOUT, 0};
+        ::poll(&p, 1, -1);
+      }
       continue;
     }
     if (n < 0 && (errno == EPIPE || errno == ECONNRESET)) return false;
@@ -400,23 +429,35 @@ void SocketFabric::send(Message msg) {
   WireHeader h = wire_header(msg);
   bytes_sent_ += msg.wire_size();
   ++messages_sent_;
+  PM2_CHECK(msg.chain.empty() || msg.payload.empty())
+      << "message with both flat and chained payload";
+  const bool owner = owner_.load() == std::this_thread::get_id();
+  Conn& c = conns_[msg.dst];
+  std::vector<struct iovec> iov;
 
   while (true) {
     // Gather list: header + payload segments, straight from the sender's
     // memory (slot images included) — no flatten, no staging copy.  Built
     // fresh per attempt: a reconnect resends the frame from byte zero.
-    iov_.clear();
-    iov_.push_back({&h, sizeof(h)});
-    if (!msg.chain.empty()) {
-      PM2_CHECK(msg.payload.empty())
-          << "message with both flat and chained payload";
-      for (const mad::BufferChain::Segment& seg : msg.chain.segments())
-        iov_.push_back({const_cast<uint8_t*>(seg.data), seg.len});
-    } else if (!msg.payload.empty()) {
-      iov_.push_back({msg.payload.data(), msg.payload.size()});
-    }
+    iov.clear();
+    iov.push_back({&h, sizeof(h)});
+    for (const mad::BufferChain::Segment& seg : msg.chain.segments())
+      iov.push_back({const_cast<uint8_t*>(seg.data), seg.len});
+    if (!msg.payload.empty())
+      iov.push_back({msg.payload.data(), msg.payload.size()});
 
-    if (send_frame(msg.dst)) return;
+    // The owner never blocks on a link lock: the holder may be waiting for
+    // the peer to drain, and the peer's owner for us.
+    std::unique_lock<std::mutex> link(c.send_lock, std::defer_lock);
+    if (!owner) link.lock();
+    while (owner && !link.try_lock()) pump(1);
+    if (owner) owner_sending_ = &c;
+    const uint32_t gen = c.gen;
+    const bool sent = send_frame(c, gen, iov, owner);
+    if (owner) owner_sending_ = nullptr;
+    link.unlock();
+    if (sent) return;
+    if (c.gen != gen) continue;  // retry on whatever the owner installed
 
     // The link died mid-frame.
     if (teardown_ || msg.best_effort) {
@@ -438,14 +479,24 @@ void SocketFabric::send(Message msg) {
     // hang of every pending caller.
     PM2_CHECK(config_.allow_reconnect)
         << "node " << msg.dst << " died mid-session";
-    if (conns_[msg.dst].fd.valid()) {
-      // sendmsg saw the break before recv did: retire the dead link.
-      poller_.remove(conns_[msg.dst].fd.get());
-      detach_conn(msg.dst);
-    }
-    await_reconnect(msg.dst);
+    if (owner)
+      await_reconnect(msg.dst);
+    else
+      await_replacement(msg.dst, gen);
     // The restarted peer never saw any byte of this frame (its old socket
     // died with the old process); resend it whole.
+  }
+}
+
+void SocketFabric::await_replacement(NodeId peer, uint32_t gen) {
+  Conn& c = conns_[peer];
+  c.dead_gen = gen;
+  redial_ = true;
+  wake();
+  for (int waited_ms = 0; c.gen == gen; ++waited_ms) {
+    PM2_CHECK(waited_ms < config_.connect_timeout_ms)
+        << "node " << peer << " did not reconnect";
+    ::usleep(1000);
   }
 }
 
@@ -641,6 +692,12 @@ void SocketFabric::pump_ns(uint64_t timeout_ns) {
 }
 
 std::optional<Message> SocketFabric::try_recv() {
+  owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+  if (redial_ && redial_.exchange(false)) {  // links non-owners found dead
+    for (NodeId peer = 0; peer < config_.n_nodes; ++peer) {
+      if (conns_[peer].dead_gen == conns_[peer].gen) await_reconnect(peer);
+    }
+  }
   if (inbox_.empty()) pump(0);
   if (inbox_.empty()) return std::nullopt;
   Message msg = std::move(inbox_.front());

@@ -5,6 +5,9 @@
 // rendezvous-free: node i listens at <dir>/node<i>.sock; every node j
 // connects to all i < j and accepts from all k > j, identifying itself with
 // a hello byte carrying its node id.
+// Any kernel thread may send.  The receive owner (the last caller of
+// try_recv/recv_until, else the builder) pumps while its send waits on a
+// full pipe and alone replaces links; other senders poll(POLLOUT).
 #pragma once
 
 #include <memory>
@@ -27,8 +30,8 @@ struct SocketFabricConfig {
   /// Survive a peer process dying and coming back (crash-restart
   /// sessions): the listener stays open for the session's lifetime and a
   /// restarted peer's hello *replaces* its old link; send() to a dead peer
-  /// blocks (bounded by connect_timeout_ms) until the peer is back, then
-  /// resends the frame on the fresh connection.  Off (default), a dead
+  /// blocks (bounded by connect_timeout_ms) until the receive owner has
+  /// reconnected it, then resends the frame on the fresh connection.  Off (default), a dead
   /// peer outside teardown is fatal — crashing silently would hang every
   /// pending caller.
   bool allow_reconnect = false;

@@ -232,17 +232,16 @@ void ship_thread(Runtime& rt, marcel::Thread* t, uint32_t dest,
   // the process) adopts the byte-copied stack on its original TSan fiber.
   rt.sched().forget(t, /*keep_fiber=*/true);
 
-  // Gather straight from the (still committed) slots to the wire.  By the
-  // time fabric_send() returns the borrowed extents have been written out
-  // (socket fabric), taken over (in-process hub), or flattened into an
-  // owned outbox copy (deferred send from a non-daemon worker), so the
-  // pages may go away.
+  // Gather straight from the (still committed) slots to the wire, from
+  // whichever worker runs this.  By the time send() returns the borrowed
+  // extents have been written out (socket fabric) or taken over
+  // (in-process hub), so the pages may go away.
   fabric::Message msg;
   msg.type = kMigrate;
   msg.dst = dest;
   msg.corr = ack_corr;  // != 0: destination acks after install
   msg.chain = std::move(chain);
-  rt.fabric_send(std::move(msg));
+  rt.fabric().send(std::move(msg));
 
   // "The memory area storing the resources is set free" (§2 step 1).  The
   // slots stay owned by the thread — no bitmap traffic — so the same

@@ -43,7 +43,7 @@ void Runtime::lock_system() {
     fabric::Message msg;
     msg.type = kLockReq;
     msg.dst = 0;
-    fabric_send(std::move(msg));
+    fabric_->send(std::move(msg));
   }
   ev.wait();
   nego_lock_.lock();
@@ -67,7 +67,7 @@ void Runtime::unlock_system() {
   fabric::Message msg;
   msg.type = kUnlock;
   msg.dst = 0;
-  fabric_send(std::move(msg));
+  fabric_->send(std::move(msg));
 }
 
 void Runtime::handle_lock_req(uint32_t from) {
@@ -86,7 +86,7 @@ void Runtime::handle_lock_req(uint32_t from) {
     fabric::Message grant;
     grant.type = kLockGrant;
     grant.dst = from;
-    fabric_send(std::move(grant));
+    fabric_->send(std::move(grant));
   }
 }
 
@@ -118,7 +118,7 @@ void Runtime::handle_unlock(uint32_t from) {
     fabric::Message grant;
     grant.type = kLockGrant;
     grant.dst = next;
-    fabric_send(std::move(grant));
+    fabric_->send(std::move(grant));
   }
 }
 
@@ -129,6 +129,12 @@ void Runtime::handle_gather_req(fabric::Message& msg) {
   // under slot_lock_, serialize and send outside.
   std::vector<uint64_t> words;
   slot_lock_.lock();
+  // The system lock moves on only once every update of the previous
+  // negotiation is acked, so no gather can reach us before the update we
+  // still owe the last initiator.
+  PM2_CHECK(!remote_gather_) << "gather from node " << msg.src
+                             << " while a remote gather is still open";
+  remote_gather_ = true;
   ++bitmap_freeze_;
   words = slot_mgr_.bitmap().words();
   slot_lock_.unlock();
@@ -140,7 +146,7 @@ void Runtime::handle_gather_req(fabric::Message& msg) {
   ByteWriter w;
   w.put_vector<uint64_t>(words);
   resp.payload = w.take();
-  fabric_send(std::move(resp));
+  fabric_->send(std::move(resp));
 }
 
 void Runtime::handle_nego_update(fabric::Message& msg) {
@@ -149,10 +155,18 @@ void Runtime::handle_nego_update(fabric::Message& msg) {
   auto words = r.get_vector<uint64_t>();
   slot_lock_.lock();
   slot_mgr_.set_bitmap(Bitmap::from_words(area_.n_slots(), std::move(words)));
-  PM2_CHECK(bitmap_freeze_ > 0) << "negotiation update without gather";
+  PM2_CHECK(bitmap_freeze_ > 0 && remote_gather_)
+      << "negotiation update without gather";
   --bitmap_freeze_;
+  remote_gather_ = false;
   slot_lock_.unlock();
   apply_deferred_releases();
+  // The initiator holds the system lock until every peer has acked.
+  fabric::Message ack;
+  ack.type = kGatherResp;
+  ack.dst = msg.src;
+  ack.corr = msg.corr;
+  fabric_->send(std::move(ack));
 }
 
 void Runtime::apply_deferred_releases() {
@@ -188,7 +202,7 @@ std::vector<uint8_t> Runtime::await_control_reply(uint32_t node,
   req.type = type;
   req.dst = node;
   req.corr = corr;
-  fabric_send(std::move(req));
+  fabric_->send(std::move(req));
   fut.wait();
   PM2_CHECK(!fut.failed()) << what << " aborted: " << fut.error();
   return fut.take();
@@ -215,20 +229,32 @@ std::vector<Bitmap> Runtime::gather_all_bitmaps() {
 
 void Runtime::scatter_bitmaps(std::vector<Bitmap> bitmaps) {
   // Peers get their update even when nothing changed: the message also
-  // releases the freeze their gather reply installed.
+  // releases the freeze their gather reply installed.  Each update is acked
+  // (kGatherResp on its correlation), and we return only once all are:
+  // the caller then releases the system lock, and the next initiator's
+  // gather, sent on another link, can no longer overtake an update and read
+  // a stale bitmap.
+  std::vector<marcel::Future<std::vector<uint8_t>>> acks;
   for (uint32_t node = 0; node < config_.n_nodes; ++node) {
     if (node == config_.node) continue;
+    auto [corr, fut] = pending_.open(node, 0);
     fabric::Message upd;
     upd.type = kNegoUpdate;
     upd.dst = node;
+    upd.corr = corr;
     ByteWriter w;
     w.put_vector<uint64_t>(bitmaps[node].words());
     upd.payload = w.take();
-    fabric_send(std::move(upd));
+    fabric_->send(std::move(upd));
+    acks.push_back(std::move(fut));
   }
   slot_lock_.lock();
   slot_mgr_.set_bitmap(std::move(bitmaps[config_.node]));
   slot_lock_.unlock();
+  for (auto& ack : acks) {
+    ack.wait();
+    PM2_CHECK(!ack.failed()) << "negotiation update aborted: " << ack.error();
+  }
 }
 
 std::optional<size_t> Runtime::negotiate(size_t run) {

@@ -1032,7 +1032,7 @@ void Runtime::send_request(uint32_t node, uint32_t service,
   msg.dst = node;
   msg.corr = corr;
   msg.chain = std::move(framed);
-  fabric_send(std::move(msg));
+  fabric_->send(std::move(msg));
 }
 
 CorrelationTable::Opened Runtime::open_request(uint32_t node,
@@ -1139,7 +1139,7 @@ void Runtime::fail_reply(uint32_t caller, uint64_t corr,
   ByteWriter w;
   w.put_string(why);
   msg.payload = w.take();
-  fabric_send(std::move(msg));
+  fabric_->send(std::move(msg));
 }
 
 void RpcContext::reply(mad::PackBuffer&& result) {
@@ -1155,7 +1155,7 @@ void RpcContext::reply(mad::PackBuffer&& result) {
   msg.dst = src_;
   msg.corr = corr_;
   msg.chain = result.take_chain();
-  rt_.fabric_send(std::move(msg));
+  rt_.fabric().send(std::move(msg));
 }
 
 // ---------------------------------------------------------------------------
@@ -1199,7 +1199,7 @@ void Runtime::barrier() {
         ByteWriter w;
         w.put<uint32_t>(seq);
         msg.payload = w.take();
-        fabric_send(std::move(msg));
+        fabric_->send(std::move(msg));
       }
       ev.set();
     }
@@ -1210,7 +1210,7 @@ void Runtime::barrier() {
     ByteWriter w;
     w.put<uint32_t>(seq);
     msg.payload = w.take();
-    fabric_send(std::move(msg));
+    fabric_->send(std::move(msg));
   }
   ev.wait();
   barrier_lock_.lock();
@@ -1233,7 +1233,7 @@ void Runtime::send_signal(uint32_t node) {
   fabric::Message msg;
   msg.type = kSignal;
   msg.dst = node;
-  fabric_send(std::move(msg));
+  fabric_->send(std::move(msg));
 }
 
 void Runtime::wait_signals(uint64_t count) {
@@ -1262,7 +1262,7 @@ void Runtime::halt() {
     fabric::Message msg;
     msg.type = kHalt;
     msg.dst = n;
-    fabric_send(std::move(msg));
+    fabric_->send(std::move(msg));
   }
 }
 
@@ -1286,7 +1286,7 @@ void Runtime::broadcast_load() {
     w.put<uint32_t>(config_.node);
     w.put<uint64_t>(ld);
     msg.payload = w.take();
-    fabric_send(std::move(msg));
+    fabric_->send(std::move(msg));
   }
 }
 
@@ -1403,38 +1403,6 @@ void Runtime::daemon_trampoline(void* runtime) {
   static_cast<Runtime*>(runtime)->comm_daemon_body();
 }
 
-void Runtime::fabric_send(fabric::Message msg) {
-  // Direct when concurrent sends are safe on this transport (in-process
-  // hub), when only one worker exists (the legacy single-kernel-thread
-  // node), or when we already run on the comm daemon's worker: the daemon
-  // is pinned to worker 0 and fabric calls contain no PM2 switch points,
-  // so worker 0's threads access the fabric cooperatively serialized.
-  if (sched_.workers() == 1 || fabric_->concurrent_send_safe() ||
-      (marcel::Scheduler::current_scheduler() == &sched_ &&
-       marcel::Scheduler::current_worker() == 0)) {
-    fabric_->send(std::move(msg));
-    return;
-  }
-  // Defer to the daemon.  Flatten first: chain segments are borrowed from
-  // the caller (pack regions, slot memory) and only guaranteed to outlive
-  // the fabric_send call itself.
-  if (!msg.chain.empty()) msg.flat();
-  out_lock_.lock();
-  outbox_.push_back(std::move(msg));
-  out_lock_.unlock();
-  fabric_->wake();
-}
-
-void Runtime::flush_outbox() {
-  std::vector<fabric::Message> batch;
-  {
-    sys::SpinGuard g(out_lock_);
-    if (outbox_.empty()) return;
-    batch.swap(outbox_);
-  }
-  for (fabric::Message& m : batch) fabric_->send(std::move(m));
-}
-
 void Runtime::comm_daemon_body() {
   // Heartbeat cap on the event-driven block: bounds the damage of any
   // missed-wakeup bug to one lap instead of a hang, at zero latency cost
@@ -1465,7 +1433,6 @@ void Runtime::comm_daemon_body() {
       sched_.yield();
       continue;
     }
-    flush_outbox();
     bool worked = false;
     while (auto msg = fabric_->try_recv()) {
       handle_message(*msg);
@@ -1532,12 +1499,9 @@ void Runtime::comm_daemon_body() {
     // and dispatches any thread the handled frame unparked.
     sched_.yield();
   }
-  // The halt broadcast (or a worker's last reply) may still sit deferred:
-  // put it on the wire before tearing the session down.
-  flush_outbox();
-  // Same for frames held back by an injected delay: nobody flushes the
-  // fault fabric after this daemon's last lap, and a delayed halt
-  // broadcast would strand every peer in its blocking receive.
+  // Frames held back by an injected delay: nobody flushes the fault fabric
+  // after this daemon's last lap, and a delayed halt broadcast would strand
+  // every peer in its blocking receive.
   if (auto* ff = fault_fabric()) ff->drain_delayed();
   // Session over: parked service threads must not leak their stack runs.
   pool_drain();

@@ -14,10 +14,10 @@
 // The comm daemon is a PM2 daemon thread pinned to worker 0; it owns the
 // fabric's receive side and dispatches control messages inline.  Runtime
 // state that multiple workers touch on the hot path (services, slot
-// bitmap, invocation pool) is guarded by short sys::SpinLocks; sends from
-// non-daemon workers go through fabric_send(), which is direct when the
-// transport allows concurrent sends and otherwise defers to the daemon via
-// an outbox.
+// bitmap, invocation pool) is guarded by short sys::SpinLocks.  Every
+// worker sends on the fabric directly: the fabric serialises frames per
+// link, and a borrowed chain (a migrating thread's slots) goes to the wire
+// with no copy.
 //
 // Every reply the node awaits — RPC calls, migration install acks,
 // negotiation gathers, audits — is one entry of the CorrelationTable
@@ -360,14 +360,6 @@ class Runtime {
   void halt();
   /// True once halt was initiated or received (daemons poll this).
   bool halting() const { return halting_.load(std::memory_order_relaxed); }
-
-  /// Send on the node's fabric from any scheduler worker.  Direct when the
-  /// transport allows concurrent sends (in-process hub) or the caller runs
-  /// on the comm daemon's worker; otherwise the message is flattened (chain
-  /// sealed), queued on the outbox and the daemon is woken to put it on the
-  /// wire — the socket fabric's send() drains receive state and must stay
-  /// on one kernel thread.
-  void fabric_send(fabric::Message msg);
 
   // --- threads -------------------------------------------------------------
 
@@ -769,8 +761,6 @@ class Runtime {
   struct RpcInvocation;
 
   void comm_daemon_body();
-  /// Put any outbox-deferred sends on the wire (comm daemon only).
-  void flush_outbox();
   void handle_message(fabric::Message& msg);
   void handle_rpc(fabric::Message& msg);
   void handle_migrate(fabric::Message& msg);
@@ -917,12 +907,6 @@ class Runtime {
   std::atomic<uint64_t> thread_counter_{0};
   std::atomic<bool> halting_{false};
 
-  // Deferred sends (fabric_send from a worker when the transport is not
-  // concurrent-send-safe): drained by the comm daemon.  Highest rank: the
-  // outbox is a terminal sink — nothing else is ever acquired under it.
-  sys::SpinLock out_lock_{sys::LockRank::kOutbox};
-  std::vector<fabric::Message> outbox_ PM2_GUARDED_BY(out_lock_);
-
   // Services: name-hash keyed dispatch table (the wire carries the hash).
   // The lookup sits on the per-invocation hot path, so the table is a
   // striped concurrent map whose node addresses are stable and whose
@@ -998,6 +982,8 @@ class Runtime {
   // slot_lock_ so no unfreeze can slip between test and park).
   mutable sys::SpinLock slot_lock_{sys::LockRank::kRuntimeMaps};
   int bitmap_freeze_ PM2_GUARDED_BY(slot_lock_) = 0;
+  // Between our reply to a remote gather and that initiator's update.
+  bool remote_gather_ PM2_GUARDED_BY(slot_lock_) = false;
   // Embedded-mode WaitQueue: linked/popped under slot_lock_ (its own lock
   // is bypassed), which static analysis cannot express — the dynamic
   // lock-rank layer covers it.  slot_mgr_ (declared above) is likewise

@@ -66,7 +66,7 @@ inline void cpu_relax() {
 /// < R.  Outer (decision) layers rank high, inner (mechanism) layers rank
 /// low, so the runtime's decide-under-lock pattern — runtime table lock ->
 /// sync-primitive state lock -> registry stripe — is monotone, i.e.
-/// registry-shard < sync-state < runtime-maps < outbox.
+/// registry-shard < sync-state < runtime-maps < invocation-pool.
 ///
 /// The order encodes the nestings that actually occur:
 ///   * CondVar::wait holds its state lock while Mutex::unlock runs
@@ -92,7 +92,6 @@ enum class LockRank : uint8_t {
   kSyncCondVar = 0x34,     // CondVar state (runs Mutex::unlock underneath)
   kRuntimeMaps = 0x40,     // runtime tables: pending/services/slots/store/...
   kInvocationPool = 0x48,  // pool shards + freelist (walk into store_lock_)
-  kOutbox = 0x50,          // deferred-send queue
 };
 
 #if PM2_LOCK_CHECKS

@@ -108,6 +108,8 @@ TEST(FaultPlanTest, ParsesTheFullGrammar) {
   EXPECT_FALSE(FaultPlan::parse("seed=7").active());
   // A delay without delay_p delays every frame.
   EXPECT_DOUBLE_EQ(FaultPlan::parse("delay=1ms").delay_p, 1.0);
+  // A delay scoped to one destination is a live plan too.
+  EXPECT_TRUE(FaultPlan::parse("delay=2ms,delay_p@1=1").active());
 }
 
 // --- raw decorator over the in-process hub -----------------------------------

@@ -72,14 +72,12 @@ TEST(LockCheckDeath, OutOfOrderAcquisition) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        // Leaf locks are the innermost layer; taking the outbox
-        // (outermost) on top of one inverts the documented order.
-        // (kSchedulerDeque used to play the inner role here; that rank
-        // retired with the lock-free ready deques.)
+        // Leaf locks are the innermost layer; taking an invocation-pool
+        // shard (outermost) on top of one inverts the documented order.
         sys::SpinLock leaf{sys::LockRank::kLeaf};
-        sys::SpinLock outbox{sys::LockRank::kOutbox};
+        sys::SpinLock pool{sys::LockRank::kInvocationPool};
         leaf.lock();
-        outbox.lock();
+        pool.lock();
       },
       "lock-rank violation");
 }

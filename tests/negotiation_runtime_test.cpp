@@ -2,12 +2,15 @@
 // protocol over the fabric, triggered transparently by pm2_isomalloc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <vector>
 
 #include "isomalloc/distribution.hpp"
 #include "pm2/api.hpp"
 #include "pm2/app.hpp"
+#include "pm2/audit.hpp"
 #include "pm2/runtime.hpp"
 
 namespace pm2 {
@@ -195,6 +198,72 @@ TEST(NegotiationRuntime, ChurnDuringNegotiations) {
     rt.barrier();
   });
   EXPECT_TRUE(g_ok.load());
+}
+
+// Two initiators (nodes 1 and 2; node 0 serves the system lock) on the
+// socket fabric, with every frame held back up to 500 us, so frames from
+// different senders arrive out of send order.  An initiator's bitmap
+// updates must be applied before the system lock moves on: otherwise the
+// next initiator, or the node the update is for, plans on a stale bitmap
+// and a slot ends up with two owners or none.  Each thread tags both ends
+// of its blocks and checks them before freeing, and the audit at the end
+// checks that every slot has exactly one owner.  No thread migrates.
+constexpr int kRacers = 3;
+constexpr int kRaceRounds = 30;
+constexpr size_t kEdge = 4096;
+
+void racing_allocator(void* arg) {
+  const auto tag = static_cast<unsigned char>(reinterpret_cast<uintptr_t>(arg));
+  // Blocks stay allocated until the end, so no request fits a run freed
+  // earlier: every one negotiates.
+  std::vector<std::pair<unsigned char*, size_t>> held;
+  for (int i = 0; i < kRaceRounds; ++i) {
+    const size_t len = (100 + 50 * (i % 4)) * 1024;  // 2 to 4 slots
+    auto* p = static_cast<unsigned char*>(pm2_isomalloc(len));
+    NEGO_EXPECT(p != nullptr);
+    std::memset(p, tag, kEdge);  // both ends of the run, not the middle
+    std::memset(p + len - kEdge, tag, kEdge);
+    held.emplace_back(p, len);
+    pm2_yield();
+  }
+  auto tagged = [tag](const unsigned char* b) {
+    return std::all_of(b, b + kEdge, [tag](unsigned char c) { return c == tag; });
+  };
+  for (auto [p, len] : held) {
+    NEGO_EXPECT(tagged(p) && tagged(p + len - kEdge));
+    pm2_isofree(p);
+  }
+  pm2_signal(0);
+}
+
+TEST(NegotiationRuntime, RacingInitiatorsOnSocketsKeepOwnershipDisjoint) {
+  g_ok = true;
+  AppConfig cfg = rr_config(3);
+  cfg.socket_fabric = true;
+  cfg.rt.fault_plan = "delay=500us,seed=7";
+  std::atomic<uint64_t> negotiations{0};
+  std::atomic<bool> audit_ok{false};
+  run_app(cfg, [&](Runtime& rt) {
+    if (rt.self() != 0) {
+      for (uintptr_t r = 0; r < kRacers; ++r)
+        pm2_thread_create(&racing_allocator,
+                          reinterpret_cast<void*>(rt.self() * 16 + r),
+                          "racer");
+    } else {
+      pm2_wait_signals(2 * kRacers);
+    }
+    rt.barrier();
+    negotiations += rt.negotiations_initiated();
+    if (rt.self() == 0) {
+      AuditReport report = audit_session(rt);
+      if (!report.ok) pm2_printf("%s\n", report.summary().c_str());
+      audit_ok = report.ok;
+    }
+    rt.barrier();
+  });
+  EXPECT_TRUE(g_ok.load());
+  EXPECT_TRUE(audit_ok.load());
+  EXPECT_GE(negotiations.load(), 2u * kRacers * kRaceRounds / 2);
 }
 
 }  // namespace

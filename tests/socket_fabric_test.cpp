@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <thread>
 
@@ -82,29 +83,100 @@ TEST(SocketFabric, LargeMessageSurvivesFraming) {
   EXPECT_EQ(got->payload, expect);
 }
 
+// A large frame from `sender` whose every byte encodes (sender, seq).
+Message tagged_frame(NodeId dst, uint8_t sender, uint8_t seq, size_t len) {
+  Message m;
+  m.type = 2;
+  m.dst = dst;
+  m.payload.assign(len, static_cast<uint8_t>(sender * 16 + seq));
+  m.payload[0] = sender;
+  m.payload[1] = seq;
+  return m;
+}
+
 TEST(SocketFabric, SimultaneousLargeSendsDoNotDeadlock) {
-  // Both sides fire multi-megabyte messages at each other at once: the
-  // send path must drain incoming traffic while its own pipe is full.
+  // Both sides fire multi-megabyte frames at each other at once, and on
+  // node 0 a second kernel thread sends on the same link as its receive
+  // owner.  Each owner must drain incoming traffic while its own pipe is
+  // full (or while the other sender holds the link); the non-owner waits
+  // for the peer to drain.  Each sender's frames arrive whole and in order.
+  constexpr size_t kLen = 4 * 1024 * 1024;
+  constexpr int kFrames = 2;
   std::string dir = fresh_dir();
   std::unique_ptr<Fabric> f0, f1;
-  std::thread t1([&] { f1 = make_socket_fabric(config_for(1, 2, dir)); });
-  f0 = make_socket_fabric(config_for(0, 2, dir));
-  t1.join();
-
-  auto pump = [](Fabric& f, NodeId peer) {
-    Message m;
-    m.type = 2;
-    m.dst = peer;
-    m.payload.resize(8 * 1024 * 1024, 0x5A);
-    f.send(std::move(m));
-    std::optional<Message> got;
-    while (!got) got = f.recv(100);
-    EXPECT_EQ(got->payload.size(), 8u * 1024 * 1024);
+  std::atomic<bool> f0_up{false};
+  // Sender tags: 0 = node 0's owner, 1 = node 1's owner, 2 = node 0's
+  // second thread.  Each node's owner receives until it has every frame
+  // addressed to it, then checks per-sender order.
+  auto own = [&](std::unique_ptr<Fabric>& f, NodeId self, uint8_t tag,
+                 size_t expect) {
+    f = make_socket_fabric(config_for(self, 2, dir));
+    if (self == 0) f0_up.store(true);
+    for (int i = 0; i < kFrames; ++i)
+      f->send(tagged_frame(1 - self, tag, static_cast<uint8_t>(i), kLen));
+    std::vector<int> next(3, 0);
+    for (size_t got = 0; got < expect;) {
+      std::optional<Message> m = f->recv(100);
+      if (!m) continue;
+      ++got;
+      ASSERT_EQ(m->payload.size(), kLen);
+      const uint8_t sender = m->payload[0];
+      ASSERT_LT(sender, 3);
+      EXPECT_EQ(m->payload[1], next[sender]++) << "sender " << int{sender};
+      const uint8_t fill = static_cast<uint8_t>(sender * 16 + m->payload[1]);
+      EXPECT_TRUE(std::all_of(m->payload.begin() + 2, m->payload.end(),
+                              [&](uint8_t b) { return b == fill; }));
+    }
   };
-  std::thread a([&] { pump(*f0, 1); });
-  std::thread b([&] { pump(*f1, 0); });
+  std::thread a([&] { own(f0, 0, 0, kFrames); });
+  std::thread b([&] { own(f1, 1, 1, 2 * kFrames); });
+  std::thread c([&] {
+    while (!f0_up.load()) std::this_thread::yield();
+    for (int i = 0; i < kFrames; ++i)
+      f0->send(tagged_frame(1, 2, static_cast<uint8_t>(i), kLen));
+  });
   a.join();
   b.join();
+  c.join();
+}
+
+TEST(SocketFabric, NonOwnerSendWaitsForTheOwnerToReplaceADeadLink) {
+  // Crash-restart session: node 1 dies and comes back.  A thread that is
+  // not node 0's receive owner finds the old link dead; it asks the owner
+  // to replace it and resends once the owner has, and the restarted node
+  // gets the frame exactly once.
+  std::string dir = fresh_dir();
+  SocketFabricConfig c0 = config_for(0, 2, dir);
+  SocketFabricConfig c1 = config_for(1, 2, dir);
+  c0.allow_reconnect = c1.allow_reconnect = true;
+  std::unique_ptr<Fabric> f0, f1;
+  std::thread t1([&] { f1 = make_socket_fabric(c1); });
+  f0 = make_socket_fabric(c0);  // the main thread owns node 0's receives
+  t1.join();
+
+  f1.reset();  // node 1 dies...
+  std::thread restart([&] { f1 = make_socket_fabric(c1); });
+  restart.join();  // ...and dials back in; node 0 has not accepted it yet
+  std::atomic<bool> sent{false};
+  std::thread sender([&] {
+    Message m;
+    m.type = 12;
+    m.dst = 1;
+    m.payload = {4, 2};
+    f0->send(std::move(m));
+    sent.store(true);
+  });
+  // Let the sender hit the dead link before the owner pumps at all.
+  ::usleep(50'000);
+  EXPECT_FALSE(sent.load()) << "a send to a dead link returned";
+  Stopwatch sw;
+  while (!sent.load() && sw.elapsed_ms() < 5000) f0->recv(10);
+  sender.join();
+  auto got = f1->recv(2000);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->type, 12);
+  EXPECT_EQ(got->payload, (std::vector<uint8_t>{4, 2}));
+  EXPECT_FALSE(f1->recv(50).has_value());
 }
 
 TEST(SocketFabric, WakeEventfdInterruptsBlockedRecv) {

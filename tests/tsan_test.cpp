@@ -70,13 +70,13 @@ TEST(TsanHappensBefore, WaitQueueUnparkFrontHandoff) {
   EXPECT_EQ(bad.load(), 0);
 }
 
-// Outbox path: on a transport that is not concurrent-send-safe (the socket
-// fabric), a worker's reply is flattened into the outbox under out_lock_
-// and the comm daemon drains it onto the wire.  The reply payload rides
-// that edge end to end.
-TEST(TsanHappensBefore, OutboxFlattenToCommDaemonDrain) {
+// Socket replies from any worker: a service thread on workers 1-3 writes
+// its reply straight to the socket, under the link's send lock, while the
+// comm daemon on worker 0 receives and sends on the same links.  The reply
+// payload rides that edge end to end.
+TEST(TsanHappensBefore, WorkerRepliesGoStraightToTheSocket) {
   AppConfig cfg = config_with_workers(2, 4);
-  cfg.socket_fabric = true;  // concurrent_send_safe() == false: replies defer
+  cfg.socket_fabric = true;
   std::atomic<int> bad{0};
   run_app(
       cfg,
@@ -92,6 +92,94 @@ TEST(TsanHappensBefore, OutboxFlattenToCommDaemonDrain) {
         rt.service("triple", [](RpcContext&, int v) -> int { return 3 * v; });
       });
   EXPECT_EQ(bad.load(), 0);
+}
+
+// Per-link order from any worker.  Several threads on node 0 send numbered
+// frames to node 1, alternating a madeleine channel message (with a region
+// borrowed from the sender's memory) and a call_async request, and yield
+// between sends so they are stolen across workers.  Node 1's comm daemon
+// delivers each sender's channel frames on arrival, so they must come
+// complete and in order; each request's service must find the channel
+// frame its sender sent just before it already delivered.
+constexpr int kOrderSenders = 6;
+constexpr int kOrderRounds = 40;
+constexpr size_t kOrderBlob = 3000;
+std::atomic<int> g_order_bad{0};
+// Channel frames delivered per sender (node 1's daemon writes them).
+std::atomic<int> g_order_delivered[kOrderSenders];
+
+uint8_t order_blob_byte(int s, int k, size_t i) {
+  return static_cast<uint8_t>(s * 31 + k + static_cast<int>(i));
+}
+
+// A migratable sender (spawn_local threads are pinned to their worker).
+void order_sender(void* arg) {
+  const int s = static_cast<int>(reinterpret_cast<intptr_t>(arg));
+  Runtime& rt = *Runtime::current();
+  mad::Channel& ch = *rt.channels().find("order");
+  std::vector<uint8_t> blob(kOrderBlob);
+  std::vector<RpcFuture<int>> replies;
+  for (int k = 0; k < kOrderRounds; ++k) {
+    for (size_t i = 0; i < kOrderBlob; ++i) blob[i] = order_blob_byte(s, k, i);
+    mad::PackBuffer pb;
+    pb.pack<int>(s);
+    pb.pack<int>(k);
+    pb.pack_bytes(blob.data(), blob.size(), mad::PackMode::kBorrow);
+    ch.send(1, std::move(pb));
+    marcel::Scheduler::current_scheduler()->yield();
+    replies.push_back(rt.call_async<int>(1, "after", s, k));
+    marcel::Scheduler::current_scheduler()->yield();
+  }
+  for (int k = 0; k < kOrderRounds; ++k) {
+    if (replies[k].take() != k) ++g_order_bad;
+  }
+}
+
+TEST(TsanHappensBefore, SendersOnAnyWorkerKeepPerLinkOrder) {
+  AppConfig cfg = config_with_workers(2, 4);
+  cfg.socket_fabric = true;
+  g_order_bad = 0;
+  for (auto& d : g_order_delivered) d = 0;
+  run_app(
+      cfg,
+      [](Runtime& rt) {
+        if (rt.self() == 0) {
+          std::vector<marcel::ThreadId> senders;
+          for (intptr_t s = 0; s < kOrderSenders; ++s)
+            senders.push_back(
+                rt.spawn(&order_sender, reinterpret_cast<void*>(s), "sender"));
+          for (auto id : senders) rt.join(id);
+        }
+        rt.barrier();
+      },
+      [](Runtime& rt) {
+        mad::Channel& ch = rt.channels().open("order");
+        if (rt.self() != 1) return;
+        ch.set_handler([](fabric::NodeId, mad::UnpackBuffer& ub) {
+          const int s = ub.unpack<int>();
+          const int k = ub.unpack<int>();
+          if (s < 0 || s >= kOrderSenders || k != g_order_delivered[s].load()) {
+            ++g_order_bad;
+            return;
+          }
+          std::vector<uint8_t> blob(kOrderBlob);
+          ub.unpack_bytes(blob.data(), blob.size());
+          for (size_t i = 0; i < kOrderBlob; ++i) {
+            if (blob[i] != order_blob_byte(s, k, i)) {
+              ++g_order_bad;
+              break;
+            }
+          }
+          g_order_delivered[s].store(k + 1, std::memory_order_release);
+        });
+        rt.service("after", [](RpcContext&, int s, int k) -> int {
+          if (g_order_delivered[s].load(std::memory_order_acquire) < k + 1)
+            ++g_order_bad;
+          return k;
+        });
+      });
+  EXPECT_EQ(g_order_bad.load(), 0);
+  for (auto& d : g_order_delivered) EXPECT_EQ(d.load(), kOrderRounds);
 }
 
 // Invocation pool: an exiting service thread parks its context on one
