@@ -59,40 +59,4 @@ void apply_plan(std::vector<pm2::Bitmap>& bitmaps, uint32_t requester,
       << "plan application left holes in the negotiated run";
 }
 
-std::vector<pm2::Bitmap> plan_defragmentation(
-    const std::vector<pm2::Bitmap>& bitmaps) {
-  PM2_CHECK(!bitmaps.empty());
-  const size_t n_slots = bitmaps[0].size();
-  const size_t n_nodes = bitmaps.size();
-
-  // Quotas: every node keeps exactly the free-slot count it brought in.
-  std::vector<size_t> quota(n_nodes);
-  for (size_t node = 0; node < n_nodes; ++node)
-    quota[node] = bitmaps[node].count();
-
-  pm2::Bitmap global = bitmaps[0];
-  for (size_t i = 1; i < n_nodes; ++i) global.or_with(bitmaps[i]);
-
-  // Deal the free set out in address order, one node at a time, so each
-  // node's quota lands in as few contiguous stretches as the immovable
-  // thread-owned holes allow.
-  std::vector<pm2::Bitmap> result;
-  result.reserve(n_nodes);
-  for (size_t node = 0; node < n_nodes; ++node)
-    result.emplace_back(n_slots);
-  size_t node = 0;
-  size_t given = 0;
-  for (size_t i = 0; i < n_slots && node < n_nodes; ++i) {
-    if (!global.test(i)) continue;
-    while (node < n_nodes && given == quota[node]) {
-      ++node;
-      given = 0;
-    }
-    if (node == n_nodes) break;
-    result[node].set(i);
-    ++given;
-  }
-  return result;
-}
-
 }  // namespace pm2::iso

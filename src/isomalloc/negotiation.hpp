@@ -13,8 +13,8 @@
 //   (f) exit the critical section         — pm2 runtime
 //
 // This file implements the *pure* parts (c)+(d) so they are unit- and
-// property-testable without any networking; src/pm2/negotiation_engine.*
-// wraps them in the message protocol.
+// property-testable without any networking; pm2::Negotiator
+// (src/pm2/negotiator.*) wraps them in the message protocol.
 #pragma once
 
 #include <cstdint>
@@ -55,19 +55,5 @@ std::optional<NegotiationPlan> plan_negotiation(
 /// contains the full run (so a local acquire succeeds).
 void apply_plan(std::vector<pm2::Bitmap>& bitmaps, uint32_t requester,
                 const NegotiationPlan& plan);
-
-/// Global defragmentation (paper §4.1: "Observe that nothing prevents the
-/// system from triggering at any point a global negotiation phase, where
-/// all nodes would simply exchange their (free) slots to maximize the
-/// contiguity").
-///
-/// Produces new bitmaps in which each node owns the same *number* of free
-/// slots as before, but packed into contiguous stretches: the global free
-/// set (the OR of all bitmaps; thread-owned slots stay where they are, as
-/// immovable holes) is swept in address order and dealt out to nodes in
-/// maximal contiguous chunks.  Pure function; the runtime wraps it in the
-/// same lock/gather/scatter protocol as a normal negotiation.
-std::vector<pm2::Bitmap> plan_defragmentation(
-    const std::vector<pm2::Bitmap>& bitmaps);
 
 }  // namespace pm2::iso

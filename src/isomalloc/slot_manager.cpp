@@ -108,23 +108,6 @@ std::optional<size_t> SlotManager::find_cached_run(size_t count) const {
   return std::nullopt;
 }
 
-void SlotManager::grant_slots(size_t first, size_t count) {
-  PM2_CHECK(bitmap_.none_set(first, count)) << "granted slots already owned";
-  bitmap_.set_range(first, count);
-  stats_.negotiated_slots += count;
-}
-
-void SlotManager::surrender_slots(size_t first, size_t count) {
-  PM2_CHECK(bitmap_.all_set(first, count)) << "surrendering slots not owned";
-  bitmap_.clear_range(first, count);
-  for (size_t i = first; i < first + count; ++i) {
-    if (cache_.erase(i) > 0) {
-      area_.decommit(i, 1);
-      ++stats_.decommits;
-    }
-  }
-}
-
 void SlotManager::set_bitmap(pm2::Bitmap bitmap) {
   PM2_CHECK(bitmap.size() == area_.n_slots());
   bitmap_ = std::move(bitmap);

@@ -8,9 +8,9 @@
 // which is how nodes end up owning slots they did not start with.
 //
 // Pure node-local component: no networking.  When a contiguous run cannot
-// be satisfied locally, acquire() returns nullopt and the caller (the PM2
-// runtime) launches the global negotiation (negotiation.hpp), updates the
-// bitmap through apply_purchase()/grant_slots(), and retries.
+// be satisfied locally, acquire() returns nullopt and the caller
+// (pm2::Negotiator) launches the global negotiation (negotiation.hpp),
+// adopts the resulting bitmap through set_bitmap(), and retries.
 //
 // Includes the paper's §6 optimization: a process-wide cache of committed
 // empty slots, saving the commit/decommit (mmap) round-trip on slot churn.
@@ -73,14 +73,6 @@ class SlotManager final : public SlotOps {
   /// (any width — multi-slot stack/heap runs are absorbed per slot, so
   /// run churn pays no commit/decommit mmap round trip either).
   void release(size_t first, size_t count) override;
-
-  /// Adopt slots bought for us during a negotiation: the bits become ours.
-  /// The slots are *not* committed (acquire() will do that when used).
-  void grant_slots(size_t first, size_t count);
-
-  /// Surrender slots sold to another node during a negotiation.  Any cached
-  /// commit is dropped.
-  void surrender_slots(size_t first, size_t count);
 
   /// Replace the whole bitmap (scatter step of the negotiation, paper
   /// §4.4 step e).  Reconciles the slot cache against lost ownership.

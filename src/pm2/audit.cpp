@@ -12,54 +12,55 @@ namespace pm2 {
 
 namespace {
 
-struct HeldRun {
-  uint64_t thread;
-  uint64_t first;
-  uint32_t count;
-  uint8_t demoted;  // run's bytes live in the node's slot store file
-};
-
-/// Inventory of slot runs held by the threads registered on one node —
-/// plus the invocation pool's parked service threads, which sit off the
-/// scheduler registry but still own their stack run.  Demoted threads are
-/// walked like any other (their slot headers stay resident): exactly-one-
-/// owner must keep covering runs whose bytes live in the store file.
-std::vector<HeldRun> local_inventory(Runtime& rt) {
-  std::vector<HeldRun> runs;
+/// This node's inventory; the caller has the other workers paused, so
+/// every registered thread's slot list and the deferred list hold still.
+/// Demoted threads are walked like any other (their slot headers stay
+/// resident): exactly-one-owner must keep covering runs whose bytes live in
+/// the store file.
+NodeInventory local_inventory(Runtime& rt) {
+  NodeInventory inv;
   auto add = [&](marcel::Thread* t) {
-    const uint8_t demoted = rt.thread_demoted(t) ? 1 : 0;
+    const bool demoted = rt.thread_demoted(t);
     iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
-      runs.push_back(HeldRun{t->id, rt.area().slot_of(s), s->nslots, demoted});
+      inv.held.push_back({t->id, rt.area().slot_of(s), s->nslots, demoted});
     });
   };
   rt.sched().for_each(add);
   rt.for_each_parked(add);
-  return runs;
+  inv.deferred = rt.negotiator().deferred_runs();
+  return inv;
 }
 
-void pack_inventory(ByteWriter& w, const std::vector<HeldRun>& runs) {
-  w.put<uint32_t>(static_cast<uint32_t>(runs.size()));
-  for (const HeldRun& r : runs) {
-    w.put<uint64_t>(r.thread);
-    w.put<uint64_t>(r.first);
-    w.put<uint32_t>(r.count);
-    w.put<uint8_t>(r.demoted);
+void pack_inventory(ByteWriter& w, const NodeInventory& inv) {
+  w.put<uint32_t>(static_cast<uint32_t>(inv.held.size()));
+  for (const NodeInventory::Held& h : inv.held) {
+    w.put<uint64_t>(h.thread);
+    w.put<uint64_t>(h.first);
+    w.put<uint32_t>(h.count);
+    w.put<uint8_t>(h.demoted ? 1 : 0);
+  }
+  w.put<uint32_t>(static_cast<uint32_t>(inv.deferred.size()));
+  for (auto [first, count] : inv.deferred) {
+    w.put<uint64_t>(first);
+    w.put<uint64_t>(count);
   }
 }
 
-std::vector<HeldRun> unpack_inventory(ByteReader& r) {
-  auto n = r.get<uint32_t>();
-  std::vector<HeldRun> runs;
-  runs.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    HeldRun run;
-    run.thread = r.get<uint64_t>();
-    run.first = r.get<uint64_t>();
-    run.count = r.get<uint32_t>();
-    run.demoted = r.get<uint8_t>();
-    runs.push_back(run);
+NodeInventory unpack_inventory(ByteReader& r) {
+  NodeInventory inv;
+  inv.held.resize(r.get<uint32_t>());
+  for (NodeInventory::Held& h : inv.held) {
+    h.thread = r.get<uint64_t>();
+    h.first = r.get<uint64_t>();
+    h.count = r.get<uint32_t>();
+    h.demoted = r.get<uint8_t>() != 0;
   }
-  return runs;
+  inv.deferred.resize(r.get<uint32_t>());
+  for (auto& [first, count] : inv.deferred) {
+    first = r.get<uint64_t>();
+    count = r.get<uint64_t>();
+  }
+  return inv;
 }
 
 }  // namespace
@@ -94,50 +95,30 @@ std::string AuditReport::summary() const {
   return os.str();
 }
 
-AuditReport audit_session(Runtime& rt) {
-  PM2_CHECK(marcel::Scheduler::self() != nullptr)
-      << "audit outside a PM2 thread";
+AuditReport check_ownership(std::vector<Bitmap> bitmaps,
+                            const std::vector<NodeInventory>& inventories) {
+  PM2_CHECK(!bitmaps.empty() && inventories.size() == bitmaps.size());
   AuditReport report;
-  report.total_slots = rt.area().n_slots();
-
-  // Same discipline as a negotiation: exclusive ownership of the bitmaps
-  // for the duration (gather freezes peers; the final scatter unfreezes).
-  rt.nego_mutex_.lock();
-  rt.slot_lock_.lock();
-  ++rt.bitmap_freeze_;
-  rt.slot_lock_.unlock();
-  rt.lock_system();
-
-  std::vector<Bitmap> bitmaps = rt.gather_all_bitmaps();
-
-  // Collect inventories: remote via kAuditReq, local inline.  Walking the
-  // local registry needs the other workers gated (their threads' slot
-  // lists mutate freely otherwise).
-  rt.sched().pause_workers();
-  std::vector<HeldRun> held = local_inventory(rt);
-  rt.sched().resume_workers();
-  for (uint32_t node = 0; node < rt.n_nodes(); ++node) {
-    if (node == rt.self()) continue;
-    std::vector<uint8_t> resp =
-        rt.await_control_reply(node, kAuditReq, "audit");
-    ByteReader r(resp);
-    for (HeldRun& run : unpack_inventory(r)) held.push_back(run);
-  }
-
-  // Release the peers (bitmaps unchanged) and the critical section before
-  // the pure checking below.
-  rt.scatter_bitmaps(bitmaps);  // by value copy retained for checks
-  rt.unlock_system();
-  rt.slot_lock_.lock();
-  --rt.bitmap_freeze_;
-  rt.slot_lock_.unlock();
-  rt.apply_deferred_releases();
-  rt.nego_mutex_.unlock();
-
-  // ---- pure checks ----------------------------------------------------------
+  report.total_slots = bitmaps[0].size();
   auto violate = [&](const std::string& what) {
     report.violations.push_back(what);
   };
+
+  // 0. A deferred release is its node's: it joins that node's bitmap,
+  //    unless a bitmap already holds the slot (a double release).
+  for (size_t i = 0; i < inventories.size(); ++i) {
+    for (auto [first, count] : inventories[i].deferred) {
+      for (size_t s = first; s < first + count; ++s) {
+        for (size_t j = 0; j < bitmaps.size(); ++j) {
+          if (bitmaps[j].test(s))
+            violate("slot " + std::to_string(s) + " released on node " +
+                    std::to_string(i) + " while owned by node " +
+                    std::to_string(j));
+        }
+        bitmaps[i].set(s);
+      }
+    }
+  }
 
   // 1. bitmaps pairwise disjoint.
   for (size_t i = 0; i < bitmaps.size(); ++i) {
@@ -154,25 +135,27 @@ AuditReport audit_session(Runtime& rt) {
   for (size_t i = 1; i < bitmaps.size(); ++i) global.or_with(bitmaps[i]);
   std::map<uint64_t, bool> threads;
   Bitmap held_map(report.total_slots);
-  for (const HeldRun& r : held) {
-    auto ins = threads.emplace(r.thread, r.demoted != 0);
-    // A thread's runs are either all resident or all demoted (demotion is
-    // whole-thread): a mix means a torn demotion record.
-    if (!ins.second && ins.first->second != (r.demoted != 0))
-      violate("thread " + std::to_string(r.thread) +
-              " mixes demoted and resident runs");
-    if (r.demoted != 0) {
-      report.demoted_slots += r.count;
-      if (ins.second) ++report.threads_demoted;
-    }
-    report.thread_owned += r.count;
-    for (uint64_t s = r.first; s < r.first + r.count; ++s) {
-      if (global.test(s))
-        violate("slot " + std::to_string(s) + " owned by both thread " +
-                std::to_string(r.thread) + " and a node bitmap");
-      if (held_map.test(s))
-        violate("slot " + std::to_string(s) + " held by two threads");
-      held_map.set(s);
+  for (const NodeInventory& inv : inventories) {
+    for (const NodeInventory::Held& r : inv.held) {
+      auto ins = threads.emplace(r.thread, r.demoted);
+      // A thread's runs are either all resident or all demoted (demotion
+      // is whole-thread): a mix means a torn demotion record.
+      if (!ins.second && ins.first->second != r.demoted)
+        violate("thread " + std::to_string(r.thread) +
+                " mixes demoted and resident runs");
+      if (r.demoted) {
+        report.demoted_slots += r.count;
+        if (ins.second) ++report.threads_demoted;
+      }
+      report.thread_owned += r.count;
+      for (uint64_t s = r.first; s < r.first + r.count; ++s) {
+        if (global.test(s))
+          violate("slot " + std::to_string(s) + " owned by both thread " +
+                  std::to_string(r.thread) + " and a node bitmap");
+        if (held_map.test(s))
+          violate("slot " + std::to_string(s) + " held by two threads");
+        held_map.set(s);
+      }
     }
   }
   report.threads_seen = threads.size();
@@ -183,6 +166,30 @@ AuditReport audit_session(Runtime& rt) {
 
   report.ok = report.violations.empty();
   return report;
+}
+
+AuditReport audit_session(Runtime& rt) {
+  // Same discipline as a negotiation: exclusive ownership of the bitmaps
+  // for the duration (gather freezes peers; the scatter, unchanged,
+  // unfreezes them).  The checks run after the critical section.
+  std::vector<Bitmap> bitmaps;
+  std::vector<NodeInventory> inventories(rt.n_nodes());
+  rt.negotiator().with_system_bitmaps([&](std::vector<Bitmap>& gathered) {
+    bitmaps = gathered;
+    // Walking the local registry needs the other workers gated (their
+    // threads' slot lists mutate freely otherwise).
+    rt.sched().pause_workers();
+    inventories[rt.self()] = local_inventory(rt);
+    rt.sched().resume_workers();
+    for (uint32_t node = 0; node < rt.n_nodes(); ++node) {
+      if (node == rt.self()) continue;
+      std::vector<uint8_t> resp =
+          rt.negotiator().await_reply(node, kAuditReq, "audit");
+      ByteReader r(resp);
+      inventories[node] = unpack_inventory(r);
+    }
+  });
+  return check_ownership(std::move(bitmaps), inventories);
 }
 
 }  // namespace pm2

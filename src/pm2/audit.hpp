@@ -8,13 +8,16 @@
 //
 // audit_session() proves the property for a live session: under the same
 // system-wide critical section the negotiation uses (so no ownership moves
-// mid-audit), it gathers every node's bitmap and every node's inventory of
-// thread-held slot runs, then checks:
+// mid-audit), it gathers every node's bitmap and every node's inventory —
+// the slot runs its threads hold, and the runs released there while its
+// bitmap was frozen (a thread that exits mid-audit leaves its stack run in
+// that deferred list until the freeze lifts; the run is the node's).  The
+// pure check_ownership() then verifies:
 //
-//   1. node bitmaps are pairwise disjoint;
+//   1. node bitmaps (deferred runs included) are pairwise disjoint, and no
+//      deferred run was already owned by a node;
 //   2. thread-held runs do not overlap each other or any bitmap;
-//   3. every slot is covered (owned by someone) — no leaks;
-//   4. per-node slot accounting matches the gathered inventory.
+//   3. every slot is covered (owned by someone) — no leaks.
 //
 // Used by stress tests as a final oracle and available to applications as
 // a debugging aid (expensive: O(nodes × slots), full lock).
@@ -22,7 +25,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/bitmap.hpp"
 
 namespace pm2 {
 
@@ -43,6 +49,24 @@ struct AuditReport {
 
   std::string summary() const;
 };
+
+/// One node's inventory: the slot runs held by its threads (registered or
+/// parked in the invocation pool), and its deferred releases.
+struct NodeInventory {
+  struct Held {
+    uint64_t thread = 0;
+    uint64_t first = 0;
+    uint32_t count = 0;
+    bool demoted = false;  // the run's bytes live in the node's slot store
+  };
+  std::vector<Held> held;
+  std::vector<std::pair<size_t, size_t>> deferred;  // (first, count)
+};
+
+/// The audit's checks over gathered state: `bitmaps[i]` and
+/// `inventories[i]` describe node i.  Pure, so tests feed it directly.
+AuditReport check_ownership(std::vector<Bitmap> bitmaps,
+                            const std::vector<NodeInventory>& inventories);
 
 /// Run the audit from any PM2 thread.  Locks the system-wide critical
 /// section for the duration.

@@ -110,12 +110,14 @@ Runtime::Runtime(const RuntimeConfig& config, iso::Area& area,
       fabric_(fabric::wrap_with_faults(
           std::move(fabric), fabric::FaultPlan::parse(config_.fault_plan))),
       sched_(config_.workers),
-      slot_mgr_(area, [&] {
-        iso::SlotManagerConfig sc = config.slots;
-        sc.node = config.node;
-        sc.n_nodes = config.n_nodes;
-        return sc;
-      }()),
+      nego_(area,
+            [&] {
+              iso::SlotManagerConfig sc = config.slots;
+              sc.node = config.node;
+              sc.n_nodes = config.n_nodes;
+              return sc;
+            }(),
+            config_.nego_prebuy_slots, *fabric_, sched_, pending_),
       load_table_(config.n_nodes, 0) {
   PM2_CHECK(fabric_ != nullptr);
   PM2_CHECK(fabric_->node_id() == config_.node &&
@@ -199,25 +201,17 @@ marcel::Thread* Runtime::create_thread_in_slots(marcel::EntryFn fn, void* arg,
                                                 const char* name,
                                                 uint32_t flags,
                                                 bool start_frozen) {
-  std::optional<size_t> first;
-  if (marcel::Scheduler::self() != nullptr) {
-    first = acquire_slots_negotiating(config_.stack_slots);
-  } else {
-    // Bootstrap (comm daemon / main, created before the scheduler runs):
-    // negotiation needs a running node, so the stack run must be locally
-    // available.  stack_slots == 1 always is; multi-slot stacks require a
-    // contiguity-friendly initial distribution.
-    slot_lock_.lock();
-    first = slot_mgr_.acquire(config_.stack_slots);
-    slot_lock_.unlock();
-    PM2_CHECK(first.has_value())
-        << "initial slot distribution cannot host a " << config_.stack_slots
-        << "-slot stack run locally; use block-cyclic/partitioned "
-           "distribution (or stack_slots=1) so bootstrap threads need no "
-           "negotiation";
-    (void)mig_cache_take(*first, config_.stack_slots);
-  }
-  PM2_CHECK(first.has_value()) << "out of iso-address slots for thread stack";
+  std::optional<size_t> first = slot_ops_.acquire(config_.stack_slots);
+  // Bootstrap threads (comm daemon, main) are created before the scheduler
+  // runs, when no negotiation is possible: their stack run must be local.
+  // stack_slots == 1 always is; multi-slot stacks require a
+  // contiguity-friendly initial distribution (block-cyclic, partitioned).
+  PM2_CHECK(first.has_value())
+      << "out of iso-address slots for a " << config_.stack_slots
+      << "-slot thread stack"
+      << (marcel::Scheduler::self() == nullptr
+              ? " (bootstrap threads cannot negotiate)"
+              : "");
 
   marcel::ThreadId id = next_thread_id();
   void* slot_base = area_.slot_addr(*first);
@@ -457,8 +451,8 @@ void Runtime::pool_decay(uint64_t now) {
     PoolShard& shard = *shard_ptr;
     // LIFO vector: park times are monotone per shard, the oldest entries
     // sit at the front (reuse pops from the back).  Collect the victims
-    // under the lock, release their slots outside it (release takes
-    // slot_lock_ and may decommit).
+    // under the lock, release their slots outside it (release takes the
+    // Negotiator's lock and may decommit).
     std::vector<marcel::Thread*> victims;
     shard.lock.lock();
     size_t n = 0;
@@ -761,37 +755,16 @@ void* Runtime::isomemalign(size_t align, size_t size) {
   return p;
 }
 
-std::optional<size_t> Runtime::acquire_slots_negotiating(size_t count) {
-  marcel::Thread* t = marcel::Scheduler::self();
-  slot_lock_.lock();
-  // Wait out any negotiation currently freezing the bitmap (only possible
-  // from a thread context; the comm daemon never acquires slots).  The
-  // park happens under slot_lock_ (embedded WaitQueue mode), so no
-  // unfreeze can slip between the test and the park.
-  while (bitmap_freeze_ > 0) {
-    PM2_CHECK(t != nullptr) << "slot acquire on frozen bitmap outside thread";
-    bitmap_wait_.park_current(slot_lock_);
-    slot_lock_.lock();
-  }
-  std::optional<size_t> s = slot_mgr_.acquire(count);
-  slot_lock_.unlock();
-  if (!s && config_.n_nodes > 1) s = negotiate(count);
+std::optional<size_t> Runtime::NegotiatingSlotOps::acquire(size_t count) {
+  std::optional<size_t> s = rt_.nego_.acquire(count);
   // Slots re-entering local ownership must leave the migration cache (the
   // cached commit is now owned by the new user; never decommit it later).
-  if (s) (void)mig_cache_take(*s, count);
+  if (s) (void)rt_.mig_cache_take(*s, count);
   return s;
 }
 
 bool Runtime::acquire_slots_at(size_t first, size_t count) {
-  marcel::Thread* t = marcel::Scheduler::self();
-  slot_lock_.lock();
-  while (bitmap_freeze_ > 0) {
-    PM2_CHECK(t != nullptr) << "slot acquire on frozen bitmap outside thread";
-    bitmap_wait_.park_current(slot_lock_);
-    slot_lock_.lock();
-  }
-  bool ok = slot_mgr_.acquire_at(first, count);
-  slot_lock_.unlock();
+  bool ok = nego_.acquire_at(first, count);
   if (ok) (void)mig_cache_take(first, count);
   return ok;
 }
@@ -800,17 +773,7 @@ void Runtime::release_slots(size_t first, size_t count) {
   // Back to the free distribution: the next thread to own the run writes
   // a fresh image (see SlotStore::forget).
   if (store_ != nullptr) store_->forget(first, count);
-  sys::SpinGuard g(slot_lock_);
-  if (bitmap_freeze_ > 0) {
-    // The bitmap is inside someone's system-wide critical section; the
-    // release mutates only *our* view, but the paper's rule is strict
-    // ("No other node is allowed to modify its slot bitmap within this
-    // section"), so defer it.  Thread-owned slots are invisible to the
-    // negotiation either way, hence no correctness impact.
-    deferred_releases_.emplace_back(first, count);
-    return;
-  }
-  slot_mgr_.release(first, count);
+  nego_.release(first, count);
 }
 
 // ---------------------------------------------------------------------------
@@ -1385,14 +1348,7 @@ void Runtime::mark_peer_down(uint32_t node) {
   if (bwaiter != nullptr) bwaiter->set();
   // Same for a thread waiting on the global system lock: the negotiation
   // protocol needs every participant, so the waiter aborts loudly.
-  marcel::Event* lwaiter = nullptr;
-  nego_lock_.lock();
-  if (lock_wait_ != nullptr) {
-    nego_peer_lost_ = true;
-    lwaiter = lock_wait_;
-  }
-  nego_lock_.unlock();
-  if (lwaiter != nullptr) lwaiter->set();
+  nego_.peer_lost();
 }
 
 // ---------------------------------------------------------------------------
@@ -1582,27 +1538,22 @@ void Runtime::handle_message(fabric::Message& msg) {
       handle_migrate(msg);
       break;
     case kLockReq:
-      handle_lock_req(msg.src);
+      nego_.on_lock_req(msg.src);
       break;
-    case kLockGrant: {
-      nego_lock_.lock();
-      marcel::Event* waiter = lock_wait_;
-      nego_lock_.unlock();
-      PM2_CHECK(waiter != nullptr) << "spurious lock grant";
-      waiter->set(/*direct_handoff=*/true);
+    case kLockGrant:
+      nego_.on_lock_grant();
       break;
-    }
     case kUnlock:
-      handle_unlock(msg.src);
+      nego_.on_unlock(msg.src);
       break;
     case kGatherReq:
-      handle_gather_req(msg);
+      nego_.on_gather_req(msg);
       break;
     case kAuditReq:
       handle_audit_req(msg);
       break;
     case kNegoUpdate:
-      handle_nego_update(msg);
+      nego_.on_nego_update(msg);
       break;
     case kLoadInfo: {
       ByteReader r(msg.flat());

@@ -6,15 +6,18 @@
 //   fabric     — messaging to the other nodes
 //
 // and implements the distributed pieces of the paper: remote thread
-// creation (LRPC), iso-address thread migration, the global slot
-// negotiation, barriers and shutdown.
+// creation (LRPC), iso-address thread migration, barriers and shutdown.
+// The slot bitmap and the global negotiation that changes it belong to one
+// part, the Negotiator (pm2/negotiator.hpp); the runtime wires its comm
+// daemon to it and adds what is its own around each slot acquire and
+// release (the migration slot cache, the slot store).
 //
 // Threading model: a node's PM2 threads run on RuntimeConfig::workers
 // scheduler kernel threads (1 = the original single-kernel-thread node).
 // The comm daemon is a PM2 daemon thread pinned to worker 0; it owns the
 // fabric's receive side and dispatches control messages inline.  Runtime
-// state that multiple workers touch on the hot path (services, slot
-// bitmap, invocation pool) is guarded by short sys::SpinLocks.  Every
+// state that multiple workers touch on the hot path (services, invocation
+// pool) is guarded by short sys::SpinLocks.  Every
 // worker sends on the fabric directly: the fabric serialises frames per
 // link, and a borrowed chain (a migrating thread's slots) goes to the wire
 // with no copy.
@@ -55,6 +58,7 @@
 #include "marcel/scheduler.hpp"
 #include "marcel/sync.hpp"
 #include "pm2/correlation.hpp"
+#include "pm2/negotiator.hpp"
 #include "pm2/protocol.hpp"
 #include "sys/spinlock.hpp"
 #include "sys/striped_map.hpp"
@@ -67,8 +71,6 @@ class FaultFabric;
 }
 
 class Runtime;
-struct AuditReport;
-AuditReport audit_session(Runtime& rt);
 
 /// Thrown by the blocking request paths (call / typed call<R> /
 /// RpcFuture::take) when the request cannot complete: the session halted
@@ -335,7 +337,9 @@ class Runtime {
   uint32_t n_nodes() const { return config_.n_nodes; }
 
   marcel::Scheduler& sched() { return sched_; }
-  iso::SlotManager& slots() { return slot_mgr_; }
+  iso::SlotManager& slots() { return nego_.slots(); }
+  /// The slot bitmap's owner: the system-wide critical section (audits).
+  Negotiator& negotiator() { return nego_; }
   /// Negotiation-aware slot provisioning (what thread heaps should use).
   iso::SlotOps& slot_ops() { return slot_ops_; }
   iso::Area& area() { return area_; }
@@ -576,11 +580,7 @@ class Runtime {
   void send_signal(uint32_t node);
   void wait_signals(uint64_t count);
 
-  // --- slot access with negotiation freeze (internal + tests) ---------------
-
-  /// Acquire slots for a thread, negotiating if needed.  Returns nullopt
-  /// only if the whole system lacks a contiguous run.
-  std::optional<size_t> acquire_slots_negotiating(size_t count);
+  // --- slot runs by position (checkpoint restore) --------------------------
 
   /// Release slots, deferring while a negotiation freezes the bitmap.
   void release_slots(size_t first, size_t count);
@@ -588,12 +588,6 @@ class Runtime {
   /// Claim a specific run (checkpoint restore), waiting out any bitmap
   /// freeze.  Returns false if any slot of the run is not free here.
   bool acquire_slots_at(size_t first, size_t count);
-
-  /// Global defragmentation (paper §4.1): under the system-wide critical
-  /// section, regroup every node's free slots into contiguous stretches
-  /// (ownership counts preserved; thread-owned slots do not move).  Any
-  /// thread of any node may call it.
-  void defragment();
 
   /// Paper-trace printf: prefixes "[node<i>] " (Fig. 8).
   void printf(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
@@ -618,7 +612,7 @@ class Runtime {
 
   HeapStats& heap_stats() { return heap_stats_; }
   uint64_t negotiations_initiated() const {
-    return negotiations_initiated_.load(std::memory_order_relaxed);
+    return nego_.negotiations_initiated();
   }
   uint64_t migrations_in() const {
     return migrations_in_.load(std::memory_order_relaxed);
@@ -755,7 +749,6 @@ class Runtime {
  private:
   friend class RpcContext;
   friend class MigrationEngine;
-  friend AuditReport audit_session(Runtime& rt);
 
   struct SpawnLocalCtx;
   struct RpcInvocation;
@@ -828,30 +821,7 @@ class Runtime {
   /// table, waking every thread blocked on a pending reply with an error
   /// instead of leaving it parked forever.
   void begin_halt();
-  void handle_lock_req(uint32_t from);
-  void handle_unlock(uint32_t from);
-  void handle_gather_req(fabric::Message& msg);
   void handle_audit_req(fabric::Message& msg);
-  void handle_nego_update(fabric::Message& msg);
-
-  /// Run one global negotiation for `run` contiguous slots (paper §4.4
-  /// steps a–f) and, still inside the system-wide critical section, acquire
-  /// the run for the calling thread.  Returns the first slot, or nullopt if
-  /// no run of that length exists anywhere.
-  std::optional<size_t> negotiate(size_t run);
-  /// Enter/leave the system-wide critical section (lock server: node 0).
-  void lock_system();
-  void unlock_system();
-  void apply_deferred_releases();
-  /// Send a `type` request to `node` and park until its reply (negotiation
-  /// gathers, audits).  CHECK-fails naming `what` when the session halted
-  /// or `node` was declared down first.
-  std::vector<uint8_t> await_control_reply(uint32_t node, MsgType type,
-                                           const char* what);
-  /// Step (b): collect every node's bitmap (must hold the system lock).
-  std::vector<Bitmap> gather_all_bitmaps();
-  /// Step (e): push updated bitmaps to the other nodes and adopt our own.
-  void scatter_bitmaps(std::vector<Bitmap> bitmaps);
 
   marcel::ThreadId next_thread_id();
   /// `start_frozen` hands the newborn back still frozen (spawn_copy
@@ -875,14 +845,13 @@ class Runtime {
   static void rpc_trampoline(void* ctx);
   static void daemon_trampoline(void* runtime);
 
-  /// ThreadHeap's view of the slot layer: acquire falls back to the global
-  /// negotiation; release defers while a negotiation froze the bitmap.
+  /// ThreadHeap's view of the slot layer: the Negotiator's acquire (which
+  /// falls back to the global negotiation) and release (deferred while a
+  /// negotiation froze the bitmap), plus the runtime's own bookkeeping.
   class NegotiatingSlotOps final : public iso::SlotOps {
    public:
     explicit NegotiatingSlotOps(Runtime& rt) : rt_(rt) {}
-    std::optional<size_t> acquire(size_t count) override {
-      return rt_.acquire_slots_negotiating(count);
-    }
+    std::optional<size_t> acquire(size_t count) override;
     void release(size_t first, size_t count) override {
       rt_.release_slots(first, count);
     }
@@ -900,7 +869,6 @@ class Runtime {
   // they arrive (MigrationPlacer, pm2/migration.hpp).
   std::unique_ptr<fabric::Placer> mig_placer_;
   marcel::Scheduler sched_;
-  iso::SlotManager slot_mgr_;
   NegotiatingSlotOps slot_ops_{*this};
   HeapStats heap_stats_;
 
@@ -925,6 +893,9 @@ class Runtime {
   // deadline heap and the late-reply rule.  Unbounded — this is what lets
   // one thread pipeline arbitrarily many call_async requests.
   CorrelationTable pending_;
+
+  // The slot bitmap, its freeze and the system-wide critical section.
+  Negotiator nego_;
 
   // Peer health, lock-free by design: the sweep on a down transition takes
   // the correlation table's lock (same rank as every other runtime map),
@@ -960,39 +931,6 @@ class Runtime {
   std::atomic<uint64_t> signals_received_{0};
   marcel::Semaphore signal_sem_{0};
 
-  // Negotiation state, under nego_lock_: lock-server fields (node 0 only)
-  // and this node's lock_wait_ event pointer.
-  sys::SpinLock nego_lock_{sys::LockRank::kRuntimeMaps};
-  bool lock_held_ PM2_GUARDED_BY(nego_lock_) = false;
-  uint32_t lock_owner_ PM2_GUARDED_BY(nego_lock_) = 0;
-  std::vector<uint32_t> lock_queue_ PM2_GUARDED_BY(nego_lock_);
-  // nego_mutex_ serializes this node's threads entering the system-wide
-  // critical section (the lock server tracks one outstanding request per
-  // node).
-  marcel::Mutex nego_mutex_;
-  marcel::Event* lock_wait_ PM2_GUARDED_BY(nego_lock_) = nullptr;
-  // Set by the peer-down sweep while a thread waits for the system lock:
-  // the global bitmap protocol cannot survive losing a participant, so the
-  // woken waiter aborts loudly instead of hanging.
-  bool nego_peer_lost_ PM2_GUARDED_BY(nego_lock_) = false;
-  // Slot-bitmap state, under slot_lock_: the SlotManager itself, the freeze
-  // depth (>0 between GatherReq and NegoUpdate of a remote negotiation and
-  // while this node runs its own), deferred releases, and the wait queue of
-  // threads parked until the freeze lifts (embedded mode: parked under
-  // slot_lock_ so no unfreeze can slip between test and park).
-  mutable sys::SpinLock slot_lock_{sys::LockRank::kRuntimeMaps};
-  int bitmap_freeze_ PM2_GUARDED_BY(slot_lock_) = 0;
-  // Between our reply to a remote gather and that initiator's update.
-  bool remote_gather_ PM2_GUARDED_BY(slot_lock_) = false;
-  // Embedded-mode WaitQueue: linked/popped under slot_lock_ (its own lock
-  // is bypassed), which static analysis cannot express — the dynamic
-  // lock-rank layer covers it.  slot_mgr_ (declared above) is likewise
-  // guarded by slot_lock_ but escapes through the slots() accessor for
-  // paused-worker audits, so it carries no GUARDED_BY either.
-  marcel::WaitQueue bitmap_wait_;
-  std::vector<std::pair<size_t, size_t>> deferred_releases_
-      PM2_GUARDED_BY(slot_lock_);
-  std::atomic<uint64_t> negotiations_initiated_{0};
   std::atomic<uint64_t> migrations_in_{0};
   std::atomic<uint64_t> migrations_out_{0};
 

@@ -121,6 +121,66 @@ TEST(Audit, CleanWithLiveAllocationsAcrossNodes) {
   EXPECT_TRUE(g_audit_ok.load());
 }
 
+// A thread that exits inside the audit's critical section releases its
+// stack run into the node's deferred list (the bitmap is frozen): neither
+// the gathered bitmap nor any thread holds that run, yet it is owned.
+TEST(Audit, CountsARunReleasedDuringTheAudit) {
+  g_audit_ok = true;
+  static std::atomic<bool> go{false};
+  go = false;
+  AppConfig cfg;
+  cfg.nodes = 2;
+  run_app(cfg, [&](Runtime& rt) {
+    if (rt.self() == 1) {
+      // Exits once the audit is under way: at one worker, when the
+      // auditor parks for the system lock.
+      auto leaver = [](void*) {
+        while (!go.load()) pm2_yield();
+      };
+      marcel::ThreadId t = pm2_thread_create(leaver, nullptr, "leaver");
+      go = true;
+      AuditReport report = audit_session(rt);
+      if (!report.ok) {
+        pm2_printf("%s\n", report.summary().c_str());
+        g_audit_ok = false;
+      }
+      rt.join(t);
+    }
+    rt.barrier();
+  });
+  EXPECT_TRUE(g_audit_ok.load());
+}
+
+TEST(Audit, CheckCountsDeferredRunsAsTheirNodes) {
+  // 16 slots: node 0 owns 0..5, node 1 owns 8..15, a thread on node 1
+  // holds 6, and node 0 released 7 while its bitmap was frozen.
+  std::vector<Bitmap> bitmaps(2, Bitmap(16));
+  bitmaps[0].set_range(0, 6);
+  bitmaps[1].set_range(8, 8);
+  std::vector<NodeInventory> inv(2);
+  inv[1].held.push_back({/*thread=*/42, /*first=*/6, /*count=*/1, false});
+  inv[0].deferred.emplace_back(7, 1);
+  AuditReport report = check_ownership(bitmaps, inv);
+  EXPECT_TRUE(report.ok) << report.summary();
+  EXPECT_EQ(report.node_owned, 15u);
+  EXPECT_EQ(report.thread_owned, 1u);
+
+  // Without the deferred run, slot 7 has no owner.
+  inv[0].deferred.clear();
+  report = check_ownership(bitmaps, inv);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.summary().find("coverage leak"), std::string::npos);
+
+  // A deferred run a bitmap already holds was released twice.
+  inv[0].deferred.emplace_back(7, 1);
+  inv[1].deferred.emplace_back(8, 1);
+  report = check_ownership(bitmaps, inv);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.summary().find("slot 8 released on node 1"),
+            std::string::npos)
+      << report.summary();
+}
+
 TEST(Audit, SummaryFormats) {
   AuditReport r;
   r.ok = false;

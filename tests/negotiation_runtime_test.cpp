@@ -266,5 +266,29 @@ TEST(NegotiationRuntime, RacingInitiatorsOnSocketsKeepOwnershipDisjoint) {
   EXPECT_GE(negotiations.load(), 2u * kRacers * kRaceRounds / 2);
 }
 
+// Pre-buy (paper §4.4): a negotiation that wins a longer run than asked
+// keeps the next multi-slot allocations local.
+TEST(Prebuy, ReducesSubsequentNegotiations) {
+  std::atomic<uint64_t> with{0}, without{0};
+  for (bool prebuy : {false, true}) {
+    AppConfig cfg;
+    cfg.nodes = 2;
+    cfg.rt.slots.distribution = iso::Distribution::kRoundRobin;
+    cfg.rt.nego_prebuy_slots = prebuy ? 32 : 0;
+    run_app(cfg, [&](Runtime& rt) {
+      if (rt.self() == 0) {
+        // 10 multi-slot allocations, kept alive (so each needs new slots).
+        std::vector<void*> hold;
+        for (int i = 0; i < 10; ++i) hold.push_back(rt.isomalloc(100 * 1024));
+        for (void* p : hold) rt.isofree(p);
+        (prebuy ? with : without) = rt.negotiations_initiated();
+      }
+      rt.barrier();
+    });
+  }
+  EXPECT_EQ(without.load(), 10u);  // one negotiation per allocation
+  EXPECT_LE(with.load(), 2u);      // the pre-bought stretch covers the rest
+}
+
 }  // namespace
 }  // namespace pm2

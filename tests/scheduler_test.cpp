@@ -263,6 +263,7 @@ struct SmpCtx {
   std::atomic<bool>* bad_worker;       // pinned thread saw a foreign worker
   std::atomic<bool>* done;             // churn threads spin until set
   std::atomic<int>* runs;              // rearm bodies executed
+  std::atomic<int>* left = nullptr;    // live mask threads; the last stops
 };
 
 /// Yield until this thread has been observed on two distinct workers (i.e.
@@ -279,33 +280,44 @@ void mask_entry(void* arg) {
     if (__builtin_popcount(mask) >= 2 && i >= 100) break;
     Scheduler::current_scheduler()->yield();
   }
+  if (ctx->left != nullptr && ctx->left->fetch_sub(1) == 1)
+    Scheduler::current_scheduler()->stop();
   exit_now();
 }
 
 TEST(SchedulerSmp, StealSpreadsImbalancedLoad) {
-  Pool pool;
-  Scheduler sched(4);
-  EXPECT_EQ(sched.workers(), 4u);
-  std::atomic<uint32_t> worker_mask{0};
-  SmpCtx ctx{&worker_mask, nullptr, nullptr, nullptr};
-  // All 32 threads enter worker 0's deque (created from bootstrap); the
-  // other three workers start empty and can only obtain work by stealing.
-  for (int i = 0; i < 32; ++i)
-    sched.create(pool.take(), kRegion, &mask_entry, &ctx,
-                 static_cast<ThreadId>(i + 1), "m");
-  sched.stop();
-  sched.run();
-  EXPECT_GE(__builtin_popcount(worker_mask.load()), 2)
-      << "no thread ever ran off worker 0";
-  auto stats = sched.worker_stats();
-  ASSERT_EQ(stats.size(), 4u);
-  uint64_t steals = 0, dispatches = 0;
-  for (const WorkerStats& s : stats) {
-    steals += s.steals;
-    dispatches += s.dispatches;
+  // Stopped up front, idle workers never park (the park predicate is true
+  // while a stop is requested): they spin on try_steal.  Stopped by the
+  // last thread, an idle worker parks and reaches the work through a
+  // surplus wake.
+  for (bool stop_up_front : {true, false}) {
+    SCOPED_TRACE(stop_up_front ? "stop() before run()" : "stop() at the end");
+    Pool pool;
+    Scheduler sched(4);
+    EXPECT_EQ(sched.workers(), 4u);
+    std::atomic<uint32_t> worker_mask{0};
+    std::atomic<int> left{32};
+    SmpCtx ctx{&worker_mask, nullptr, nullptr, nullptr,
+               stop_up_front ? nullptr : &left};
+    // All 32 threads enter worker 0's deque (created from bootstrap); the
+    // other three workers start empty and can only obtain work by stealing.
+    for (int i = 0; i < 32; ++i)
+      sched.create(pool.take(), kRegion, &mask_entry, &ctx,
+                   static_cast<ThreadId>(i + 1), "m");
+    if (stop_up_front) sched.stop();
+    sched.run();
+    EXPECT_GE(__builtin_popcount(worker_mask.load()), 2)
+        << "no thread ever ran off worker 0";
+    auto stats = sched.worker_stats();
+    ASSERT_EQ(stats.size(), 4u);
+    uint64_t steals = 0, dispatches = 0;
+    for (const WorkerStats& s : stats) {
+      steals += s.steals;
+      dispatches += s.dispatches;
+    }
+    EXPECT_GT(steals, 0u);
+    EXPECT_GE(dispatches, 32u);
   }
-  EXPECT_GT(steals, 0u);
-  EXPECT_GE(dispatches, 32u);
 }
 
 void pinned_entry(void* arg) {
