@@ -124,11 +124,11 @@ int main(int argc, char** argv) {
     demote_us = bench::time_us([&] {
       for (marcel::ThreadId id : ids) PM2_CHECK(rt.demote_thread(id));
     });
-    demoted_bytes = rt.demoted_bytes();
+    demoted_bytes = rt.residency().demoted_bytes();
     fault_us = bench::time_us([&] {
       for (marcel::ThreadId id : ids) PM2_CHECK(rt.unfreeze_thread(id));
     });
-    residual_bytes = rt.demoted_bytes();
+    residual_bytes = rt.residency().demoted_bytes();
     demotions = rt.demotions();
     fault_backs = rt.fault_backs();
 

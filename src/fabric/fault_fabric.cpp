@@ -129,11 +129,6 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
   return plan;
 }
 
-FaultPlan FaultPlan::from_env() {
-  const char* env = std::getenv("PM2_FAULT_PLAN");
-  return parse(env == nullptr ? std::string() : std::string(env));
-}
-
 FaultFabric::FaultFabric(std::unique_ptr<Fabric> inner, FaultPlan plan)
     : inner_(std::move(inner)),
       plan_(std::move(plan)),

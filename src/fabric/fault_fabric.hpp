@@ -83,9 +83,6 @@ struct FaultPlan {
   /// Parse the grammar above; PM2_CHECK-fails on malformed input (a chaos
   /// run with a silently-ignored plan is worse than a loud one).
   static FaultPlan parse(const std::string& spec);
-
-  /// Plan from the PM2_FAULT_PLAN env var; inactive plan when unset/empty.
-  static FaultPlan from_env();
 };
 
 /// Injection counters.  Every mutated frame increments exactly one of the

@@ -166,7 +166,6 @@ void SlotStore::forget(size_t first, size_t count) {
 void SlotStore::demote(size_t first, size_t count) {
   const uint64_t written = write_changed(first, count);
   area_.decommit_force(first, count, sys::page_size());
-  demotions_.fetch_add(1, std::memory_order_relaxed);
   bytes_out_.fetch_add(written, std::memory_order_relaxed);
 }
 
@@ -178,7 +177,6 @@ void SlotStore::fault_back(size_t first, size_t count) {
   const size_t len = count * area_.slot_size() - ps;
   pread_all(fd_, static_cast<char*>(area_.slot_addr(first)) + ps, len,
             file_off(first) + ps);
-  fault_backs_.fetch_add(1, std::memory_order_relaxed);
   bytes_in_.fetch_add(len, std::memory_order_relaxed);
 }
 
@@ -351,8 +349,6 @@ void SlotStore::sync(const std::vector<uint64_t>& seal) {
 
 SlotStoreStats SlotStore::stats() const {
   SlotStoreStats s;
-  s.demotions = demotions_.load(std::memory_order_relaxed);
-  s.fault_backs = fault_backs_.load(std::memory_order_relaxed);
   s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
   s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
   s.pages_compared = pages_compared_.load(std::memory_order_relaxed);

@@ -10,8 +10,8 @@
 //   * hot          — committed anonymous RAM, as always;
 //   * demoted      — run bytes written to a per-node backing file keyed by
 //                    slot index, and every page but the run's first
-//                    released (Area::decommit_force), so a cold frozen or
-//                    parked thread stops pinning physical memory.  The
+//                    released (Area::decommit_force), so a cold frozen
+//                    thread stops pinning physical memory.  The
 //                    first page holds the run's SlotHeader and, for a stack
 //                    run, the Thread descriptor and its canary: a demoted
 //                    thread's descriptor and slot chain stay readable;
@@ -132,8 +132,6 @@ struct StoreDirEntry {
 static_assert(sizeof(StoreDirEntry) == 128, "directory entries are packed");
 
 struct SlotStoreStats {
-  uint64_t demotions = 0;
-  uint64_t fault_backs = 0;
   uint64_t bytes_out = 0;  // written by demote() (changed pages only)
   uint64_t bytes_in = 0;   // read by fault_back()/read_run()
   uint64_t pages_compared = 0;  // imaged pages memcmp'd by write_changed()
@@ -175,9 +173,8 @@ class SlotStore {
   /// writing maximal stretches of pages that differ from the file (with a
   /// watch, only pages it saw written are compared).  Sets
   /// the run's image bits.  Unpoisons the run first: frozen stacks carry
-  /// redzone poison and parked pool stacks park poison; ASan checks the
-  /// compare and the pwrite source, and the file must never capture poison
-  /// as data.  Returns bytes written.
+  /// redzone poison; ASan checks the compare and the pwrite source, and the
+  /// file must never capture poison as data.  Returns bytes written.
   uint64_t write_changed(size_t first, size_t count);
 
   /// Read the run's bytes from the file into (already committed) memory.
@@ -239,12 +236,10 @@ class SlotStore {
   // checkpoint touching slots in the same word cannot lose a bit).
   std::unique_ptr<std::atomic<uint64_t>[]> imaged_;
   bool recovered_ = false;
-  // Directory scans/updates.  kLeaf: fault_back/record run under the
-  // runtime's store_lock_, so this lock must rank below every runtime map
-  // lock and may acquire nothing itself.
+  // Directory scans/updates.  kLeaf: fault_back runs under pm2::Residency's
+  // lock, so this lock must rank below every runtime map lock and may
+  // acquire nothing itself.
   mutable sys::SpinLock lock_{sys::LockRank::kLeaf};
-  std::atomic<uint64_t> demotions_{0};
-  std::atomic<uint64_t> fault_backs_{0};
   std::atomic<uint64_t> bytes_out_{0};
   std::atomic<uint64_t> bytes_in_{0};
   std::atomic<uint64_t> pages_compared_{0};

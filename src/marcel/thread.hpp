@@ -135,11 +135,10 @@ struct Thread {
   /// to that thread's fake-stack allocator, so a resume on a different
   /// worker (steal) must hand ASan null instead — same rule as migration.
   uint32_t san_worker = kNoWorker;
-  /// now_ns() when the thread last went cold (frozen by the scheduler or
-  /// parked in the invocation pool).  The slot store's decay pass ranks
-  /// demotion candidates by this stamp — coldest first.  Atomic (relaxed):
-  /// the decay prescan reads stamps of threads another worker may be
-  /// freezing or pool-parking at that instant; the value is advisory there
+  /// now_ns() when the scheduler last froze the thread.  pm2::Residency's
+  /// decay pass ranks demotion candidates by this stamp — coldest first.
+  /// Atomic (relaxed): the decay prescan reads stamps of threads another
+  /// worker may be freezing at that instant; the value is advisory there
   /// (the authoritative pass runs under pause_workers), only the load must
   /// not tear.
   std::atomic<uint64_t> cold_ns{0};

@@ -16,17 +16,17 @@ namespace {
 /// every registered thread's slot list and the deferred list hold still.
 /// Demoted threads are walked like any other (their slot headers stay
 /// resident): exactly-one-owner must keep covering runs whose bytes live in
-/// the store file.
+/// the store file.  Parked pool shells are never demoted.
 NodeInventory local_inventory(Runtime& rt) {
   NodeInventory inv;
-  auto add = [&](marcel::Thread* t) {
-    const bool demoted = rt.thread_demoted(t);
+  auto add = [&](marcel::Thread* t, bool demoted) {
     iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
       inv.held.push_back({t->id, rt.area().slot_of(s), s->nslots, demoted});
     });
   };
-  rt.sched().for_each(add);
-  rt.for_each_parked(add);
+  rt.sched().for_each(
+      [&](marcel::Thread* t) { add(t, rt.residency().demoted(t)); });
+  rt.pool().for_each([&](marcel::Thread* t) { add(t, false); });
   inv.deferred = rt.negotiator().deferred_runs();
   return inv;
 }

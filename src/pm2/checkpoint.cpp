@@ -69,7 +69,7 @@ std::vector<uint8_t> checkpoint_thread(Runtime& rt, marcel::ThreadId id) {
   PM2_CHECK(t != nullptr) << "checkpoint: no thread " << id << " here";
   // A demoted thread's stack and data pages (everything the pack walk
   // reads past the slot headers) live in the store file until faulted back.
-  rt.ensure_resident(t);
+  rt.residency().ensure_resident(t);
   PM2_CHECK(!t->is_pinned()) << "checkpoint: pinned thread";
   bool frozen = rt.sched().freeze(t);
   rt.sched().resume_workers();
@@ -167,7 +167,7 @@ StoreCheckpointStats checkpoint_node_to_store(Runtime& rt) {
   // and adopt() resets those on restore).
   std::vector<marcel::Thread*> targets;
   rt.sched().for_each([&](marcel::Thread* t) {
-    if (rt.thread_demoted(t)) {
+    if (rt.residency().demoted(t)) {
       iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
         stats.bytes_skipped += uint64_t{s->nslots} * slot_size;
       });
@@ -239,7 +239,7 @@ std::vector<marcel::ThreadId> restore_node_from_store(Runtime& rt) {
     // store; take that reservation if it exists, else re-claim the runs
     // from this node's distribution.  All or nothing: a partial claim is
     // rolled back and the thread skipped.
-    if (!rt.take_restore_reservation(rec.id)) {
+    if (!rt.residency().take_restore_reservation(rec.id)) {
       size_t claimed = 0;
       bool ok = true;
       for (auto [first, count] : rec.runs) {

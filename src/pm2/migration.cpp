@@ -205,7 +205,7 @@ void ship_thread(Runtime& rt, marcel::Thread* t, uint32_t dest,
   // bytes hot.  The thread's directory record — if a demotion or checkpoint
   // left one — no longer describes slots this node owns once the thread
   // ships, so a crash restart here must not resurrect it.
-  rt.ensure_resident(t);
+  rt.residency().ensure_resident(t);
   PM2_TRACE << "shipping thread " << t->id << " to node " << dest;
   iso::SlotStore* store = rt.slot_store();
   if (store != nullptr) store->erase_thread(t->id);

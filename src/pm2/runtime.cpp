@@ -15,7 +15,6 @@
 #include "common/time.hpp"
 #include "fabric/fault_fabric.hpp"
 #include "isomalloc/block.hpp"
-#include "pm2/checkpoint.hpp"
 #include "pm2/migration.hpp"
 #include "sys/sanitizer.hpp"
 
@@ -118,7 +117,11 @@ Runtime::Runtime(const RuntimeConfig& config, iso::Area& area,
               return sc;
             }(),
             config_.nego_prebuy_slots, *fabric_, sched_, pending_),
-      load_table_(config.n_nodes, 0) {
+      load_table_(config.n_nodes, 0),
+      pool_(config_.invocation_pool, config_.invocation_pool_decay_us,
+            config_.stack_slots, slot_ops_),
+      residency_(config_, area, watch, sched_, nego_,
+                 [this](marcel::ThreadId id) { ensure_thread_id_floor(id); }) {
   PM2_CHECK(fabric_ != nullptr);
   PM2_CHECK(fabric_->node_id() == config_.node &&
             fabric_->n_nodes() == config_.n_nodes)
@@ -130,58 +133,6 @@ Runtime::Runtime(const RuntimeConfig& config, iso::Area& area,
   // single pointer test.
   if (config_.heartbeat_period_ns > 0 && config_.n_nodes > 1)
     peers_ = std::make_unique<PeerHealth[]>(config_.n_nodes);
-  // Invocation-pool shards: one per scheduler worker, per-shard caps
-  // summing to exactly invocation_pool (reap-side spill makes the whole
-  // capacity reachable regardless of which workers do the reaping, and
-  // the configured bound stays hard — workers == 1 keeps the exact
-  // single-pool capacity).
-  uint32_t nw = sched_.workers();
-  pool_shards_.reserve(nw);
-  for (uint32_t i = 0; i < nw; ++i) {
-    auto shard = std::make_unique<PoolShard>();
-    shard->cap = config_.invocation_pool / nw +
-                 (i < config_.invocation_pool % nw ? 1 : 0);
-    pool_shards_.push_back(std::move(shard));
-  }
-  if (!config_.slot_store_dir.empty()) {
-    iso::SlotStoreConfig sc;
-    sc.path = config_.slot_store_dir + "/node" +
-              std::to_string(config_.node) + ".store";
-    sc.recover = config_.slot_store_recover;
-    store_ = std::make_unique<iso::SlotStore>(
-        area_, sc, binary_stamp(), config_.node, config_.n_nodes, watch);
-    if (store_->recovered()) {
-      // Fence off every recorded image before this node serves anything:
-      // a pending RPC racing the restart would otherwise allocate a
-      // service stack over a recorded thread's slots and make the restore
-      // impossible.  restore_node_from_store() takes these reservations
-      // instead of re-acquiring.
-      for (const auto& rec : store_->recorded_threads()) {
-        // Also fence the id space: a service thread spawned by that same
-        // racing RPC must not mint a recorded thread's id before the
-        // restore adopts it.
-        ensure_thread_id_floor(rec.id);
-        size_t claimed = 0;
-        bool ok = true;
-        for (auto [first, count] : rec.runs) {
-          if (!acquire_slots_at(first, count)) {
-            ok = false;
-            break;
-          }
-          ++claimed;
-        }
-        if (!ok) {
-          for (size_t i = 0; i < claimed; ++i) {
-            release_slots(rec.runs[i].first, rec.runs[i].second);
-          }
-          PM2_WARN << "recovered store: slot runs of thread " << rec.id
-                   << " are not locally free; left unreserved";
-          continue;
-        }
-        restore_reserved_.insert(rec.id);
-      }
-    }
-  }
 }
 
 Runtime::~Runtime() {
@@ -323,62 +274,20 @@ void Runtime::reap_thread(marcel::Thread* t) {
   // An exited thread's slots return to circulation, so a checkpoint record
   // naming them must not survive — a crash restart adopting it would claim
   // runs that may belong to someone else by then.
-  if (store_ != nullptr) store_->erase_thread(t->id);
+  if (iso::SlotStore* store = slot_store()) store->erase_thread(t->id);
   // Runs on the scheduler stack: the thread is off its stack for good.
   // Its frames never unwound, so their redzone poison is still in shadow;
   // scrub it before the slots are recycled (the slot cache hands released
   // runs back without another commit).
   sys::san_unpoison(t->stack_base, t->stack_size());
-  auto* head = static_cast<iso::SlotHeader*>(t->slot_list);
-  if (!halting() && (t->flags & marcel::Thread::kFlagService) != 0 &&
-      config_.invocation_pool > 0) {
-    // Invocation pool: park the service thread — heap chain trimmed back
-    // to the stack run — instead of releasing it.  The next dispatch
-    // re-arms it without the slot acquire / init_stack_slot round trip.
-    // The flag is cleared on migration install, so a foreign run never
-    // lands here; the width check guards heterogeneous stack_slots.
-    iso::SlotHeader* stack = iso::ThreadHeap::release_heap_runs(head, slot_ops_);
-    if (stack->nslots == config_.stack_slots) {
-      t->slot_list = stack;
-      // TSD hygiene: a recycled invocation must observe pristine keys, and
-      // the window starts at park, not at the next re-arm — audits and
-      // debuggers walking the pool see no stale cross-call values either.
-      std::memset(t->specific, 0, sizeof(t->specific));
-      // Poison the parked stack whole: any write through a pointer that
-      // outlived its invocation (classic use-after-return onto a recycled
-      // service stack) is now a hard ASan report instead of silent
-      // corruption of the next invocation.  rearm() lifts the poison.
-      sys::san_poison(t->stack_base, t->stack_size());
-      // Park into the reaping worker's own shard, spilling into peer
-      // shards when it is full: reaping concentrates on whichever worker
-      // the service threads ran on (often worker 0, next to the daemon),
-      // and without the spill that skew would cut effective pool capacity
-      // to one shard's share.  Only when *every* shard is full is the run
-      // released (total capacity stays exactly invocation_pool).
-      uint32_t me = marcel::Scheduler::current_worker();
-      if (me == marcel::kNoWorker || me >= pool_shards_.size()) me = 0;
-      bool parked = false;
-      // Demotion-age stamp (see store_decay).  Relaxed: the decay prescan
-      // may read it from another worker without a lock.
-      t->cold_ns.store(now_ns(), std::memory_order_relaxed);
-      for (size_t k = 0; k < pool_shards_.size() && !parked; ++k) {
-        PoolShard& shard = *pool_shards_[(me + k) % pool_shards_.size()];
-        shard.lock.lock();
-        if (shard.entries.size() < shard.cap) {
-          shard.entries.push_back(PoolEntry{t, now_ns()});
-          parked = true;
-        }
-        shard.lock.unlock();
-      }
-      if (parked) return;
-      sys::san_unpoison(t->stack_base, t->stack_size());
-    }
-    iso::ThreadHeap::release_chain(stack, slot_ops_);
+  if (!halting() && (t->flags & marcel::Thread::kFlagService) != 0) {
+    pool_.park(t);  // parks the shell, or releases its runs
     return;
   }
   // Release every slot run it owned to this node (paper Fig. 6 step 4 —
   // "the thread dies and its slots are acquired by the destination node").
-  iso::ThreadHeap::release_chain(head, slot_ops_);
+  iso::ThreadHeap::release_chain(static_cast<iso::SlotHeader*>(t->slot_list),
+                                 slot_ops_);
   // `t` itself lived inside the chain's stack slot: gone now.
 }
 
@@ -390,201 +299,23 @@ marcel::Thread* Runtime::spawn_service_thread(marcel::EntryFn fn, void* arg,
                                               const char* name,
                                               uint32_t flags) {
   flags |= marcel::Thread::kFlagService;
-  // Pop from our own shard first (uncontended in steady state), then scan
-  // the peers — a reply-heavy worker may drain faster than it reaps.
-  marcel::Thread* t = nullptr;
-  if (!pool_shards_.empty()) {
-    uint32_t me = marcel::Scheduler::current_worker();
-    if (me == marcel::kNoWorker || me >= pool_shards_.size()) me = 0;
-    uint32_t n = static_cast<uint32_t>(pool_shards_.size());
-    for (uint32_t k = 0; k < n && t == nullptr; ++k) {
-      PoolShard& shard = *pool_shards_[(me + k) % n];
-      shard.lock.lock();
-      if (!shard.entries.empty()) {
-        t = shard.entries.back().thread;
-        shard.entries.pop_back();
-      }
-      shard.lock.unlock();
-    }
-  }
-  if (t != nullptr) {
-    ++pool_hits_;
-    // A demoted parked thread must be byte-identical in RAM before rearm()
-    // rebuilds its context (rearm reads the descriptor and unpoisons the
-    // stack — both live in the demoted run).
-    ensure_resident(t);
-    marcel::ThreadId id = next_thread_id();
-    // The slot header's owner id is diagnostics; keep it in step with the
-    // recycled identity.
-    static_cast<iso::SlotHeader*>(t->slot_list)->owner_thread = id;
-    // Rearm frozen, publish after the descriptor is complete (same
-    // stealable-before-initialized hazard as create_thread_in_slots;
-    // unfreeze()'s release-store of kReady is the publication the
-    // stealing worker acquires before reading user_fn/user_arg).
-    sched_.rearm(t, &Runtime::thread_trampoline, t, id, name, flags,
-                 /*start_frozen=*/true);
-    t->user_fn = reinterpret_cast<void*>(fn);
-    t->user_arg = arg;
-    t->home_node = config_.node;
-    sched_.unfreeze(t);
-    return t;
-  }
-  ++pool_misses_;
-  return create_thread_in_slots(fn, arg, name, flags);
-}
-
-void Runtime::pool_release_entry(marcel::Thread* t) {
-  ++pool_evictions_;
-  // Releasing walks the slot chain, so a demoted entry comes back first.
-  ensure_resident(t);
-  // Lift the park poison: the slot run re-enters general circulation (heap
-  // slots, fresh stacks) and must be addressable for its next tenant.
-  sys::san_unpoison(t->stack_base, t->stack_size());
-  iso::ThreadHeap::release_chain(static_cast<iso::SlotHeader*>(t->slot_list),
-                                 slot_ops_);
-}
-
-void Runtime::pool_decay(uint64_t now) {
-  if (config_.invocation_pool_decay_us == 0) return;
-  uint64_t horizon = config_.invocation_pool_decay_us * 1000;
-  for (auto& shard_ptr : pool_shards_) {
-    PoolShard& shard = *shard_ptr;
-    // LIFO vector: park times are monotone per shard, the oldest entries
-    // sit at the front (reuse pops from the back).  Collect the victims
-    // under the lock, release their slots outside it (release takes the
-    // Negotiator's lock and may decommit).
-    std::vector<marcel::Thread*> victims;
-    shard.lock.lock();
-    size_t n = 0;
-    while (n < shard.entries.size() &&
-           now - shard.entries[n].parked_ns > horizon)
-      ++n;
-    if (n > 0) {
-      victims.reserve(n);
-      for (size_t i = 0; i < n; ++i)
-        victims.push_back(shard.entries[i].thread);
-      shard.entries.erase(shard.entries.begin(),
-                          shard.entries.begin() +
-                              static_cast<std::ptrdiff_t>(n));
-    }
-    shard.lock.unlock();
-    for (marcel::Thread* t : victims) pool_release_entry(t);
-  }
-}
-
-void Runtime::pool_drain() {
-  for (auto& shard_ptr : pool_shards_) {
-    PoolShard& shard = *shard_ptr;
-    std::vector<PoolEntry> drained;
-    shard.lock.lock();
-    drained.swap(shard.entries);
-    shard.lock.unlock();
-    for (const PoolEntry& e : drained) pool_release_entry(e.thread);
-  }
-}
-
-size_t Runtime::pool_size() const {
-  size_t n = 0;
-  for (const auto& shard_ptr : pool_shards_) {
-    sys::SpinGuard g(shard_ptr->lock);
-    n += shard_ptr->entries.size();
-  }
-  return n;
-}
-
-void Runtime::for_each_parked(
-    const std::function<void(marcel::Thread*)>& fn) const {
-  // Audit-time walk: callers pause the scheduler workers first, so holding
-  // each shard lock across the visit is uncontended and keeps the snapshot
-  // coherent.
-  for (const auto& shard_ptr : pool_shards_) {
-    sys::SpinGuard g(shard_ptr->lock);
-    for (const PoolEntry& e : shard_ptr->entries) fn(e.thread);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Slot store: buffer-managed slot residency
-// ---------------------------------------------------------------------------
-
-// Demotion keeps each run's first page resident (SlotStore::demote).  A
-// stack run's header, descriptor and canary all sit in that page (see
-// create_thread_in_slots and Scheduler::create), so a demoted thread's
-// descriptor and slot chain stay readable.
-static_assert(((sizeof(iso::SlotHeader) + 63) & ~size_t{63}) +
-                      ((sizeof(marcel::Thread) + 63) & ~size_t{63}) +
-                      sizeof(marcel::Thread::kCanary) <=
-                  4096,
-              "a stack run's descriptor and canary must fit its first page");
-
-bool Runtime::demote_locked(marcel::Thread* t, bool parked) {
-  std::vector<iso::SlotRun> runs;
-  size_t bytes = 0;
-  iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
-    runs.emplace_back(area_.slot_of(s), s->nslots);
-    bytes += size_t{s->nslots} * area_.slot_size();
-  });
-  marcel::ThreadId id = t->id;
-  // Frozen threads get a directory record too: their file image is a
-  // complete, current checkpoint (only node-local descriptor fields can
-  // change while demoted, and adopt() resets those), so a crash restart
-  // adopts them for free.  Parked pool shells are dead
-  // invocations — their bytes back the fault-back path only, never a
-  // restart.
-  if (!parked && store_->record_thread(id, reinterpret_cast<uint64_t>(t),
-                                       runs) == false) {
-    return false;  // too many runs for the directory: stays resident
-  }
-  if (runs.size() > iso::StoreDirEntry::kMaxRuns) return false;
-  for (const iso::SlotRun& r : runs) store_->demote(r.first, r.second);
-  if (!parked) store_->seal_thread(id);
-  store_lock_.lock();
-  demoted_.emplace(t, DemotedRec{bytes, parked});
-  store_lock_.unlock();
-  demoted_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  demotions_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void Runtime::ensure_resident(marcel::Thread* t) {
-  if (store_ == nullptr) return;
-  store_lock_.lock();
-  auto it = demoted_.find(t);
-  if (it == demoted_.end()) {
-    store_lock_.unlock();
-    return;
-  }
-  DemotedRec rec = it->second;
-  demoted_.erase(it);
-  // The fault-back I/O completes under the lock: a second resumer (or the
-  // audit walking inventories) must never observe the record gone while
-  // the bytes are still on their way in.
-  iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
-    store_->fault_back(area_.slot_of(s), s->nslots);
-  });
-  if (rec.parked) {
-    // Re-establish the park poison the demotion round trip scrubbed: a
-    // parked stack stays a use-after-return tripwire until rearm().
-    sys::san_poison(t->stack_base, t->stack_size());
-  }
-  store_lock_.unlock();
-  demoted_bytes_.fetch_sub(rec.bytes, std::memory_order_relaxed);
-  fault_backs_.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool Runtime::thread_demoted(marcel::ThreadId id) const {
-  marcel::Thread* t = sched_.find(id);
-  return t != nullptr && thread_demoted(t);
-}
-
-bool Runtime::thread_demoted(marcel::Thread* t) const {
-  sys::SpinGuard g(store_lock_);
-  return demoted_.count(t) != 0;
-}
-
-size_t Runtime::demoted_count() const {
-  sys::SpinGuard g(store_lock_);
-  return demoted_.size();
+  marcel::Thread* t = pool_.take();
+  if (t == nullptr) return create_thread_in_slots(fn, arg, name, flags);
+  marcel::ThreadId id = next_thread_id();
+  // The slot header's owner id is diagnostics; keep it in step with the
+  // recycled identity.
+  static_cast<iso::SlotHeader*>(t->slot_list)->owner_thread = id;
+  // Rearm frozen, publish after the descriptor is complete (same
+  // stealable-before-initialized hazard as create_thread_in_slots;
+  // unfreeze()'s release-store of kReady is the publication the
+  // stealing worker acquires before reading user_fn/user_arg).
+  sched_.rearm(t, &Runtime::thread_trampoline, t, id, name, flags,
+               /*start_frozen=*/true);
+  t->user_fn = reinterpret_cast<void*>(fn);
+  t->user_arg = arg;
+  t->home_node = config_.node;
+  sched_.unfreeze(t);
+  return t;
 }
 
 bool Runtime::freeze_thread(marcel::ThreadId id) {
@@ -600,85 +331,12 @@ bool Runtime::unfreeze_thread(marcel::ThreadId id) {
   marcel::Thread* t = sched_.find(id);
   bool ok = t != nullptr;
   if (ok) {
-    ensure_resident(t);
+    residency_.ensure_resident(t);
     ok = t->state == marcel::ThreadState::kFrozen;
     if (ok) sched_.unfreeze(t);
   }
   sched_.resume_workers();
   return ok;
-}
-
-bool Runtime::demote_thread(marcel::ThreadId id) {
-  if (store_ == nullptr) return false;
-  sched_.pause_workers();
-  marcel::Thread* t = sched_.find(id);
-  bool ok = t != nullptr && t->state == marcel::ThreadState::kFrozen &&
-            !thread_demoted(t);
-  if (ok) ok = demote_locked(t, /*parked=*/false);
-  sched_.resume_workers();
-  return ok;
-}
-
-void Runtime::store_decay(uint64_t now) {
-  if (store_ == nullptr || config_.slot_store_budget == SIZE_MAX) return;
-  const uint64_t horizon = config_.slot_store_decay_us * 1000;
-  // Cheap racy pre-scan (no pause): is any cold thread past the horizon
-  // and still resident?  Reads only age stamps, states and the demoted map.
-  bool candidates = false;
-  auto prescan = [&](marcel::Thread* t, bool parked) {
-    if (candidates || thread_demoted(t)) return;
-    // Registered threads must be frozen to qualify; parked pool shells
-    // (kDead) are cold by construction.
-    if (!parked && t->state != marcel::ThreadState::kFrozen) return;
-    if (now - t->cold_ns.load(std::memory_order_relaxed) >= horizon)
-      candidates = true;
-  };
-  sched_.for_each([&](marcel::Thread* t) { prescan(t, false); });
-  if (!candidates) {
-    for_each_parked([&](marcel::Thread* t) { prescan(t, true); });
-  }
-  if (!candidates) return;
-
-  // Authoritative pass under the worker pause: no unfreeze/re-arm/pack can
-  // race the page-out.
-  sched_.pause_workers();
-  struct Cand {
-    marcel::Thread* t;
-    uint64_t cold_ns;
-    bool parked;
-  };
-  std::vector<Cand> cold;
-  size_t resident_cold = 0;
-  auto consider = [&](marcel::Thread* t, bool parked) {
-    if (thread_demoted(t)) return;  // already paid for
-    if (!parked && t->state != marcel::ThreadState::kFrozen) return;
-    size_t bytes = 0;
-    iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
-      bytes += size_t{s->nslots} * area_.slot_size();
-    });
-    resident_cold += bytes;
-    cold.push_back(Cand{t, t->cold_ns.load(std::memory_order_relaxed), parked});
-  };
-  sched_.for_each([&](marcel::Thread* t) { consider(t, false); });
-  for_each_parked([&](marcel::Thread* t) { consider(t, true); });
-  // Coldest first: stable eviction order a test can pin down.
-  std::sort(cold.begin(), cold.end(),
-            [](const Cand& a, const Cand& b) { return a.cold_ns < b.cold_ns; });
-  for (const Cand& c : cold) {
-    if (resident_cold <= config_.slot_store_budget) break;
-    if (now - c.cold_ns < horizon) break;  // sorted: the rest are younger
-    size_t before = demoted_bytes_.load(std::memory_order_relaxed);
-    if (demote_locked(c.t, c.parked)) {
-      resident_cold -=
-          demoted_bytes_.load(std::memory_order_relaxed) - before;
-    }
-  }
-  sched_.resume_workers();
-}
-
-bool Runtime::take_restore_reservation(uint64_t id) {
-  sys::SpinGuard g(store_lock_);
-  return restore_reserved_.erase(id) != 0;
 }
 
 void Runtime::ensure_thread_id_floor(marcel::ThreadId id) {
@@ -772,7 +430,7 @@ bool Runtime::acquire_slots_at(size_t first, size_t count) {
 void Runtime::release_slots(size_t first, size_t count) {
   // Back to the free distribution: the next thread to own the run writes
   // a fresh image (see SlotStore::forget).
-  if (store_ != nullptr) store_->forget(first, count);
+  if (iso::SlotStore* store = slot_store()) store->forget(first, count);
   nego_.release(first, count);
 }
 
@@ -1415,9 +1073,9 @@ void Runtime::comm_daemon_body() {
     uint64_t now = now_ns();
     // Idle lap: evict invocation-pool threads past the decay horizon so
     // their stack slots rejoin the node's distribution, and demote cold
-    // frozen/parked threads over the slot-store budget to the backing file.
-    pool_decay(now);
-    store_decay(now);
+    // frozen threads over the slot-store budget to the backing file.
+    pool_.decay(now);
+    residency_.decay(now);
     uint64_t timer_ns = sched_.ns_until_next_timer();
     uint64_t deadline =
         now + std::min<uint64_t>(timer_ns, kIdleBlockNs);
@@ -1460,7 +1118,7 @@ void Runtime::comm_daemon_body() {
   // every peer in its blocking receive.
   if (auto* ff = fault_fabric()) ff->drain_delayed();
   // Session over: parked service threads must not leak their stack runs.
-  pool_drain();
+  pool_.drain();
   sched_.stop();
   thread_exit();
 }

@@ -7,17 +7,18 @@
 //
 // and implements the distributed pieces of the paper: remote thread
 // creation (LRPC), iso-address thread migration, barriers and shutdown.
-// The slot bitmap and the global negotiation that changes it belong to one
-// part, the Negotiator (pm2/negotiator.hpp); the runtime wires its comm
-// daemon to it and adds what is its own around each slot acquire and
-// release (the migration slot cache, the slot store).
+// Parts with one lock each own the rest: the Negotiator the slot bitmap
+// (pm2/negotiator.hpp), the InvocationPool the parked service threads
+// (pm2/invocation_pool.hpp), Residency the slot store and demotion
+// (pm2/residency.hpp).  The runtime wires them to its comm daemon and
+// thread lifecycle, and adds the migration slot cache.
 //
 // Threading model: a node's PM2 threads run on RuntimeConfig::workers
 // scheduler kernel threads (1 = the original single-kernel-thread node).
 // The comm daemon is a PM2 daemon thread pinned to worker 0; it owns the
 // fabric's receive side and dispatches control messages inline.  Runtime
-// state that multiple workers touch on the hot path (services, invocation
-// pool) is guarded by short sys::SpinLocks.  Every
+// state that multiple workers touch on the hot path (services, the
+// invocation freelist) is guarded by short sys::SpinLocks.  Every
 // worker sends on the fabric directly: the fabric serialises frames per
 // link, and a borrowed chain (a migrating thread's slots) goes to the wire
 // with no copy.
@@ -40,8 +41,6 @@
 #include <string>
 #include <tuple>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -51,15 +50,16 @@
 #include "isomalloc/area.hpp"
 #include "isomalloc/heap.hpp"
 #include "isomalloc/slot_manager.hpp"
-#include "isomalloc/slot_store.hpp"
 #include "madeleine/buffers.hpp"
 #include "madeleine/channel.hpp"
 #include "madeleine/typed.hpp"
 #include "marcel/scheduler.hpp"
 #include "marcel/sync.hpp"
 #include "pm2/correlation.hpp"
+#include "pm2/invocation_pool.hpp"
 #include "pm2/negotiator.hpp"
 #include "pm2/protocol.hpp"
+#include "pm2/residency.hpp"
 #include "sys/spinlock.hpp"
 #include "sys/striped_map.hpp"
 #include "sys/thread_safety.hpp"
@@ -246,12 +246,10 @@ struct RuntimeConfig {
   /// many extra contiguous slots beyond the request, so the next multi-slot
   /// allocations are satisfied locally.  0 disables.
   size_t nego_prebuy_slots = 0;
-  /// Invocation pool: exited service threads park (descriptor +
-  /// initialized stack + owned slot run, heap chain trimmed) instead of
-  /// releasing, and the next service dispatch re-arms a parked thread —
-  /// the RPC hot path becomes a context reset + ready push, no slot
-  /// acquire / init_stack_slot / descriptor build.  Value = max parked
-  /// threads per node; 0 disables (every invocation builds a thread).
+  /// Invocation pool (pm2/invocation_pool.hpp): exited service threads
+  /// park instead of releasing, and the next service dispatch re-arms a
+  /// parked one.  Value = max parked threads per node, in one list; 0
+  /// disables (every invocation builds a thread).
   /// Sized to absorb a deep pipelining window (bench_rpc sweeps to 64
   /// outstanding) — idle decay returns the slots afterwards.
   size_t invocation_pool = 64;
@@ -267,16 +265,17 @@ struct RuntimeConfig {
   /// file ("" disables the store entirely — no demotion, no
   /// checkpoint_node_to_store, no crash restart).
   std::string slot_store_dir;
-  /// Resident-byte budget for *cold* threads (frozen + parked): when their
-  /// committed slot bytes exceed this, the comm daemon's idle decay
-  /// demotes the coldest ones to the backing file until back under budget.
+  /// Resident-byte budget for *frozen* threads: when their committed slot
+  /// bytes exceed this, the comm daemon's idle decay demotes the coldest
+  /// ones to the backing file until back under budget.  Parked
+  /// invocation-pool shells are never demoted (invocation_pool bounds
+  /// them).
   /// SIZE_MAX (default) never demotes by decay — explicit demote_thread()
   /// and the checkpoint/restart paths still work.  A demoted thread keeps
   /// the first page of each slot run resident (slot header, descriptor);
   /// those pages do not count against the budget.
   size_t slot_store_budget = SIZE_MAX;
-  /// Only cold threads idle at least this long are demotion candidates
-  /// (mirrors invocation_pool_decay_us for the pool itself).
+  /// Only threads frozen at least this long are demotion candidates.
   uint64_t slot_store_decay_us = 500'000;
   /// Re-open an existing store file and validate its header instead of
   /// truncating it — the crash-restart path (restore_node_from_store then
@@ -621,28 +620,13 @@ class Runtime {
     return migrations_out_.load(std::memory_order_relaxed);
   }
 
-  // --- invocation pool -------------------------------------------------------
+  // --- invocation pool (see RuntimeConfig::invocation_pool) ------------------
 
-  /// Service dispatches served by re-arming a parked thread.
-  uint64_t pool_hits() const {
-    return pool_hits_.load(std::memory_order_relaxed);
-  }
-  /// Service dispatches that had to build a thread (cold path).
-  uint64_t pool_misses() const {
-    return pool_misses_.load(std::memory_order_relaxed);
-  }
-  /// Parked threads released without reuse (idle decay + halt drain).
-  uint64_t pool_evictions() const {
-    return pool_evictions_.load(std::memory_order_relaxed);
-  }
-  /// Currently parked service threads (all shards).
-  size_t pool_size() const;
-  /// Visit every parked thread (audit: parked threads still own their
-  /// stack run while off the scheduler registry).
-  void for_each_parked(const std::function<void(marcel::Thread*)>& fn) const;
-  /// Evict parked threads idle past the decay horizon (comm daemon calls
-  /// this on idle laps; exposed for tests).
-  void pool_decay(uint64_t now);
+  InvocationPool& pool() { return pool_; }
+  uint64_t pool_hits() const { return pool_.hits(); }
+  uint64_t pool_misses() const { return pool_.misses(); }
+  uint64_t pool_evictions() const { return pool_.evictions(); }
+
   /// Load metric used by the balancer: runnable, non-daemon threads.
   uint64_t load() const;
 
@@ -689,11 +673,13 @@ class Runtime {
     return migration_rollbacks_.load(std::memory_order_relaxed);
   }
 
-  // --- slot store (buffer-managed residency + persistence) -------------------
+  // --- slot store (see RuntimeConfig::slot_store_dir) ------------------------
 
-  /// The node's slot store, or nullptr when RuntimeConfig::slot_store_dir
-  /// is empty.
-  iso::SlotStore* slot_store() { return store_.get(); }
+  Residency& residency() { return residency_; }
+  iso::SlotStore* slot_store() { return residency_.store(); }
+  bool demote_thread(marcel::ThreadId id) { return residency_.demote(id); }
+  uint64_t demotions() const { return residency_.demotions(); }
+  uint64_t fault_backs() const { return residency_.fault_backs(); }
 
   /// Freeze a READY thread of this node (pause-gated, so it works at any
   /// worker count) — the runtime-level companion of unfreeze_thread().
@@ -701,50 +687,10 @@ class Runtime {
   /// Fault a frozen thread's runs back in if demoted, then reschedule it.
   /// Demotion-aware code must use this instead of sched().unfreeze().
   bool unfreeze_thread(marcel::ThreadId id);
-  /// Demote a frozen thread's slot runs to the backing file right now,
-  /// bypassing the decay age/budget policy (tests, bench).  False when the
-  /// thread is unknown, not frozen, already demoted, or spans too many
-  /// runs for the store directory.
-  bool demote_thread(marcel::ThreadId id);
-  /// The choke point every resume path funnels through (unfreeze, pool
-  /// re-arm, migration pack, checkpoint, pool release): if `t` was
-  /// demoted, fault back the pages of every run of its slot chain —
-  /// re-applying park poison for pool entries — and drop the demotion
-  /// record.  No-op for resident threads.  A demoted thread's descriptor
-  /// and slot headers stay readable (each run keeps its first page), so
-  /// only its data and stack bytes wait for this call.
-  void ensure_resident(marcel::Thread* t);
-  /// Decay pass (comm daemon idle laps, beside pool_decay): demote cold
-  /// threads past slot_store_decay_us, coldest first, until resident cold
-  /// bytes fit slot_store_budget.  Exposed for tests.
-  void store_decay(uint64_t now);
-
-  /// Is the registered thread `id` demoted?
-  bool thread_demoted(marcel::ThreadId id) const;
-  /// Is `t` (registered or parked) demoted?  One lookup under store_lock_.
-  bool thread_demoted(marcel::Thread* t) const;
-  size_t demoted_count() const;
-  size_t demoted_bytes() const {
-    return demoted_bytes_.load(std::memory_order_relaxed);
-  }
-  uint64_t demotions() const {
-    return demotions_.load(std::memory_order_relaxed);
-  }
-  uint64_t fault_backs() const {
-    return fault_backs_.load(std::memory_order_relaxed);
-  }
 
   /// Keep next_thread_id() ahead of an id this node minted in a previous
   /// incarnation (checkpoint restore adopts pre-crash ids).
   void ensure_thread_id_floor(marcel::ThreadId id);
-
-  /// When the store recovered, construction pre-acquires every recorded
-  /// thread's slot runs out of the node's free distribution, so traffic
-  /// served before restore_node_from_store() (a pending RPC racing the
-  /// restart) cannot allocate over a recorded image.  Returns true exactly
-  /// once per recorded thread whose runs were reserved; the caller
-  /// (restore) then owns the runs and must not acquire them again.
-  bool take_restore_reservation(uint64_t id);
 
  private:
   friend class RpcContext;
@@ -831,14 +777,10 @@ class Runtime {
                                          bool start_frozen = false);
   void reap_thread(marcel::Thread* t);
 
-  /// Service-thread factory: pop + re-arm a parked pool thread (hot path:
-  /// no slot acquire, no init_stack_slot) or fall back to a full build.
+  /// Service-thread factory: re-arm a parked pool shell (hot path: no
+  /// slot acquire, no init_stack_slot) or fall back to a full build.
   marcel::Thread* spawn_service_thread(marcel::EntryFn fn, void* arg,
                                        const char* name, uint32_t flags);
-  /// Release a parked thread's slot run back to the node.
-  void pool_release_entry(marcel::Thread* t);
-  /// Drain the whole pool (daemon exit at halt: no leak, slots released).
-  void pool_drain();
 
   static void thread_trampoline(void* descriptor);
   static void local_trampoline(void* ctx);
@@ -949,50 +891,8 @@ class Runtime {
   std::deque<MigCacheEntry> mig_cache_
       PM2_GUARDED_BY(mig_cache_lock_);  // front = oldest
 
-  // Invocation pool: parked service threads, LIFO (the most recently
-  // parked stack is the cache-warmest).  Entries are off the scheduler
-  // registry but still own their stack slot run (see for_each_parked).
-  // One shard per scheduler worker: a reaping/dispatching worker works its
-  // own shard lock-locally-contended, overflowing to peers — so pipelined
-  // RPC across workers does not serialize on one pool lock.
-  struct PoolEntry {
-    marcel::Thread* thread;
-    uint64_t parked_ns;
-  };
-  struct alignas(64) PoolShard {
-    mutable sys::SpinLock lock{sys::LockRank::kInvocationPool};
-    std::vector<PoolEntry> entries PM2_GUARDED_BY(lock);
-    size_t cap = 0;  // per-shard park capacity, set once at startup; shard
-                     // caps sum to config_.invocation_pool exactly
-  };
-  std::vector<std::unique_ptr<PoolShard>> pool_shards_;
-  std::atomic<uint64_t> pool_hits_{0};
-  std::atomic<uint64_t> pool_misses_{0};
-  std::atomic<uint64_t> pool_evictions_{0};
-
-  // Slot store: demoted-thread map under store_lock_, keyed by descriptor.
-  // The runs themselves come from the thread's slot chain, whose headers
-  // stay resident.  Demotion only happens with the workers paused
-  // (store_decay / demote_thread), and fault-back I/O completes under
-  // store_lock_, so no caller can resume a thread whose bytes are still in
-  // flight.
-  struct DemotedRec {
-    size_t bytes = 0;
-    bool parked = false;  // invocation-pool entry: re-poison on fault-back
-  };
-  /// Demote `t` (must be cold and resident; workers paused).  False when
-  /// the thread spans more runs than the store directory can record.
-  bool demote_locked(marcel::Thread* t, bool parked);
-  std::unique_ptr<iso::SlotStore> store_;
-  mutable sys::SpinLock store_lock_{sys::LockRank::kRuntimeMaps};
-  std::unordered_map<marcel::Thread*, DemotedRec> demoted_
-      PM2_GUARDED_BY(store_lock_);
-  // Thread ids whose recorded runs were pre-acquired at construction from
-  // a recovered store (see take_restore_reservation).
-  std::unordered_set<uint64_t> restore_reserved_ PM2_GUARDED_BY(store_lock_);
-  std::atomic<uint64_t> demotions_{0};
-  std::atomic<uint64_t> fault_backs_{0};
-  std::atomic<size_t> demoted_bytes_{0};
+  InvocationPool pool_;
+  Residency residency_;
 
   // Recycled RpcInvocation boxes (one per in-flight dispatch): the hot
   // path swaps a pointer instead of paying a heap round trip per call.

@@ -73,10 +73,10 @@ inline void cpu_relax() {
 ///     underneath (kSyncCondVar > kSyncState); the woken waiter's requeue
 ///     is lock-free (Chase-Lev deque / MPSC inbox), so nothing ranks
 ///     below it on that path anymore.
-///   * Runtime::for_each_parked holds a pool shard while the store-decay /
-///     audit callbacks take store_lock_ (kInvocationPool > kRuntimeMaps).
-///   * Runtime's store paths hold store_lock_ while the slot store scans
-///     its directory (kRuntimeMaps > kLeaf).
+///   * Residency holds its lock while the slot store faults runs back and
+///     scans its directory (kRuntimeMaps > kLeaf).
+///   * The invocation pool's list and the RPC invocation freelist nest
+///     nothing: no lock is taken under either, nor either under another.
 /// Same-rank acquisition is refused; peers of equal rank may only be taken
 /// with try_lock, which cannot deadlock and is therefore exempt from the
 /// order check.
@@ -91,7 +91,7 @@ enum class LockRank : uint8_t {
   kSyncState = 0x30,       // Mutex/Semaphore/Barrier/Event/RwLock/WaitQueue
   kSyncCondVar = 0x34,     // CondVar state (runs Mutex::unlock underneath)
   kRuntimeMaps = 0x40,     // runtime tables: pending/services/slots/store/...
-  kInvocationPool = 0x48,  // pool shards + freelist (walk into store_lock_)
+  kInvocationPool = 0x48,  // pool list + invocation freelist
 };
 
 #if PM2_LOCK_CHECKS
@@ -99,8 +99,8 @@ enum class LockRank : uint8_t {
 namespace lockrank {
 
 /// Per-kernel-thread record of held SpinLocks.  Fixed capacity: the deepest
-/// legal chain today is three (pool shard -> runtime map -> leaf); eight
-/// leaves headroom for tests and future layers.
+/// legal chain today is two (runtime map -> leaf); eight leaves headroom
+/// for tests and future layers.
 struct HeldStack {
   static constexpr int kMax = 8;
   const void* lock[kMax];

@@ -99,7 +99,7 @@ TEST(LockCheck, EqualRankLockFails) {
 
 TEST(LockCheck, TryLockIsExemptFromOrder) {
   // try_lock cannot deadlock, so rank order does not apply — equal-rank
-  // peers (registry stripes, pool shards) may be probed this way.  The
+  // peers (registry stripes) may be probed this way.  The
   // ready deques that once relied on this for stealing are lock-free now.
   // A successful try_lock still joins the held stack (unlock bookkeeping
   // must balance).

@@ -1,8 +1,9 @@
-// Demoted threads stay readable: SlotStore::demote keeps each slot run's
-// first page (slot header; descriptor and canary for the stack run)
-// resident, so code that walks registered threads — the load balancer's
-// round, join, the audit inventory, checkpoint pass 1 — reads a demoted
-// thread like any other frozen one.
+// pm2::Residency.  Demoted threads stay readable: SlotStore::demote keeps
+// each slot run's first page (slot header; descriptor and canary for the
+// stack run) resident, so code that walks registered threads — the load
+// balancer's round, join, the audit inventory, checkpoint pass 1 — reads a
+// demoted thread like any other frozen one.  Only frozen threads are
+// demoted: a parked invocation-pool shell stays resident and poisoned.
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
@@ -14,6 +15,8 @@
 
 #include "common/check.hpp"
 #include "common/time.hpp"
+#include "fabric/inproc.hpp"
+#include "isomalloc/area.hpp"
 #include "isomalloc/heap.hpp"
 #include "isomalloc/slot_store.hpp"
 #include "pm2/api.hpp"
@@ -22,6 +25,7 @@
 #include "pm2/checkpoint.hpp"
 #include "pm2/load_balancer.hpp"
 #include "pm2/runtime.hpp"
+#include "sys/sanitizer.hpp"
 #include "sys/vm.hpp"
 
 namespace pm2 {
@@ -79,7 +83,7 @@ std::vector<marcel::ThreadId> spawn_demoted(Runtime& rt, int n) {
   while (g_ready.load() < n) pm2_yield();
   for (marcel::ThreadId id : ids) {
     PM2_CHECK(rt.freeze_thread(id));
-    PM2_CHECK(rt.demote_thread(id));
+    PM2_CHECK(rt.residency().demote(id));
   }
   return ids;
 }
@@ -110,7 +114,7 @@ TEST(Residency, BalancerRoundOverDemotedThreads) {
     auto status = LoadBalancer::start(rt, lb);
     while (status->rounds.load() < 5) pm2_yield();
     EXPECT_EQ(rt.migrations_out(), 0u);
-    EXPECT_EQ(rt.demoted_count(), static_cast<size_t>(kThreads));
+    EXPECT_EQ(rt.residency().demoted_count(), static_cast<size_t>(kThreads));
     release_all(rt, ids);
   });
   EXPECT_EQ(g_done.load(), kThreads);
@@ -187,7 +191,7 @@ TEST(Residency, AuditAndCheckpointCoverDemotedThreads) {
       EXPECT_EQ(runs.size(), 2u);  // stack run + heap run
       for (auto [first, count] : runs) slots += count;
       ASSERT_TRUE(rt.freeze_thread(id));
-      ASSERT_TRUE(rt.demote_thread(id));
+      ASSERT_TRUE(rt.residency().demote(id));
       // The same runs, read back from the demoted thread's chain.
       EXPECT_EQ(runs_of(rt, id), runs);
     }
@@ -201,7 +205,7 @@ TEST(Residency, AuditAndCheckpointCoverDemotedThreads) {
     EXPECT_EQ(ckpt.threads, static_cast<uint64_t>(kThreads));
     EXPECT_EQ(ckpt.bytes_written, 0u);
     EXPECT_EQ(ckpt.bytes_skipped, slots * rt.area().slot_size());
-    EXPECT_EQ(rt.demoted_count(), static_cast<size_t>(kThreads));
+    EXPECT_EQ(rt.residency().demoted_count(), static_cast<size_t>(kThreads));
     release_all(rt, ids);
   });
   EXPECT_EQ(g_done.load(), kThreads);
@@ -218,7 +222,7 @@ TEST(Residency, DemotionKeepsOnlyEachRunsFirstPage) {
     while (g_ready.load() < 1) pm2_yield();
     std::vector<iso::SlotRun> runs = runs_of(rt, id);
     ASSERT_TRUE(rt.freeze_thread(id));
-    ASSERT_TRUE(rt.demote_thread(id));
+    ASSERT_TRUE(rt.residency().demote(id));
     const uintptr_t ps = sys::page_size();
     size_t kept = 0, dropped = 0;
     for (auto [first, count] : runs) {
@@ -238,6 +242,53 @@ TEST(Residency, DemotionKeepsOnlyEachRunsFirstPage) {
   });
   EXPECT_EQ(g_done.load(), 1);
   EXPECT_TRUE(g_ok.load());
+}
+
+// The decay pass at budget 0 and horizon 0 would page out every frozen
+// byte, yet it leaves a parked service shell alone: the shell stays
+// resident and parked, and its stack keeps the park poison, so a stray
+// write into the recycled stack still dies under ASan.
+void decay_over_parked_shell() {
+  iso::AreaConfig ac;
+  ac.base = iso::offset_area_base(13);
+  ac.size = 64ull << 20;
+  iso::Area area(ac);
+  auto hub = std::make_shared<fabric::InProcHub>(1);
+  RuntimeConfig rc;
+  rc.node = 0;
+  rc.n_nodes = 1;
+  rc.slot_store_dir = make_store_dir();
+  rc.slot_store_budget = 0;
+  rc.slot_store_decay_us = 0;
+  Runtime rt(rc, area, hub->endpoint(0));
+  rt.service("inc", [](RpcContext&, int v) -> int { return v + 1; });
+  rt.run([] {
+    Runtime& self = *Runtime::current();
+    PM2_CHECK(self.call<int>(0, "inc", 1) == 2);
+    const size_t parked_shells = self.pool().size();
+    PM2_CHECK(parked_shells > 0);
+    marcel::Thread* parked = nullptr;
+    self.pool().for_each([&](marcel::Thread* t) { parked = t; });
+    self.residency().decay(now_ns());
+    PM2_CHECK(self.residency().demoted_count() == 0);
+    PM2_CHECK(self.pool().size() == parked_shells);
+    // The invocation ran on the top of the stack: that page is still in.
+    auto top = reinterpret_cast<uintptr_t>(parked->stack_base) +
+               parked->stack_size() - 1;
+    PM2_CHECK(page_resident(top)) << "parked stack was paged out";
+    auto* into = static_cast<volatile char*>(parked->stack_base) + 2048;
+    *into = 42;  // use-after-return onto a parked service stack
+    self.halt();
+  });
+}
+
+TEST(Residency, DecayLeavesParkedShellResidentAndPoisoned) {
+  if constexpr (sys::kAsan) {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(decay_over_parked_shell(), "use-after-poison");
+  } else {
+    decay_over_parked_shell();
+  }
 }
 
 }  // namespace

@@ -31,8 +31,8 @@ std::atomic<bool> g_ok{true};
 void register_pool_stats(Runtime& rt) {
   rt.service("pool-stats", [](RpcContext&) -> std::vector<uint64_t> {
     Runtime& self = *Runtime::current();
-    return {self.pool_hits(), self.pool_misses(), self.pool_evictions(),
-            self.pool_size()};
+    return {self.pool().hits(), self.pool().misses(), self.pool().evictions(),
+            self.pool().size()};
   });
 }
 
@@ -58,9 +58,9 @@ TEST(InvocationPool, SequentialCallsReuseOneThread) {
       [&](Runtime& rt) {
         for (int i = 0; i < 10; ++i)
           ASSERT_EQ(rt.call<int>(0, "inc", i), i + 1);
-        g_hits = rt.pool_hits();
-        g_misses = rt.pool_misses();
-        g_pool_size = rt.pool_size();
+        g_hits = rt.pool().hits();
+        g_misses = rt.pool().misses();
+        g_pool_size = rt.pool().size();
       },
       [](Runtime& rt) {
         rt.service("inc", [](RpcContext&, int v) -> int { return v + 1; });
@@ -73,12 +73,13 @@ TEST(InvocationPool, SequentialCallsReuseOneThread) {
 // Pipelined burst wider than the pool bound: every concurrent invocation
 // beyond the parked supply takes the cold build path, all complete, and
 // at most `invocation_pool` threads park afterwards — the rest release
-// their slot runs immediately.
-TEST(InvocationPool, BurstBeyondPoolSizeFallsBackAndStaysBounded) {
+// their slot runs immediately.  `workers` 0 takes the suite's worker count.
+void burst_beyond_pool_size(uint32_t workers) {
   g_hits = 0;
   g_misses = 0;
   AppConfig cfg;
   cfg.nodes = 1;
+  cfg.rt.workers = workers;
   cfg.rt.invocation_pool = 2;
   run_app(
       cfg,
@@ -95,21 +96,31 @@ TEST(InvocationPool, BurstBeyondPoolSizeFallsBackAndStaysBounded) {
         // a legitimate pool hit — the scheduling-independent invariants
         // are the accounting and that the first dispatch found an empty
         // pool.
-        EXPECT_EQ(rt.pool_misses() + rt.pool_hits(), 8u);
-        EXPECT_GE(rt.pool_misses(), 1u);
-        EXPECT_LE(rt.pool_size(), 2u);
+        EXPECT_EQ(rt.pool().misses() + rt.pool().hits(), 8u);
+        EXPECT_GE(rt.pool().misses(), 1u);
+        EXPECT_LE(rt.pool().size(), 2u);
         // Sequential follow-ups are pool-served.
-        uint64_t hits_before = rt.pool_hits();
+        uint64_t hits_before = rt.pool().hits();
         EXPECT_EQ(rt.call<int>(0, "inc", 41), 42);
         EXPECT_EQ(rt.call<int>(0, "inc", 42), 43);
-        g_hits = rt.pool_hits() - hits_before;
-        g_pool_size = rt.pool_size();
+        g_hits = rt.pool().hits() - hits_before;
+        g_pool_size = rt.pool().size();
       },
       [](Runtime& rt) {
         rt.service("inc", [](RpcContext&, int v) -> int { return v + 1; });
       });
   EXPECT_EQ(g_hits.load(), 2u);
   EXPECT_LE(g_pool_size.load(), 2u);
+}
+
+TEST(InvocationPool, BurstBeyondPoolSizeFallsBackAndStaysBounded) {
+  burst_beyond_pool_size(0);
+}
+
+// The same burst with four workers reaping and parking at once: the one
+// list's cap holds however the invocations spread over the workers.
+TEST(InvocationPool, BurstBeyondPoolSizeStaysBoundedAtFourWorkers) {
+  burst_beyond_pool_size(4);
 }
 
 // Disabling the pool turns every dispatch into a cold build.
@@ -121,9 +132,9 @@ TEST(InvocationPool, DisabledPoolNeverParks) {
       cfg,
       [&](Runtime& rt) {
         for (int i = 0; i < 5; ++i) ASSERT_EQ(rt.call<int>(0, "inc", i), i + 1);
-        g_hits = rt.pool_hits();
-        g_misses = rt.pool_misses();
-        g_pool_size = rt.pool_size();
+        g_hits = rt.pool().hits();
+        g_misses = rt.pool().misses();
+        g_pool_size = rt.pool().size();
       },
       [](Runtime& rt) {
         rt.service("inc", [](RpcContext&, int v) -> int { return v + 1; });
@@ -151,12 +162,12 @@ TEST(InvocationPool, HaltReleasesParkedThreadSlots) {
   rt.run([&] {
     Runtime& self = *Runtime::current();
     for (int i = 0; i < 4; ++i) EXPECT_EQ(self.call<int>(0, "inc", i), i + 1);
-    parked = self.pool_size();
+    parked = self.pool().size();
     self.halt();
   });
   EXPECT_GT(parked.load(), 0u);
-  EXPECT_EQ(rt.pool_size(), 0u);
-  EXPECT_GE(rt.pool_evictions(), parked.load());
+  EXPECT_EQ(rt.pool().size(), 0u);
+  EXPECT_GE(rt.pool().evictions(), parked.load());
   // Main, daemon and every service stack released: the node owns the
   // whole area again.
   EXPECT_EQ(rt.slots().owned_free_slots(), area.n_slots());
@@ -174,13 +185,13 @@ TEST(InvocationPool, IdleDecayEvictsParkedThreads) {
       cfg,
       [&](Runtime& rt) {
         ASSERT_EQ(rt.call<int>(0, "inc", 1), 2);
-        EXPECT_EQ(rt.pool_size(), 1u);
+        EXPECT_EQ(rt.pool().size(), 1u);
         // Two sleeps: the daemon re-enters its idle path between them and
         // finds the parked thread aged past the horizon.
         pm2_sleep_us(20'000);
         pm2_sleep_us(20'000);
-        g_evictions = rt.pool_evictions();
-        g_pool_size = rt.pool_size();
+        g_evictions = rt.pool().evictions();
+        g_pool_size = rt.pool().size();
       },
       [](Runtime& rt) {
         rt.service("inc", [](RpcContext&, int v) -> int { return v + 1; });
@@ -214,8 +225,8 @@ TEST(InvocationPool, MigratedServiceThreadIsEvictedNotPooled) {
         EXPECT_EQ(stats[0], 0u);  // hits: nothing ever parked before this
         EXPECT_EQ(stats[1], 4u);  // misses: 3 roam + this pool-stats call
         // Node 0 received the migrants but must not have parked them.
-        EXPECT_EQ(rt.pool_size(), 0u);
-        EXPECT_EQ(rt.pool_hits() + rt.pool_misses(), 0u);
+        EXPECT_EQ(rt.pool().size(), 0u);
+        EXPECT_EQ(rt.pool().hits() + rt.pool().misses(), 0u);
         // Global exactly-one-owner invariant: nothing leaked, nothing
         // double-released (covers the parked pool-stats thread too).
         AuditReport report = audit_session(rt);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 
 #include "fabric/fault_fabric.hpp"
@@ -21,7 +22,12 @@ namespace {
 
 std::atomic<int> g_fanout_done{0};
 
-bool chaos_mode() { return fabric::FaultPlan::from_env().active(); }
+// The chaos leg arms its plan through the environment, which the runtime
+// reads only inside run_app; the skips below must decide before that.
+bool chaos_mode() {
+  const char* plan = std::getenv("PM2_FAULT_PLAN");
+  return plan != nullptr && fabric::FaultPlan::parse(plan).active();
+}
 
 // Retry a typed call until it succeeds; anything but a timeout is a real
 // failure.  Safe only for idempotent services — a retry can re-execute the

@@ -127,7 +127,7 @@ TEST(SanitizerPool, RecycledStackRunsDeepFrames) {
         int expect = deep_sum(16, /*roam=*/false);
         for (int i = 0; i < 8; ++i)
           ASSERT_EQ(rt.call<int>(0, "deep", 0), expect);
-        hits = rt.pool_hits();
+        hits = rt.pool().hits();
       },
       [](Runtime& rt) {
         rt.service("deep", [](RpcContext&, int) -> int {
@@ -154,7 +154,7 @@ TEST(SanitizerPool, KeysResetAndDestructorsRunAcrossRearm) {
       nodes_config(1),
       [&](Runtime& rt) {
         for (int i = 0; i < 6; ++i) ASSERT_EQ(rt.call<int>(0, "tsd", i), i);
-        hits = rt.pool_hits();
+        hits = rt.pool().hits();
       },
       [](Runtime& rt) {
         rt.service("tsd", [](RpcContext&, int v) -> int {
@@ -228,8 +228,8 @@ void scribble_on_parked_stack() {
   rt.run([] {
     Runtime& self = *Runtime::current();
     ASSERT_EQ(self.call<int>(0, "inc", 1), 2);
-    ASSERT_GT(self.pool_size(), 0u);
-    self.for_each_parked([](marcel::Thread* t) {
+    ASSERT_GT(self.pool().size(), 0u);
+    self.pool().for_each([](marcel::Thread* t) {
       auto* into = static_cast<volatile char*>(t->stack_base) + 2048;
       *into = 42;  // use-after-return onto a recycled service stack
     });

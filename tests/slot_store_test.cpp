@@ -1,8 +1,7 @@
 // SlotStore residency tiering: freeze -> demote -> (unfreeze | migrate),
 // budget-driven eviction order, capacity beyond the resident budget,
-// header/stamp validation on recovery, ASan poison round trips through the
-// store file, audit coverage of demoted runs, and node checkpoints that
-// write only the pages differing from the store file.
+// header/stamp validation on recovery, audit coverage of demoted runs, and
+// node checkpoints that write only the pages differing from the store file.
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
@@ -17,7 +16,6 @@
 
 #include "common/check.hpp"
 #include "common/time.hpp"
-#include "fabric/inproc.hpp"
 #include "isomalloc/area.hpp"
 #include "isomalloc/slot_store.hpp"
 #include "pm2/api.hpp"
@@ -25,7 +23,6 @@
 #include "pm2/audit.hpp"
 #include "pm2/checkpoint.hpp"
 #include "pm2/runtime.hpp"
-#include "sys/sanitizer.hpp"
 #include "sys/vm.hpp"
 
 namespace pm2 {
@@ -97,20 +94,20 @@ TEST(SlotStore, TierCycleFreezeDemoteUnfreeze) {
     EXPECT_TRUE(page_resident(stack_probe));
 
     ASSERT_TRUE(rt.freeze_thread(id));
-    ASSERT_TRUE(rt.demote_thread(id));
-    EXPECT_TRUE(rt.thread_demoted(id));
-    EXPECT_EQ(rt.demoted_count(), 1u);
-    EXPECT_EQ(rt.demotions(), 1u);
-    EXPECT_GT(rt.demoted_bytes(), 0u);
+    ASSERT_TRUE(rt.residency().demote(id));
+    EXPECT_TRUE(rt.residency().demoted(id));
+    EXPECT_EQ(rt.residency().demoted_count(), 1u);
+    EXPECT_EQ(rt.residency().demotions(), 1u);
+    EXPECT_GT(rt.residency().demoted_bytes(), 0u);
     // Pages are really gone, not just bookkept: the store file is the only
     // copy of the thread now.
     EXPECT_FALSE(page_resident(stack_probe));
     EXPECT_TRUE(rt.slot_store()->has_record(id));
 
     ASSERT_TRUE(rt.unfreeze_thread(id));
-    EXPECT_EQ(rt.fault_backs(), 1u);
-    EXPECT_FALSE(rt.thread_demoted(id));
-    EXPECT_EQ(rt.demoted_count(), 0u);
+    EXPECT_EQ(rt.residency().fault_backs(), 1u);
+    EXPECT_FALSE(rt.residency().demoted(id));
+    EXPECT_EQ(rt.residency().demoted_count(), 0u);
     EXPECT_TRUE(page_resident(stack_probe));
     g_phase = 2;
     pm2_wait_signals(1);
@@ -145,13 +142,13 @@ TEST(SlotStore, FreezeDemoteMigrateFaultsBackOnPack) {
     marcel::ThreadId id = pm2_thread_create(roam_worker, nullptr, "roam");
     while (g_phase.load() < 1) pm2_yield();
     ASSERT_TRUE(rt.freeze_thread(id));
-    ASSERT_TRUE(rt.demote_thread(id));
-    EXPECT_TRUE(rt.thread_demoted(id));
+    ASSERT_TRUE(rt.residency().demote(id));
+    EXPECT_TRUE(rt.residency().demoted(id));
     ASSERT_TRUE(rt.migrate(id, 1));
     // The slots left this node: the demotion record went with them.
-    EXPECT_EQ(rt.demoted_count(), 0u);
+    EXPECT_EQ(rt.residency().demoted_count(), 0u);
     EXPECT_FALSE(rt.slot_store()->has_record(id));
-    EXPECT_GE(rt.fault_backs(), 1u);
+    EXPECT_GE(rt.residency().fault_backs(), 1u);
     pm2_wait_signals(1);
   });
   EXPECT_TRUE(g_ok.load());
@@ -195,15 +192,15 @@ TEST(SlotStore, OverBudgetEvictionIsColdestFirst) {
       ASSERT_TRUE(rt.freeze_thread(ids[i]));
       pm2_sleep_us(2000);
     }
-    rt.store_decay(now_ns());
+    rt.residency().decay(now_ns());
     // Budget fits exactly one stack slot: the two coldest page out, the
     // youngest stays resident.
-    EXPECT_TRUE(rt.thread_demoted(ids[0]));
-    EXPECT_TRUE(rt.thread_demoted(ids[1]));
-    EXPECT_FALSE(rt.thread_demoted(ids[2]));
-    EXPECT_EQ(rt.demoted_count(), 2u);
+    EXPECT_TRUE(rt.residency().demoted(ids[0]));
+    EXPECT_TRUE(rt.residency().demoted(ids[1]));
+    EXPECT_FALSE(rt.residency().demoted(ids[2]));
+    EXPECT_EQ(rt.residency().demoted_count(), 2u);
     for (int i = 0; i < 3; ++i) ASSERT_TRUE(rt.unfreeze_thread(ids[i]));
-    EXPECT_EQ(rt.demoted_count(), 0u);
+    EXPECT_EQ(rt.residency().demoted_count(), 0u);
     g_phase = 1;
     pm2_wait_signals(3);
     EXPECT_EQ(g_done.load(), 3);
@@ -236,14 +233,14 @@ TEST(SlotStore, HostsFourTimesMoreFrozenThanBudget) {
     }
     while (g_built.load() < kThreads) pm2_yield();
     for (int i = 0; i < kThreads; ++i) ASSERT_TRUE(rt.freeze_thread(ids[i]));
-    rt.store_decay(now_ns());
+    rt.residency().decay(now_ns());
     // 8 frozen threads, at most 2 slots resident: >= 6 demoted to the file.
-    EXPECT_GE(rt.demoted_count(), static_cast<size_t>(kThreads - 2));
-    EXPECT_GE(rt.demoted_bytes(),
+    EXPECT_GE(rt.residency().demoted_count(), static_cast<size_t>(kThreads - 2));
+    EXPECT_GE(rt.residency().demoted_bytes(),
               static_cast<size_t>(kThreads - 2) * rt.area().slot_size());
     for (int i = 0; i < kThreads; ++i) ASSERT_TRUE(rt.unfreeze_thread(ids[i]));
-    EXPECT_EQ(rt.demoted_count(), 0u);
-    EXPECT_GE(rt.fault_backs(), static_cast<uint64_t>(kThreads - 2));
+    EXPECT_EQ(rt.residency().demoted_count(), 0u);
+    EXPECT_GE(rt.residency().fault_backs(), static_cast<uint64_t>(kThreads - 2));
     g_phase = 1;
     pm2_wait_signals(kThreads);
     EXPECT_EQ(g_done.load(), kThreads);
@@ -333,53 +330,6 @@ TEST(SlotStore, RecoveryRefusesSessionShapeMismatch) {
       "different node/session shape");
 }
 
-// --- ASan poison round trip through the store -------------------------------
-
-// A parked invocation-pool stack is poisoned.  Demoting it unpoisons (the
-// bytes must be readable for the file write and the pages vanish anyway);
-// faulting it back must re-poison, so a stray write into the recycled
-// stack is still caught.
-void parked_demote_roundtrip() {
-  iso::AreaConfig ac;
-  ac.base = iso::offset_area_base(13);
-  ac.size = 64ull << 20;
-  iso::Area area(ac);
-  auto hub = std::make_shared<fabric::InProcHub>(1);
-  RuntimeConfig rc;
-  rc.node = 0;
-  rc.n_nodes = 1;
-  rc.slot_store_dir = make_store_dir();
-  rc.slot_store_budget = 0;     // every cold byte pages out
-  rc.slot_store_decay_us = 0;   // immediately
-  Runtime rt(rc, area, hub->endpoint(0));
-  rt.service("inc", [](RpcContext&, int v) -> int { return v + 1; });
-  rt.run([] {
-    Runtime& self = *Runtime::current();
-    PM2_CHECK(self.call<int>(0, "inc", 1) == 2);
-    PM2_CHECK(self.pool_size() > 0);
-    marcel::Thread* parked = nullptr;
-    self.for_each_parked([&](marcel::Thread* t) { parked = t; });
-    PM2_CHECK(parked != nullptr);
-    self.store_decay(now_ns());
-    PM2_CHECK(self.demoted_count() >= 1);
-    self.ensure_resident(parked);
-    PM2_CHECK(self.demoted_count() == 0);
-    // Faulted back AND re-poisoned: this write must die under ASan.
-    auto* into = static_cast<volatile char*>(parked->stack_base) + 2048;
-    *into = 42;
-    self.halt();
-  });
-}
-
-TEST(SlotStore, AsanParkedStackRepoisonedAfterFaultBack) {
-  if constexpr (sys::kAsan) {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(parked_demote_roundtrip(), "use-after-poison");
-  } else {
-    parked_demote_roundtrip();
-  }
-}
-
 // --- audit covers demoted runs ----------------------------------------------
 
 TEST(SlotStore, AuditCoversDemotedRuns) {
@@ -394,7 +344,7 @@ TEST(SlotStore, AuditCoversDemotedRuns) {
     marcel::ThreadId id = pm2_thread_create(tier_worker, nullptr, "tier");
     while (g_phase.load() < 1) pm2_yield();
     ASSERT_TRUE(rt.freeze_thread(id));
-    ASSERT_TRUE(rt.demote_thread(id));
+    ASSERT_TRUE(rt.residency().demote(id));
     AuditReport report = audit_session(rt);
     EXPECT_TRUE(report.ok) << report.summary();
     EXPECT_EQ(report.threads_demoted, 1u);
@@ -563,10 +513,10 @@ TEST(SlotStore, DemoteAfterCheckpointWritesNoDataPages) {
     StoreCheckpointStats ckpt = checkpoint_node_to_store(rt);
     ASSERT_EQ(ckpt.threads, 1u);
     const uint64_t out0 = rt.slot_store()->stats().bytes_out;
-    ASSERT_TRUE(rt.demote_thread(id));
+    ASSERT_TRUE(rt.residency().demote(id));
     // The checkpoint left the file equal to the frozen thread's memory.
     EXPECT_EQ(rt.slot_store()->stats().bytes_out - out0, 0u);
-    EXPECT_GT(rt.demoted_bytes(), 0u);
+    EXPECT_GT(rt.residency().demoted_bytes(), 0u);
     ASSERT_TRUE(rt.unfreeze_thread(id));
     g_phase = 2;
     pm2_wait_signals(1);
@@ -646,7 +596,7 @@ TEST(SlotStore, NodeCheckpointSkipsDemotedThreads) {
     marcel::ThreadId id = pm2_thread_create(tier_worker, nullptr, "tier");
     while (g_phase.load() < 1) pm2_yield();
     ASSERT_TRUE(rt.freeze_thread(id));
-    ASSERT_TRUE(rt.demote_thread(id));
+    ASSERT_TRUE(rt.residency().demote(id));
     StoreCheckpointStats stats = checkpoint_node_to_store(rt);
     EXPECT_EQ(stats.threads, 1u);
     EXPECT_EQ(stats.bytes_written, 0u);   // image already in the file

@@ -70,7 +70,7 @@ int mirror_mismatches(Runtime& rt) {
   int checked = 0;
   int bad = 0;
   for (const auto& rec : rt.slot_store()->recorded_threads()) {
-    if (rt.thread_demoted(rec.id)) continue;
+    if (rt.residency().demoted(rec.id)) continue;
     for (auto [first, count] : rec.runs) {
       ++checked;
       if (!file_equals_memory(path, rt.area(), first, count)) {
@@ -335,7 +335,7 @@ TEST_P(Mirror, DemoteThenFaultBack) {
       checkpoint_node_to_store(rt);
       EXPECT_EQ(mirror_mismatches(rt), 0) << "after round " << r;
       // Out to the file and back: the pages are zapped, then read(2) back.
-      ASSERT_TRUE(rt.demote_thread(id));
+      ASSERT_TRUE(rt.residency().demote(id));
       ASSERT_TRUE(rt.unfreeze_thread(id));
     }
     g_step = kRounds + 1;
