@@ -91,7 +91,7 @@ class CorrelationTable {
   /// Halt drain: remove every entry and refuse later opens.
   std::vector<Pending> close();
 
-  /// True while any reply is awaited (the comm daemon's busy-poll gate).
+  /// True while any reply is awaited (tests check drains with it).
   bool busy() const;
   /// Earliest armed deadline, UINT64_MAX when none (one relaxed load).
   uint64_t next_deadline() const {

@@ -63,6 +63,12 @@ std::optional<size_t> Negotiator::acquire(size_t count) {
   return s;
 }
 
+std::optional<size_t> Negotiator::try_acquire(size_t count) {
+  sys::SpinGuard g(lock_);
+  if (freeze_ > 0) return std::nullopt;
+  return slot_mgr_.acquire(count);
+}
+
 bool Negotiator::acquire_at(size_t first, size_t count) {
   sys::SpinGuard g(lock_);
   wait_unfrozen();
@@ -302,6 +308,9 @@ void Negotiator::with_system_bitmaps(
   unlock_system();
   unfreeze();
   client_mutex_.unlock();
+  // The comm daemon may hold requests until our freeze lifts
+  // (Runtime::dispatch_rpc); pop it out of its blocking receive.
+  fabric_.wake();
 }
 
 std::optional<size_t> Negotiator::negotiate(size_t run) {

@@ -49,6 +49,9 @@ class Negotiator {
   /// session).  nullopt when no run of that length exists anywhere.
   /// Bootstrap callers (no PM2 thread yet) get a local run or nothing.
   std::optional<size_t> acquire(size_t count);
+  /// A local run of `count` slots now, or nullopt: never waits on the
+  /// freeze and never negotiates (the comm daemon's acquire).
+  std::optional<size_t> try_acquire(size_t count);
   /// Claim the specific run [first, first+count) (checkpoint restore),
   /// waiting out any freeze.  False if any slot of it is not free here.
   bool acquire_at(size_t first, size_t count);

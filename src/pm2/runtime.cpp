@@ -1,6 +1,5 @@
 #include "pm2/runtime.hpp"
 
-#include <sched.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -8,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
-#include <thread>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -151,8 +149,10 @@ marcel::ThreadId Runtime::next_thread_id() {
 marcel::Thread* Runtime::create_thread_in_slots(marcel::EntryFn fn, void* arg,
                                                 const char* name,
                                                 uint32_t flags,
-                                                bool start_frozen) {
-  std::optional<size_t> first = slot_ops_.acquire(config_.stack_slots);
+                                                bool start_frozen,
+                                                bool may_wait) {
+  std::optional<size_t> first = take_slots(config_.stack_slots, may_wait);
+  if (!first && !may_wait) return nullptr;
   // Bootstrap threads (comm daemon, main) are created before the scheduler
   // runs, when no negotiation is possible: their stack run must be local.
   // stack_slots == 1 always is; multi-slot stacks require a
@@ -295,29 +295,6 @@ void Runtime::thread_exit() {
   sched_.exit_current([this](marcel::Thread* t) { reap_thread(t); });
 }
 
-marcel::Thread* Runtime::spawn_service_thread(marcel::EntryFn fn, void* arg,
-                                              const char* name,
-                                              uint32_t flags) {
-  flags |= marcel::Thread::kFlagService;
-  marcel::Thread* t = pool_.take();
-  if (t == nullptr) return create_thread_in_slots(fn, arg, name, flags);
-  marcel::ThreadId id = next_thread_id();
-  // The slot header's owner id is diagnostics; keep it in step with the
-  // recycled identity.
-  static_cast<iso::SlotHeader*>(t->slot_list)->owner_thread = id;
-  // Rearm frozen, publish after the descriptor is complete (same
-  // stealable-before-initialized hazard as create_thread_in_slots;
-  // unfreeze()'s release-store of kReady is the publication the
-  // stealing worker acquires before reading user_fn/user_arg).
-  sched_.rearm(t, &Runtime::thread_trampoline, t, id, name, flags,
-               /*start_frozen=*/true);
-  t->user_fn = reinterpret_cast<void*>(fn);
-  t->user_arg = arg;
-  t->home_node = config_.node;
-  sched_.unfreeze(t);
-  return t;
-}
-
 bool Runtime::freeze_thread(marcel::ThreadId id) {
   sched_.pause_workers();
   marcel::Thread* t = sched_.find(id);
@@ -413,11 +390,12 @@ void* Runtime::isomemalign(size_t align, size_t size) {
   return p;
 }
 
-std::optional<size_t> Runtime::NegotiatingSlotOps::acquire(size_t count) {
-  std::optional<size_t> s = rt_.nego_.acquire(count);
+std::optional<size_t> Runtime::take_slots(size_t count, bool may_wait) {
+  std::optional<size_t> s =
+      may_wait ? nego_.acquire(count) : nego_.try_acquire(count);
   // Slots re-entering local ownership must leave the migration cache (the
   // cached commit is now owned by the new user; never decommit it later).
-  if (s) (void)rt_.mig_cache_take(*s, count);
+  if (s) (void)mig_cache_take(*s, count);
   return s;
 }
 
@@ -598,7 +576,8 @@ void Runtime::rpc_trampoline(void* p) {
 }
 
 void Runtime::dispatch_rpc(uint32_t service, uint32_t src, uint64_t corr,
-                           std::vector<uint8_t>&& args, size_t args_offset) {
+                           std::vector<uint8_t>&& args, size_t args_offset,
+                           bool on_daemon) {
   // Lock-free lookup: the service table is grow-only (registration is
   // setup-phase and permanent) and StripedMap node addresses are stable,
   // so find_fast's acquire-walk is sound and the pointer stays valid for
@@ -636,8 +615,45 @@ void Runtime::dispatch_rpc(uint32_t service, uint32_t src, uint64_t corr,
   inv->corr = corr;
   inv->args = std::move(args);
   inv->args_offset = args_offset;
-  spawn_service_thread(&Runtime::rpc_trampoline, inv, entry->name.c_str(),
-                       entry->thread_flags);
+  if (!on_daemon) {
+    start_invocation(inv, /*may_wait=*/true);
+    return;
+  }
+  // Held invocations go first: requests start in arrival order.
+  if (held_rpcs_.empty() && start_invocation(inv, /*may_wait=*/false)) return;
+  held_rpcs_.push_back(inv);
+}
+
+bool Runtime::start_invocation(RpcInvocation* inv, bool may_wait) {
+  const char* name = inv->entry->name.c_str();
+  uint32_t flags = inv->entry->thread_flags | marcel::Thread::kFlagService;
+  marcel::Thread* t = pool_.take();
+  if (t == nullptr)
+    return create_thread_in_slots(&Runtime::rpc_trampoline, inv, name, flags,
+                                  false, may_wait) != nullptr;
+  marcel::ThreadId id = next_thread_id();
+  // The slot header's owner id is diagnostics; keep it in step with the
+  // recycled identity.
+  static_cast<iso::SlotHeader*>(t->slot_list)->owner_thread = id;
+  // Rearm frozen, publish after the descriptor is complete (same
+  // stealable-before-initialized hazard as create_thread_in_slots;
+  // unfreeze()'s release-store of kReady is the publication the
+  // stealing worker acquires before reading user_fn/user_arg).
+  sched_.rearm(t, &Runtime::thread_trampoline, t, id, name, flags,
+               /*start_frozen=*/true);
+  t->user_fn = reinterpret_cast<void*>(&Runtime::rpc_trampoline);
+  t->user_arg = inv;
+  t->home_node = config_.node;
+  sched_.unfreeze(t);
+  return true;
+}
+
+void Runtime::start_held_rpcs() {
+  size_t started = 0;
+  while (started < held_rpcs_.size() &&
+         start_invocation(held_rpcs_[started], /*may_wait=*/false))
+    ++started;
+  held_rpcs_.erase(held_rpcs_.begin(), held_rpcs_.begin() + started);
 }
 
 void Runtime::send_request(uint32_t node, uint32_t service,
@@ -645,7 +661,7 @@ void Runtime::send_request(uint32_t node, uint32_t service,
   PM2_CHECK(node < config_.n_nodes);
   if (node == config_.node) {
     dispatch_rpc(service, config_.node, corr, framed.take_flat(),
-                 sizeof(uint32_t));
+                 sizeof(uint32_t), /*on_daemon=*/false);
     return;
   }
   fabric::Message msg;
@@ -1022,13 +1038,6 @@ void Runtime::comm_daemon_body() {
   // missed-wakeup bug to one lap instead of a hang, at zero latency cost
   // (every frame still wakes the fabric handle immediately).
   constexpr uint64_t kIdleBlockNs = 500'000'000;
-  // Adaptive busy-poll window: when the node goes idle *while a reply or
-  // migration ack is outstanding*, poll the fabric this long (yielding the
-  // core between probes) before parking on its readiness handle.  The
-  // paper's BIP/Myrinet layer was polling-mode — a poll catches the reply
-  // without paying the blocking wake-up — but a node with nothing in
-  // flight always blocks, so idle nodes burn no CPU.
-  constexpr uint64_t kBusyPollNs = 200'000;
   // Failure detection runs on this daemon's clock: initialize every peer
   // as freshly seen so a slow-starting peer gets a full miss budget before
   // the first suspicion.
@@ -1052,6 +1061,9 @@ void Runtime::comm_daemon_body() {
       handle_message(*msg);
       worked = true;
     }
+    // Requests that found no stack run on an earlier lap: the freeze may
+    // have lifted (a peer's update, or our own negotiation's wake).
+    if (!held_rpcs_.empty()) start_held_rpcs();
     // Deadline/heartbeat upkeep on every lap, busy or idle: a busy lap only
     // pays one relaxed load when no deadline is armed and detection is off.
     if (failure_detection || pending_.next_deadline() != UINT64_MAX) {
@@ -1067,9 +1079,10 @@ void Runtime::comm_daemon_body() {
     // Idle node: every local thread is parked (on a reply, a timer, a
     // join).  Block on the fabric's readiness handle until a frame
     // arrives — but never past the next sleep deadline, so marcel timers
-    // fire on time — with an adaptive busy-poll window in front only
-    // while a reply is imminent (paper-faithful polling-mode latency for
-    // RPC/migration ping-pong without spinning on truly idle nodes).
+    // fire on time.  No poll window, even with a reply outstanding: a
+    // yield-spin hands the core to any other runnable task for a whole
+    // scheduler slice, which stalls the reply it waits for by
+    // milliseconds, and it ignores local work that becomes ready meanwhile.
     uint64_t now = now_ns();
     // Idle lap: evict invocation-pool threads past the decay horizon so
     // their stack slots rejoin the node's distribution, and demote cold
@@ -1084,25 +1097,6 @@ void Runtime::comm_daemon_body() {
     // node (satellite of the 500 ms idle cap, not a replacement for it).
     deadline = std::min(deadline, pending_.next_deadline());
     if (failure_detection) deadline = std::min(deadline, next_heartbeat_ns_);
-    // A non-empty correlation table means some local thread awaits a reply
-    // — the only situation where a poll loop buys latency.
-    if (pending_.busy()) {
-      uint64_t spin_end = std::min(deadline, now + kBusyPollNs);
-      bool got = false;
-      while (now_ns() < spin_end) {
-        if (auto msg = fabric_->try_recv()) {
-          handle_message(*msg);
-          got = true;
-          break;
-        }
-        // Single-core friendliness: the reply we are spinning for needs
-        // CPU on the peer to be produced; on an idle multicore box this
-        // is a few hundred ns and keeps the spin's latency edge.
-        ::sched_yield();
-      }
-      if (got) continue;  // drain the rest (and re-check halt) at the top
-      if (halting() && sched_.live_count() == 0) break;
-    }
     if (auto msg = fabric_->recv_until(deadline)) {
       handle_message(*msg);
       // Re-check immediately: if that frame was the halt (or the last
@@ -1117,7 +1111,10 @@ void Runtime::comm_daemon_body() {
   // after this daemon's last lap, and a delayed halt broadcast would strand
   // every peer in its blocking receive.
   if (auto* ff = fault_fabric()) ff->drain_delayed();
-  // Session over: parked service threads must not leak their stack runs.
+  // Session over: held requests are dropped (their callers were failed by
+  // the halt) and parked service threads must not leak their stack runs.
+  for (RpcInvocation* inv : held_rpcs_) recycle_invocation(inv);
+  held_rpcs_.clear();
   pool_.drain();
   sched_.stop();
   thread_exit();
@@ -1239,7 +1236,8 @@ void Runtime::handle_rpc(fabric::Message& msg) {
   // The whole payload moves into the invocation; the service-hash framing
   // is skipped by offset instead of trimmed by copy.
   size_t offset = r.position();
-  dispatch_rpc(service, msg.src, msg.corr, std::move(payload), offset);
+  dispatch_rpc(service, msg.src, msg.corr, std::move(payload), offset,
+               /*on_daemon=*/true);
 }
 
 void Runtime::handle_migrate(fabric::Message& msg) {

@@ -707,9 +707,20 @@ class Runtime {
   /// Shared service dispatch (local invocations and received kRpc frames):
   /// looks the hash up and spawns the service thread.  Unknown service:
   /// fails the caller's future when a reply is expected (corr != 0),
-  /// CHECK-fails a fire-and-forget.
+  /// CHECK-fails a fire-and-forget.  The comm daemon (`on_daemon`) must
+  /// never park: a request that finds no pooled shell and no stack run
+  /// without waiting (the bitmap is frozen, or no local run is free) is
+  /// held in held_rpcs_ and started on a later lap.
   void dispatch_rpc(uint32_t service, uint32_t src, uint64_t corr,
-                    std::vector<uint8_t>&& args, size_t args_offset);
+                    std::vector<uint8_t>&& args, size_t args_offset,
+                    bool on_daemon);
+  /// Run `inv` on a service thread: re-arm a parked pool shell (hot path:
+  /// no slot acquire, no init_stack_slot) or build one.  False, with
+  /// nothing started, when !may_wait and no stack run is free right now.
+  bool start_invocation(RpcInvocation* inv, bool may_wait);
+  /// Comm daemon: start held requests in arrival order, up to the first
+  /// that still finds no stack.
+  void start_held_rpcs();
   uint32_t register_service_handler(const char* name, ServiceHandler fn,
                                     uint32_t thread_flags = 0);
 
@@ -772,15 +783,16 @@ class Runtime {
   marcel::ThreadId next_thread_id();
   /// `start_frozen` hands the newborn back still frozen (spawn_copy
   /// finishes preparing it before any worker may steal and run it).
+  /// Without `may_wait`, nullptr when no local stack run is free right now
+  /// (frozen bitmap included) instead of parking or negotiating.
   marcel::Thread* create_thread_in_slots(marcel::EntryFn fn, void* arg,
                                          const char* name, uint32_t flags,
-                                         bool start_frozen = false);
+                                         bool start_frozen = false,
+                                         bool may_wait = true);
+  /// `count` contiguous local slots, out of the migration cache: the
+  /// Negotiator's acquire when `may_wait`, else its try_acquire.
+  std::optional<size_t> take_slots(size_t count, bool may_wait);
   void reap_thread(marcel::Thread* t);
-
-  /// Service-thread factory: re-arm a parked pool shell (hot path: no
-  /// slot acquire, no init_stack_slot) or fall back to a full build.
-  marcel::Thread* spawn_service_thread(marcel::EntryFn fn, void* arg,
-                                       const char* name, uint32_t flags);
 
   static void thread_trampoline(void* descriptor);
   static void local_trampoline(void* ctx);
@@ -793,7 +805,9 @@ class Runtime {
   class NegotiatingSlotOps final : public iso::SlotOps {
    public:
     explicit NegotiatingSlotOps(Runtime& rt) : rt_(rt) {}
-    std::optional<size_t> acquire(size_t count) override;
+    std::optional<size_t> acquire(size_t count) override {
+      return rt_.take_slots(count, /*may_wait=*/true);
+    }
     void release(size_t first, size_t count) override {
       rt_.release_slots(first, count);
     }
@@ -851,6 +865,7 @@ class Runtime {
   std::unique_ptr<PeerHealth[]> peers_;  // n_nodes entries; null when 1 node
   uint64_t next_heartbeat_ns_ = 0;       // comm daemon only
   uint64_t next_peer_scan_ns_ = 0;       // comm daemon only
+  std::vector<RpcInvocation*> held_rpcs_;  // comm daemon only (dispatch_rpc)
   std::atomic<uint64_t> heartbeats_sent_{0};
   std::atomic<uint64_t> rpc_timeouts_{0};
   std::atomic<uint64_t> peer_down_failures_{0};

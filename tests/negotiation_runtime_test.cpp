@@ -200,6 +200,41 @@ TEST(NegotiationRuntime, ChurnDuringNegotiations) {
   EXPECT_TRUE(g_ok.load());
 }
 
+// A request that arrives while its target node negotiates must not stall
+// that negotiation.  With the invocation pool off, every kRpc builds its
+// service thread on node 1's comm daemon, and node 1's own negotiations
+// freeze its bitmap over and over.  A daemon that parked on the freeze
+// never read the grant or gather reply that would lift it: the session
+// panicked "deadlock: all threads blocked/frozen" at workers 1 and hung at
+// workers 4.
+TEST(NegotiationRuntime, RpcDuringNegotiationNeverParksTheCommDaemon) {
+  constexpr int kRounds = 40;
+  constexpr int kCalls = 400;
+  AppConfig cfg = rr_config(2);
+  cfg.rt.invocation_pool = 0;
+  std::atomic<int> served{0};
+  std::atomic<uint64_t> negotiations{0};
+  run_app(
+      cfg,
+      [&](Runtime& rt) {
+        if (rt.self() == 1) {
+          for (int i = 0; i < kRounds; ++i) {
+            void* p = rt.isomalloc(100 * 1024);
+            rt.isofree(p);
+          }
+          negotiations = rt.negotiations_initiated();
+        } else {
+          for (int i = 0; i < kCalls; ++i) rt.call<void>(1, "noop");
+        }
+        rt.barrier();
+      },
+      [&](Runtime& rt) {
+        rt.service("noop", [&](RpcContext&) { served.fetch_add(1); });
+      });
+  EXPECT_EQ(served.load(), kCalls);
+  EXPECT_GE(negotiations.load(), 1u);
+}
+
 // Two initiators (nodes 1 and 2; node 0 serves the system lock) on the
 // socket fabric, with every frame held back up to 500 us, so frames from
 // different senders arrive out of send order.  An initiator's bitmap
