@@ -134,8 +134,7 @@ uint64_t echo_retry(Runtime& rt, const std::vector<uint8_t>& blob) {
     RpcFuture<uint64_t> fut = rt.call_async<uint64_t>(1, "echo-len", blob);
     fut.wait();
     if (!fut.failed()) return fut.take();
-    PM2_CHECK(rpc_error_code(fut.error()) == RpcErrorCode::kTimeout)
-        << fut.error();
+    PM2_CHECK(fut.code() == RpcErrorCode::kTimeout) << fut.error();
     ++g_timeouts;
   }
 }
@@ -190,8 +189,7 @@ void run_session(bool socket_fabric, size_t outstanding) {
             }
             size_t idx = wait_any(window);
             if (window[idx].failed()) {
-              PM2_CHECK(rpc_error_code(window[idx].error()) ==
-                        RpcErrorCode::kTimeout)
+              PM2_CHECK(window[idx].code() == RpcErrorCode::kTimeout)
                   << window[idx].error();
               ++g_timeouts;
               // Re-issue under the original issue stamp so the sample
@@ -227,8 +225,7 @@ void run_session(bool socket_fabric, size_t outstanding) {
             pool = f.take();
             break;
           }
-          PM2_CHECK(rpc_error_code(f.error()) == RpcErrorCode::kTimeout)
-              << f.error();
+          PM2_CHECK(f.code() == RpcErrorCode::kTimeout) << f.error();
         }
         PM2_CHECK(pool.size() >= 8 && pool.size() == 8 + 5 * pool[7]);
         g_pool_hits = pool[0];

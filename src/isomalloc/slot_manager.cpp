@@ -24,6 +24,7 @@ std::optional<size_t> SlotManager::acquire(size_t count) {
     PM2_DCHECK(bitmap_.test(idx)) << "cached slot not owned";
     cache_.erase(cache_.begin());
     bitmap_.clear(idx);
+    take_away(idx, 1);
     ++stats_.cache_hits;
     ++stats_.slots_acquired;
     return idx;
@@ -35,6 +36,7 @@ std::optional<size_t> SlotManager::acquire(size_t count) {
       PM2_DCHECK(bitmap_.all_set(*run, count)) << "cached run not owned";
       bitmap_.clear_range(*run, count);
       for (size_t i = *run; i < *run + count; ++i) cache_.erase(i);
+      take_away(*run, count);
       ++stats_.cache_hits;
       stats_.slots_acquired += count;
       return run;
@@ -44,6 +46,7 @@ std::optional<size_t> SlotManager::acquire(size_t count) {
   first = bitmap_.find_run(count);
   if (!first) return std::nullopt;
   bitmap_.clear_range(*first, count);
+  take_away(*first, count);
   commit_run(*first, count);
   stats_.slots_acquired += count;
   if (count == 1) ++stats_.cache_misses;
@@ -55,6 +58,7 @@ bool SlotManager::acquire_at(size_t first, size_t count) {
   if (!bitmap_.all_set(first, count)) return false;
   bitmap_.clear_range(first, count);
   for (size_t i = first; i < first + count; ++i) cache_.erase(i);
+  take_away(first, count);
   stats_.slots_acquired += count;
   return true;
 }
@@ -123,12 +127,30 @@ void SlotManager::set_bitmap(pm2::Bitmap bitmap) {
   }
 }
 
-void SlotManager::flush_cache() {
-  for (size_t idx : cache_) {
-    area_.decommit(idx, 1);
-    ++stats_.decommits;
+std::optional<SlotManager::Run> SlotManager::cache_away(size_t first,
+                                                       size_t count) {
+  // Overlapping entries go first: an exact match makes the put idempotent,
+  // and an entry of another shape is stale (its slots belong to this run's
+  // thread now).
+  take_away(first, count);
+  away_.emplace_back(first, count);
+  if (away_.size() <= kAwayRunCapacity) return std::nullopt;
+  Run oldest = away_.front();
+  away_.pop_front();
+  return oldest;
+}
+
+bool SlotManager::take_away(size_t first, size_t count) {
+  // Every overlapping entry goes, not just an exact match: an entry of
+  // another shape left behind would decommit the new tenant's pages when
+  // it is evicted later.
+  bool hit = false;
+  for (auto it = away_.begin(); it != away_.end();) {
+    auto [f, c] = *it;
+    hit |= f == first && c == count;
+    it = f < first + count && first < f + c ? away_.erase(it) : ++it;
   }
-  cache_.clear();
+  return hit;
 }
 
 }  // namespace pm2::iso

@@ -12,13 +12,18 @@
 // (pm2::Negotiator) launches the global negotiation (negotiation.hpp),
 // adopts the resulting bitmap through set_bitmap(), and retries.
 //
-// Includes the paper's §6 optimization: a process-wide cache of committed
-// empty slots, saving the commit/decommit (mmap) round-trip on slot churn.
+// Includes the paper's §6 optimization: slots that no local thread uses
+// stay committed, saving the commit/decommit (mmap) round-trip on slot
+// churn.  Two kinds are kept: free slots this node owns (the free cache),
+// and the runs of threads that migrated away (the away cache), so a thread
+// migrating back skips the commit and page-fault cycle.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/bitmap.hpp"
@@ -53,13 +58,24 @@ struct SlotManagerConfig {
 
 class SlotManager final : public SlotOps {
  public:
+  /// A slot run: (first slot, count).
+  using Run = std::pair<size_t, size_t>;
+
+  /// Away-runs kept committed per node.  A deadline-armed migrate_async
+  /// rolls back by reclaiming its runs from this cache, so it must not
+  /// evict them inside the deadline window: more than this many runs
+  /// shipped away from one node within one rpc timeout make a rollback
+  /// fail its check.
+  static constexpr size_t kAwayRunCapacity = 64;
+
   SlotManager(Area& area, const SlotManagerConfig& config);
 
   /// Take `count` contiguous owned slots (first-fit over the bitmap),
   /// commit their memory, and hand them to the caller (the bits are
   /// cleared: the slots now belong to a thread).  Returns the first slot
   /// index, or nullopt when no owned run of that length exists — the
-  /// signal to negotiate.
+  /// signal to negotiate.  Like acquire_at, drops every away-run the
+  /// returned run overlaps (its pages belong to the new owner now).
   std::optional<size_t> acquire(size_t count) override;
 
   /// Claim a *specific* run the node currently owns (checkpoint restore
@@ -75,8 +91,19 @@ class SlotManager final : public SlotOps {
   void release(size_t first, size_t count) override;
 
   /// Replace the whole bitmap (scatter step of the negotiation, paper
-  /// §4.4 step e).  Reconciles the slot cache against lost ownership.
+  /// §4.4 step e).  Reconciles the free cache against lost ownership;
+  /// away-runs are thread-owned and stay.
   void set_bitmap(pm2::Bitmap bitmap);
+
+  /// Keep the run of a thread that migrated away committed.  Returns the
+  /// oldest away-run when the cache overflows: the caller decommits it
+  /// (outside any lock it holds — decommit is an mmap call).
+  std::optional<Run> cache_away(size_t first, size_t count);
+  /// Drop every away-run overlapping [first, first+count) without
+  /// decommitting; true when one of them was exactly this run (a thread
+  /// migrating back into its cached pages skips the commit).
+  bool take_away(size_t first, size_t count);
+  size_t away_runs() const { return away_.size(); }
 
   const pm2::Bitmap& bitmap() const { return bitmap_; }
   Area& area() override { return area_; }
@@ -87,9 +114,6 @@ class SlotManager final : public SlotOps {
 
   SlotStats& stats() { return stats_; }
   const SlotStats& stats() const { return stats_; }
-
-  /// Drop every cached slot (decommit).  For tests/ablation.
-  void flush_cache();
 
  private:
   void commit_run(size_t first, size_t count);
@@ -103,6 +127,8 @@ class SlotManager final : public SlotOps {
   /// runs — absorbed per slot).  Kept as a set: membership matters when an
   /// acquired run partially overlaps cached slots.
   std::unordered_set<size_t> cache_;
+  /// Committed runs of threads that migrated away, front = oldest.
+  std::deque<Run> away_;
   SlotStats stats_;
 };
 

@@ -56,8 +56,6 @@ class WaitQueue {
   /// `front` set the woken thread jumps to the head of the ready queue
   /// (direct handoff — it runs next; see Scheduler::unblock).
   Thread* unpark_one(bool front = false);
-  /// Unpark everything.
-  void unpark_all(bool front = false);
 
   /// Raw ops for embedded mode — caller holds the owning primitive's lock.
   void link_locked(Thread* t);
@@ -197,6 +195,7 @@ struct FutureState {
   Event event;                // set once value or error lands
   std::optional<T> value;
   std::string error;          // non-empty <=> completed with an error
+  uint8_t error_code = 0;     // the producer's classification (0 = none)
   bool failed = false;
   bool taken = false;
 };
@@ -261,6 +260,10 @@ class Future {
     static const std::string empty;
     return state_ != nullptr ? state_->error : empty;
   }
+  /// The code set_error() was given (0 when none, or not failed).
+  uint8_t error_code() const {
+    return state_ != nullptr ? state_->error_code : 0;
+  }
   /// wait() + move the value out.  CHECK-fails on an errored future (test
   /// failed() first when errors are expected) and on a second take().
   T take() {
@@ -298,10 +301,14 @@ class Promise {
     state_->value.emplace(std::move(v));
     state_->event.set(/*direct_handoff=*/true);
   }
-  void set_error(std::string why) {
+  /// `why` is for people to read; `code` is a small classification for
+  /// code to compare (its meaning is the producer's, e.g. pm2's
+  /// RpcErrorCode).
+  void set_error(std::string why, uint8_t code = 0) {
     PM2_CHECK(!state_->event.is_set()) << "promise completed twice";
     state_->failed = true;
     state_->error = std::move(why);
+    state_->error_code = code;
     state_->event.set(/*direct_handoff=*/true);
   }
   bool completed() const { return state_->event.is_set(); }
@@ -341,18 +348,8 @@ class RwLock {
   void lock();
   void unlock();
 
-  /// Advisory (tests/diagnostics): locked reads, see Mutex::locked().
-  long readers() const {
-    sys::SpinGuard g(state_lock_);
-    return readers_;
-  }
-  bool has_writer() const {
-    sys::SpinGuard g(state_lock_);
-    return writer_ != nullptr;
-  }
-
  private:
-  mutable sys::SpinLock state_lock_{sys::LockRank::kSyncState};
+  sys::SpinLock state_lock_{sys::LockRank::kSyncState};
   long readers_ PM2_GUARDED_BY(state_lock_) = 0;          // active readers
   Thread* writer_ PM2_GUARDED_BY(state_lock_) = nullptr;  // active writer
   WaitQueue read_waiters_;   // embedded mode: guarded by state_lock_

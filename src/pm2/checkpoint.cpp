@@ -125,10 +125,10 @@ marcel::ThreadId restore_thread(Runtime& rt,
   // still alive / foreign node".
   auto runs = payload_slot_runs(payload, payload_len);
   for (auto [first, count] : runs) {
-    bool claimed = rt.acquire_slots_at(first, count);
+    bool claimed = rt.negotiator().acquire_at(first, count);
     for (int spin = 0; !claimed && spin < 200; ++spin) {
       pm2_sleep_us(1000);
-      claimed = rt.acquire_slots_at(first, count);
+      claimed = rt.negotiator().acquire_at(first, count);
     }
     PM2_CHECK(claimed)
         << "restore: slot run [" << first << ", +" << count
@@ -243,7 +243,7 @@ std::vector<marcel::ThreadId> restore_node_from_store(Runtime& rt) {
       size_t claimed = 0;
       bool ok = true;
       for (auto [first, count] : rec.runs) {
-        if (!rt.acquire_slots_at(first, count)) {
+        if (!rt.negotiator().acquire_at(first, count)) {
           ok = false;
           break;
         }

@@ -84,11 +84,6 @@ std::vector<CorrelationTable::Pending> CorrelationTable::close() {
   return all;
 }
 
-bool CorrelationTable::busy() const {
-  sys::SpinGuard g(lock_);
-  return !pending_.empty();
-}
-
 void CorrelationTable::arm_locked(uint64_t corr, uint64_t deadline_ns) {
   deadlines_.push(DeadlineEnt{deadline_ns, corr});
   // Monotonic min: the heap top only moves earlier on a push.

@@ -25,7 +25,7 @@ namespace pm2 {
 
 /// What a migrate_async entry needs to adopt its thread back when the
 /// install ack never comes: the forgotten descriptor and its slot runs
-/// (pages the migration slot cache keeps committed).
+/// (pages the away cache keeps committed).
 struct MigrationRollback {
   marcel::Thread* thread = nullptr;
   marcel::ThreadId id = 0;
@@ -91,8 +91,6 @@ class CorrelationTable {
   /// Halt drain: remove every entry and refuse later opens.
   std::vector<Pending> close();
 
-  /// True while any reply is awaited (tests check drains with it).
-  bool busy() const;
   /// Earliest armed deadline, UINT64_MAX when none (one relaxed load).
   uint64_t next_deadline() const {
     return next_deadline_ns_.load(std::memory_order_relaxed);

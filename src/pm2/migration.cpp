@@ -116,11 +116,12 @@ size_t place_thread(Runtime& rt, const uint8_t* payload, size_t len,
       [&](size_t first, uint32_t nslots) -> char* {
         // Iso-address guarantee: these slot indices are free here (they
         // are owned by the migrating thread system-wide).  If the run sits
-        // in the migration slot cache (the thread bounced through this
-        // node before), the pages are already committed; stale bytes in
-        // the extent gaps are dead data by construction (below-sp stack,
-        // free-block payloads).
-        if (!rt.mig_cache_take(first, nslots)) rt.area().commit(first, nslots);
+        // in the away cache (the thread bounced through this node before),
+        // the pages are already committed; stale bytes in the extent gaps
+        // are dead data by construction (below-sp stack, free-block
+        // payloads).
+        if (!rt.negotiator().take_away(first, nslots))
+          rt.area().commit(first, nslots);
         // Whatever poison this address range carried locally (a previous
         // tenant's frames, a cached run of this very thread's earlier
         // visit) is stale: the installed extent must be fully addressable
@@ -188,11 +189,6 @@ mad::BufferChain pack_thread_chain(Runtime& rt, marcel::Thread* t,
   return pack.take_chain();
 }
 
-std::vector<uint8_t> pack_thread(Runtime& rt, marcel::Thread* t,
-                                 bool blocks_only) {
-  return pack_thread_chain(rt, t, blocks_only).take_flat();
-}
-
 size_t migration_payload_size(Runtime& rt, marcel::Thread* t,
                               bool blocks_only) {
   return pack_thread_chain(rt, t, blocks_only).size();
@@ -246,10 +242,10 @@ void ship_thread(Runtime& rt, marcel::Thread* t, uint32_t dest,
   // "The memory area storing the resources is set free" (§2 step 1).  The
   // slots stay owned by the thread — no bitmap traffic — so the same
   // addresses are guaranteed free on every node, including this one if the
-  // thread ever migrates back.  mig_cache_put keeps the pages committed
+  // thread ever migrates back.  The away cache keeps the pages committed
   // (bounded) so a returning thread skips the commit/page-fault cycle —
   // the paper's §6 slot-cache idea on the migration path.
-  for (auto [first, count] : runs) rt.mig_cache_put(first, count);
+  for (auto [first, count] : runs) rt.negotiator().cache_away(first, count);
 }
 
 std::vector<std::pair<size_t, uint32_t>> payload_slot_runs(
@@ -273,10 +269,10 @@ void MigrationPlacer::place(const uint8_t* head, size_t len,
 
 void MigrationPlacer::abandon(const uint8_t* head, size_t len) {
   // The body never completed, so the thread does not exist anywhere any
-  // more; its runs stay committed in the slot cache like any departed
+  // more; its runs stay committed in the away cache like any departed
   // thread's, and nothing here claims them.
   for (auto [first, nslots] : payload_slot_runs(head, len))
-    rt_.mig_cache_put(first, nslots);
+    rt_.negotiator().cache_away(first, nslots);
 }
 
 marcel::Thread* adopt_thread(Runtime& rt, const uint8_t* head, size_t len) {

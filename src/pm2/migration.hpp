@@ -55,10 +55,6 @@ class Runtime;
 mad::BufferChain pack_thread_chain(Runtime& rt, marcel::Thread* t,
                                    bool blocks_only);
 
-/// Legacy flat form of pack_thread_chain (checkpointing, tests).
-std::vector<uint8_t> pack_thread(Runtime& rt, marcel::Thread* t,
-                                 bool blocks_only);
-
 /// Pack + forget + send to `dest` + decommit.  `t` must be frozen (or be
 /// the post-switch continuation target of freeze_current_and).  The node's
 /// pre-migration hook (Runtime::on_migration) runs first.  `ack_corr != 0`
@@ -78,10 +74,10 @@ marcel::Thread* install_thread(Runtime& rt, const uint8_t* payload,
                                size_t len);
 
 /// kMigrate placement hook for fabrics that read frames in pieces (see
-/// fabric::Placer): reserves the runs a frame's table names (slot cache,
+/// fabric::Placer): reserves the runs a frame's table names (away cache,
 /// else commit) and lists each extent's address, so the body lands in the
 /// thread's slots as it arrives; handle_migrate then only adopts it.  A
-/// frame that never completes gives its runs to the migration slot cache.
+/// frame that never completes gives its runs to the away cache.
 class MigrationPlacer final : public fabric::Placer {
  public:
   explicit MigrationPlacer(Runtime& rt) : rt_(rt) {}

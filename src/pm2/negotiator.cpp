@@ -89,6 +89,24 @@ void Negotiator::release(size_t first, size_t count) {
   slot_mgr_.release(first, count);
 }
 
+void Negotiator::cache_away(size_t first, size_t count) {
+  lock_.lock();
+  std::optional<iso::SlotManager::Run> evicted =
+      slot_mgr_.cache_away(first, count);
+  lock_.unlock();
+  if (evicted) area_.decommit(evicted->first, evicted->second);
+}
+
+bool Negotiator::take_away(size_t first, size_t count) {
+  sys::SpinGuard g(lock_);
+  return slot_mgr_.take_away(first, count);
+}
+
+size_t Negotiator::away_runs() const {
+  sys::SpinGuard g(lock_);
+  return slot_mgr_.away_runs();
+}
+
 std::vector<std::pair<size_t, size_t>> Negotiator::deferred_runs() const {
   sys::SpinGuard g(lock_);
   return deferred_releases_;

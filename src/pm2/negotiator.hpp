@@ -12,7 +12,8 @@
 //
 // Locking: one SpinLock, lock_, guards the bitmap, the freeze depth, the
 // deferred releases, the freeze wait queue, the lock-server fields and
-// this node's grant wait (the comm daemon's handlers race worker threads).
+// this node's grant wait (the comm daemon's handlers race worker threads),
+// and with the bitmap the slot manager's free and away caches.
 // Sends and wake-ups always happen outside it.
 #pragma once
 
@@ -57,6 +58,17 @@ class Negotiator {
   bool acquire_at(size_t first, size_t count);
   /// Give a run back to this node; deferred while the bitmap is frozen.
   void release(size_t first, size_t count);
+
+  // The away cache (iso::SlotManager::cache_away): runs of threads that
+  // migrated away stay committed.  Neither call waits on the freeze — the
+  // comm daemon places arriving threads through take_away.
+  /// Keep a departed thread's run committed; an evicted run is
+  /// decommitted after lock_ drops.
+  void cache_away(size_t first, size_t count);
+  /// Drop the away-runs overlapping the run; true on an exact hit (the
+  /// pages are still committed).
+  bool take_away(size_t first, size_t count);
+  size_t away_runs() const;
 
   /// Run `fn` on every node's bitmap inside the system-wide critical
   /// section: take the node's client mutex, freeze, lock the system,

@@ -57,16 +57,27 @@ RuntimeConfig resolve_env(RuntimeConfig c) {
   return c;
 }
 
-marcel::Future<std::vector<uint8_t>> failed_future(std::string why) {
+marcel::Future<std::vector<uint8_t>> failed_future(
+    std::string why, RpcErrorCode code = RpcErrorCode::kOther) {
   marcel::Promise<std::vector<uint8_t>> p;
-  p.set_error(std::move(why));
+  p.set_error(std::move(why), static_cast<uint8_t>(code));
   return p.future();
 }
 
-/// kPeerDown-classified error text about `node`.
+/// Error text for a request to a peer declared down (code kPeerDown).
 std::string peer_down_error(uint32_t node, const char* what) {
-  return std::string(kRpcPeerDownPrefix) + ": node " + std::to_string(node) +
-         " " + what;
+  return "peer down: node " + std::to_string(node) + " " + what;
+}
+
+void send_barrier_frame(fabric::Fabric& fabric, MsgType type, uint32_t dst,
+                        uint32_t seq) {
+  fabric::Message msg;
+  msg.type = type;
+  msg.dst = dst;
+  ByteWriter w;
+  w.put<uint32_t>(seq);
+  msg.payload = w.take();
+  fabric.send(std::move(msg));
 }
 
 /// A migrate_async completion, packed the way RpcFuture<MigrateResult>
@@ -115,6 +126,8 @@ Runtime::Runtime(const RuntimeConfig& config, iso::Area& area,
               return sc;
             }(),
             config_.nego_prebuy_slots, *fabric_, sched_, pending_),
+      peers_(config_.node, config_.n_nodes, config_.heartbeat_period_ns,
+             config_.heartbeat_miss_limit),
       load_table_(config.n_nodes, 0),
       pool_(config_.invocation_pool, config_.invocation_pool_decay_us,
             config_.stack_slots, slot_ops_),
@@ -126,11 +139,6 @@ Runtime::Runtime(const RuntimeConfig& config, iso::Area& area,
       << "fabric/runtime node configuration mismatch";
   mig_placer_ = std::make_unique<MigrationPlacer>(*this);
   fabric_->set_placer(kMigrate, mig_placer_.get());
-  // Peer-health slots exist only when the failure detector can run — a
-  // null array keeps every legacy path (peer_seen, fail-fast checks) at a
-  // single pointer test.
-  if (config_.heartbeat_period_ns > 0 && config_.n_nodes > 1)
-    peers_ = std::make_unique<PeerHealth[]>(config_.n_nodes);
 }
 
 Runtime::~Runtime() {
@@ -151,7 +159,9 @@ marcel::Thread* Runtime::create_thread_in_slots(marcel::EntryFn fn, void* arg,
                                                 uint32_t flags,
                                                 bool start_frozen,
                                                 bool may_wait) {
-  std::optional<size_t> first = take_slots(config_.stack_slots, may_wait);
+  std::optional<size_t> first = may_wait
+                                    ? nego_.acquire(config_.stack_slots)
+                                    : nego_.try_acquire(config_.stack_slots);
   if (!first && !may_wait) return nullptr;
   // Bootstrap threads (comm daemon, main) are created before the scheduler
   // runs, when no negotiation is possible: their stack run must be local.
@@ -282,6 +292,9 @@ void Runtime::reap_thread(marcel::Thread* t) {
   sys::san_unpoison(t->stack_base, t->stack_size());
   if (!halting() && (t->flags & marcel::Thread::kFlagService) != 0) {
     pool_.park(t);  // parks the shell, or releases its runs
+    // The shell may start a request the comm daemon holds for want of a
+    // stack; a blocked daemon would not retry it until its idle cap.
+    if (held_count_.load(std::memory_order_relaxed) != 0) fabric_->wake();
     return;
   }
   // Release every slot run it owned to this node (paper Fig. 6 step 4 —
@@ -330,13 +343,16 @@ void Runtime::ensure_thread_id_floor(marcel::ThreadId id) {
 // isomalloc API
 // ---------------------------------------------------------------------------
 
+iso::ThreadHeap Runtime::self_heap(const char* api) {
+  marcel::Thread* t = marcel::Scheduler::self();
+  PM2_CHECK(t != nullptr) << api << " outside a PM2 thread";
+  return iso::ThreadHeap(&t->slot_list, t->id, slot_ops_, config_.heap,
+                         &heap_stats_);
+}
+
 void* Runtime::isomalloc(size_t size) {
   sched_.maybe_preempt();
-  marcel::Thread* t = marcel::Scheduler::self();
-  PM2_CHECK(t != nullptr) << "pm2_isomalloc outside a PM2 thread";
-  iso::ThreadHeap heap(&t->slot_list, t->id, slot_ops_, config_.heap,
-                       &heap_stats_);
-  void* p = heap.alloc(size);
+  void* p = self_heap("pm2_isomalloc").alloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
@@ -344,65 +360,36 @@ void* Runtime::isomalloc(size_t size) {
 void Runtime::isofree(void* p) {
   sched_.maybe_preempt();
   if (p == nullptr) return;
-  marcel::Thread* t = marcel::Scheduler::self();
-  PM2_CHECK(t != nullptr) << "pm2_isofree outside a PM2 thread";
+  iso::ThreadHeap heap = self_heap("pm2_isofree");
   // Blocks belong to exactly one thread (paper §1: data "belong to some
   // unique thread and thus have to follow it on migration").  Freeing
   // another thread's block would corrupt that thread's slot list — and the
   // pointer would dangle anyway the moment the owner migrates.  Use
   // spawn_copy() to hand data to a child thread instead.
   iso::SlotHeader* slot = iso::BlockHeader::of_payload(p)->slot;
-  PM2_CHECK(slot->valid() && slot->owner_thread == t->id)
+  marcel::ThreadId self = marcel::Scheduler::self()->id;
+  PM2_CHECK(slot->valid() && slot->owner_thread == self)
       << "pm2_isofree: block belongs to thread " << slot->owner_thread
-      << ", not to the calling thread " << t->id;
-  iso::ThreadHeap heap(&t->slot_list, t->id, slot_ops_, config_.heap,
-                       &heap_stats_);
+      << ", not to the calling thread " << self;
   heap.free(p);
 }
 
 void* Runtime::isorealloc(void* p, size_t size) {
-  marcel::Thread* t = marcel::Scheduler::self();
-  PM2_CHECK(t != nullptr) << "pm2_isorealloc outside a PM2 thread";
-  iso::ThreadHeap heap(&t->slot_list, t->id, slot_ops_, config_.heap,
-                       &heap_stats_);
-  return heap.realloc(p, size);
+  return self_heap("pm2_isorealloc").realloc(p, size);
 }
 
 void* Runtime::isocalloc(size_t n, size_t elem_size) {
   sched_.maybe_preempt();
-  marcel::Thread* t = marcel::Scheduler::self();
-  PM2_CHECK(t != nullptr) << "pm2_isocalloc outside a PM2 thread";
-  iso::ThreadHeap heap(&t->slot_list, t->id, slot_ops_, config_.heap,
-                       &heap_stats_);
-  void* p = heap.calloc(n, elem_size);
+  void* p = self_heap("pm2_isocalloc").calloc(n, elem_size);
   if (p == nullptr && n != 0 && elem_size != 0) throw std::bad_alloc();
   return p;
 }
 
 void* Runtime::isomemalign(size_t align, size_t size) {
   sched_.maybe_preempt();
-  marcel::Thread* t = marcel::Scheduler::self();
-  PM2_CHECK(t != nullptr) << "pm2_isomemalign outside a PM2 thread";
-  iso::ThreadHeap heap(&t->slot_list, t->id, slot_ops_, config_.heap,
-                       &heap_stats_);
-  void* p = heap.alloc_aligned(size, align);
+  void* p = self_heap("pm2_isomemalign").alloc_aligned(size, align);
   if (p == nullptr) throw std::bad_alloc();
   return p;
-}
-
-std::optional<size_t> Runtime::take_slots(size_t count, bool may_wait) {
-  std::optional<size_t> s =
-      may_wait ? nego_.acquire(count) : nego_.try_acquire(count);
-  // Slots re-entering local ownership must leave the migration cache (the
-  // cached commit is now owned by the new user; never decommit it later).
-  if (s) (void)mig_cache_take(*s, count);
-  return s;
-}
-
-bool Runtime::acquire_slots_at(size_t first, size_t count) {
-  bool ok = nego_.acquire_at(first, count);
-  if (ok) (void)mig_cache_take(first, count);
-  return ok;
 }
 
 void Runtime::release_slots(size_t first, size_t count) {
@@ -410,6 +397,8 @@ void Runtime::release_slots(size_t first, size_t count) {
   // a fresh image (see SlotStore::forget).
   if (iso::SlotStore* store = slot_store()) store->forget(first, count);
   nego_.release(first, count);
+  // The run may be the stack a held request waits for (see reap_thread).
+  if (held_count_.load(std::memory_order_relaxed) != 0) fabric_->wake();
 }
 
 // ---------------------------------------------------------------------------
@@ -453,11 +442,12 @@ RpcFuture<MigrateResult> Runtime::migrate_async(marcel::ThreadId id,
                                                 uint32_t dest,
                                                 uint64_t timeout_ns) {
   PM2_CHECK(dest < config_.n_nodes) << "migrate to unknown node " << dest;
-  auto failed = [](std::string why) {
-    return RpcFuture<MigrateResult>(failed_future(std::move(why)));
+  auto failed = [](std::string why, RpcErrorCode code = RpcErrorCode::kOther) {
+    return RpcFuture<MigrateResult>(failed_future(std::move(why), code));
   };
   if (halting()) return failed("session halting");
-  if (peer_down(dest)) return failed(peer_down_error(dest, "is down"));
+  if (peer_down(dest))
+    return failed(peer_down_error(dest, "is down"), RpcErrorCode::kPeerDown);
   marcel::Thread* t = sched_.find(id);
   if (t == nullptr) return failed("no such thread on this node");
   if (dest == config_.node) {  // already there
@@ -476,7 +466,7 @@ RpcFuture<MigrateResult> Runtime::migrate_async(marcel::ThreadId id,
   // it: the runs (recorded while the thread is still resident and ours)
   // let fail() reclaim the cached pages and adopt the descriptor back.
   std::optional<MigrationRollback> rollback;
-  if (deadline != 0 || peers_ != nullptr) {
+  if (deadline != 0 || peers_.enabled()) {
     MigrationRollback& rb =
         rollback.emplace(MigrationRollback{t, id, {}, false});
     iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* slot) {
@@ -497,7 +487,8 @@ RpcFuture<MigrateResult> Runtime::migrate_async(marcel::ThreadId id,
   if (auto lost = pending_.arm_after_ship(req.corr,
                                           [&] { return peer_down(dest); })) {
     peer_down_failures_.fetch_add(1, std::memory_order_relaxed);
-    fail(std::move(*lost), peer_down_error(dest, "unreachable"));
+    fail(std::move(*lost), peer_down_error(dest, "unreachable"),
+         RpcErrorCode::kPeerDown);
   }
   return RpcFuture<MigrateResult>(std::move(req.future));
 }
@@ -622,6 +613,7 @@ void Runtime::dispatch_rpc(uint32_t service, uint32_t src, uint64_t corr,
   // Held invocations go first: requests start in arrival order.
   if (held_rpcs_.empty() && start_invocation(inv, /*may_wait=*/false)) return;
   held_rpcs_.push_back(inv);
+  held_count_.store(held_rpcs_.size(), std::memory_order_relaxed);
 }
 
 bool Runtime::start_invocation(RpcInvocation* inv, bool may_wait) {
@@ -654,6 +646,7 @@ void Runtime::start_held_rpcs() {
          start_invocation(held_rpcs_[started], /*may_wait=*/false))
     ++started;
   held_rpcs_.erase(held_rpcs_.begin(), held_rpcs_.begin() + started);
+  held_count_.store(held_rpcs_.size(), std::memory_order_relaxed);
 }
 
 void Runtime::send_request(uint32_t node, uint32_t service,
@@ -675,8 +668,10 @@ void Runtime::send_request(uint32_t node, uint32_t service,
 CorrelationTable::Opened Runtime::open_request(uint32_t node,
                                                uint64_t timeout_ns) {
   PM2_CHECK(node < config_.n_nodes);
-  if (node != config_.node && peer_down(node))
-    return {0, failed_future(peer_down_error(node, "is down"))};
+  if (node != config_.node && peer_down(node)) {
+    return {0, failed_future(peer_down_error(node, "is down"),
+                             RpcErrorCode::kPeerDown)};
+  }
   return pending_.open(node, resolve_deadline(timeout_ns));
 }
 
@@ -702,7 +697,8 @@ std::vector<uint8_t> Runtime::call(uint32_t node, const char* service_name,
   marcel::Future<std::vector<uint8_t>> fut =
       call_async(node, service_name, std::move(args));
   fut.wait();
-  if (fut.failed()) throw RpcError(fut.error());
+  if (fut.failed())
+    throw RpcError(fut.error(), RpcErrorCode(fut.error_code()));
   return fut.take();
 }
 
@@ -716,11 +712,10 @@ void Runtime::expire_deadlines(uint64_t now) {
   if (pending_.next_deadline() > now) return;
   for (CorrelationTable::Pending& p : pending_.take_due(now)) {
     rpc_timeouts_.fetch_add(1, std::memory_order_relaxed);
-    std::string why = std::string(kRpcTimeoutPrefix) +
-                      (p.rollback ? ": no install ack from node "
-                                  : ": no reply from node ") +
+    std::string why = (p.rollback ? "rpc timeout: no install ack from node "
+                                  : "rpc timeout: no reply from node ") +
                       std::to_string(p.dest);
-    fail(std::move(p), why);
+    fail(std::move(p), why, RpcErrorCode::kTimeout);
   }
 }
 
@@ -728,21 +723,22 @@ void Runtime::complete(uint64_t corr, std::vector<uint8_t>&& reply) {
   if (auto p = pending_.take(corr)) p->promise.set_value(std::move(reply));
 }
 
-void Runtime::fail(CorrelationTable::Pending&& p, const std::string& why) {
+void Runtime::fail(CorrelationTable::Pending&& p, const std::string& why,
+                   RpcErrorCode code) {
   if (p.rollback) {
     const MigrationRollback& rb = *p.rollback;
     migration_rollbacks_.fetch_add(1, std::memory_order_relaxed);
-    // ship_thread parked the runs in the migration slot cache, which kept
-    // the pages (descriptor and stack included) committed.  Reclaim the
-    // entries so the cache will not decommit them under the revived
-    // thread.  An evicted entry means the descriptor bytes are gone and no
-    // rollback exists — configure migration_slot_cache to span the
-    // timeout window.
+    // ship_thread parked the runs in the away cache, which kept the pages
+    // (descriptor and stack included) committed.  Reclaim the entries so
+    // the cache will not decommit them under the revived thread.  An
+    // evicted entry means the descriptor bytes are gone and no rollback
+    // exists (see iso::SlotManager::kAwayRunCapacity).
     for (auto [first, count] : rb.runs) {
-      PM2_CHECK(mig_cache_take(first, count))
+      PM2_CHECK(nego_.take_away(first, count))
           << "migration rollback window lost (run " << first << "+" << count
-          << " evicted from the slot cache): migration_slot_cache must "
-             "cover deadline-armed migrations";
+          << " evicted from the away cache): more than "
+          << iso::SlotManager::kAwayRunCapacity
+          << " runs left inside one deadline window";
     }
     // Same adoption path an arriving migration uses: the frozen, forgotten
     // descriptor becomes runnable here again.  Locally the stack bytes,
@@ -752,7 +748,7 @@ void Runtime::fail(CorrelationTable::Pending&& p, const std::string& why) {
     PM2_WARN << "node " << config_.node << ": rolled back migration of thread "
              << rb.id << " -> node " << p.dest << " (" << why << ")";
   }
-  p.promise.set_error(why);
+  p.promise.set_error(why, static_cast<uint8_t>(code));
 }
 
 void RpcContext::fail(const std::string& why) {
@@ -803,51 +799,22 @@ void Runtime::barrier() {
   PM2_CHECK(marcel::Scheduler::self() != nullptr) << "barrier outside thread";
   // A barrier cannot complete without every node: with failure detection
   // on, error out instead of parking forever behind a dead peer.
-  if (peers_ != nullptr) {
-    for (uint32_t n = 0; n < config_.n_nodes; ++n) {
-      if (n != config_.node && peer_down(n))
-        throw RpcError(peer_down_error(n, "is down, barrier cannot complete"));
+  for (uint32_t n = 0; n < config_.n_nodes; ++n) {
+    if (peer_down(n)) {
+      throw RpcError(peer_down_error(n, "is down, barrier cannot complete"),
+                     RpcErrorCode::kPeerDown);
     }
   }
   marcel::Event ev;
-  // Decide under barrier_lock_ (the comm daemon's arrival handler races
-  // the coordinator's own local arrival at workers > 1); send and set the
-  // event outside it.
-  bool release_all = false;
   barrier_lock_.lock();
   PM2_CHECK(barrier_waiter_ == nullptr) << "concurrent barriers on one node";
   barrier_waiter_ = &ev;
   uint32_t seq = barrier_seq_;
-  if (config_.node == 0) {
-    // Local arrival at the coordinator.
-    if (++barrier_arrivals_ == config_.n_nodes) {
-      barrier_arrivals_ = 0;
-      ++barrier_seq_;
-      release_all = true;
-    }
-  }
   barrier_lock_.unlock();
   if (config_.node == 0) {
-    if (release_all) {
-      for (uint32_t n = 1; n < config_.n_nodes; ++n) {
-        fabric::Message msg;
-        msg.type = kBarrierRelease;
-        msg.dst = n;
-        ByteWriter w;
-        w.put<uint32_t>(seq);
-        msg.payload = w.take();
-        fabric_->send(std::move(msg));
-      }
-      ev.set();
-    }
+    barrier_arrive();
   } else {
-    fabric::Message msg;
-    msg.type = kBarrierArrive;
-    msg.dst = 0;
-    ByteWriter w;
-    w.put<uint32_t>(seq);
-    msg.payload = w.take();
-    fabric_->send(std::move(msg));
+    send_barrier_frame(*fabric_, kBarrierArrive, 0, seq);
   }
   ev.wait();
   barrier_lock_.lock();
@@ -857,7 +824,31 @@ void Runtime::barrier() {
   std::string err = std::move(barrier_error_);
   barrier_error_.clear();
   barrier_lock_.unlock();
-  if (!err.empty()) throw RpcError(err);
+  if (!err.empty()) throw RpcError(err, RpcErrorCode::kPeerDown);
+}
+
+void Runtime::barrier_arrive() {
+  PM2_CHECK(config_.node == 0) << "barrier arrival at non-coordinator";
+  // Count under barrier_lock_ (the comm daemon's arrivals race the
+  // coordinator's own on another worker); send and wake outside it.  The
+  // waiter stays valid until its thread returns from ev.wait(), which
+  // cannot happen before set().
+  marcel::Event* waiter = nullptr;
+  uint32_t seq = 0;
+  barrier_lock_.lock();
+  const bool release_all = ++barrier_arrivals_ == config_.n_nodes;
+  if (release_all) {
+    barrier_arrivals_ = 0;
+    seq = barrier_seq_++;
+    waiter = barrier_waiter_;
+  }
+  barrier_lock_.unlock();
+  if (!release_all) return;
+  for (uint32_t n = 1; n < config_.n_nodes; ++n)
+    send_barrier_frame(*fabric_, kBarrierRelease, n, seq);
+  PM2_CHECK(waiter != nullptr)
+      << "all nodes arrived but coordinator never entered the barrier";
+  waiter->set(/*direct_handoff=*/true);
 }
 
 void Runtime::send_signal(uint32_t node) {
@@ -935,80 +926,26 @@ fabric::FaultFabric* Runtime::fault_fabric() {
   return dynamic_cast<fabric::FaultFabric*>(fabric_.get());
 }
 
-Runtime::PeerState Runtime::peer_state(uint32_t node) const {
-  if (peers_ == nullptr || node == config_.node || node >= config_.n_nodes)
-    return PeerState::kUp;
-  return static_cast<PeerState>(
-      peers_[node].state.load(std::memory_order_acquire));
-}
-
-void Runtime::peer_seen(uint32_t node) {
-  if (node >= config_.n_nodes) return;
-  PeerHealth& h = peers_[node];
-  h.last_seen_ns.store(now_ns(), std::memory_order_relaxed);
-  if (h.state.load(std::memory_order_relaxed) !=
-      static_cast<uint8_t>(PeerState::kUp)) {
-    // Any frame from a suspect/down peer is proof of recovery: a healed
-    // partition or a flapping link rejoins without ceremony.  (Pending
-    // requests already failed by the down sweep stay failed — at-least-once
-    // callers retry; the table drops the stale replies.)
-    h.state.store(static_cast<uint8_t>(PeerState::kUp),
-                  std::memory_order_release);
-    PM2_WARN << "node " << node << " is back up";
-  }
-}
-
 void Runtime::check_peers(uint64_t now) {
-  // Re-scan at a quarter of the heartbeat period: fine enough that a miss
-  // verdict lands within ~one period of its deadline, coarse enough that a
-  // busy daemon is not rescanning the table on every frame.
-  if (now < next_peer_scan_ns_) return;
-  next_peer_scan_ns_ = now + config_.heartbeat_period_ns / 4 + 1;
-  if (now >= next_heartbeat_ns_) {
-    next_heartbeat_ns_ = now + config_.heartbeat_period_ns;
-    for (uint32_t n = 0; n < config_.n_nodes; ++n) {
-      if (n == config_.node) continue;
-      // Down peers are probed too: a restarted or partition-healed peer
-      // announces itself by answering traffic, and the probe is what keeps
-      // traffic flowing to an otherwise-quiet peer.
-      fabric::Message hb;
-      hb.type = kHeartbeat;
-      hb.dst = n;
-      hb.best_effort = true;
-      fabric_->send(std::move(hb));
-      heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  for (uint32_t n = 0; n < config_.n_nodes; ++n) {
+  PeerMonitor::Tick tick = peers_.tick(now);
+  for (uint32_t n = 0; tick.heartbeat && n < config_.n_nodes; ++n) {
     if (n == config_.node) continue;
-    PeerHealth& h = peers_[n];
-    auto st = static_cast<PeerState>(h.state.load(std::memory_order_relaxed));
-    if (st == PeerState::kDown) continue;
-    uint64_t last = h.last_seen_ns.load(std::memory_order_relaxed);
-    uint64_t silent = now > last ? now - last : 0;
-    uint64_t missed = silent / config_.heartbeat_period_ns;
-    if (missed >= config_.heartbeat_miss_limit) {
-      mark_peer_down(n);
-    } else if (missed >= 1 && st == PeerState::kUp) {
-      h.state.store(static_cast<uint8_t>(PeerState::kSuspect),
-                    std::memory_order_release);
-      PM2_DEBUG << "node " << n << " suspect (" << missed
-                << " heartbeats missed)";
-    }
+    fabric::Message hb;
+    hb.type = kHeartbeat;
+    hb.dst = n;
+    hb.best_effort = true;
+    fabric_->send(std::move(hb));
   }
+  for (uint32_t n : tick.down) mark_peer_down(n);
 }
 
 void Runtime::mark_peer_down(uint32_t node) {
-  peers_[node].state.store(static_cast<uint8_t>(PeerState::kDown),
-                           std::memory_order_release);
-  PM2_WARN << "node " << node << " declared down ("
-           << config_.heartbeat_miss_limit << " heartbeats missed)";
   const std::string why = peer_down_error(node, "unreachable");
   // The sweep leaves migrations still being shipped to their sender (see
   // migrate_async); stale deadline-heap entries are skipped lazily.
   for (CorrelationTable::Pending& p : pending_.take_for(node)) {
     peer_down_failures_.fetch_add(1, std::memory_order_relaxed);
-    fail(std::move(p), why);
+    fail(std::move(p), why, RpcErrorCode::kPeerDown);
   }
   // A parked barrier can never complete without `node`: wake the waiter
   // with the error recorded instead of leaving it parked forever.
@@ -1038,17 +975,9 @@ void Runtime::comm_daemon_body() {
   // missed-wakeup bug to one lap instead of a hang, at zero latency cost
   // (every frame still wakes the fabric handle immediately).
   constexpr uint64_t kIdleBlockNs = 500'000'000;
-  // Failure detection runs on this daemon's clock: initialize every peer
-  // as freshly seen so a slow-starting peer gets a full miss budget before
-  // the first suspicion.
-  const bool failure_detection = peers_ != nullptr;
-  if (failure_detection) {
-    uint64_t now = now_ns();
-    for (uint32_t n = 0; n < config_.n_nodes; ++n)
-      peers_[n].last_seen_ns.store(now, std::memory_order_relaxed);
-    next_heartbeat_ns_ = now + config_.heartbeat_period_ns;
-    next_peer_scan_ns_ = now;
-  }
+  // Failure detection runs on this daemon's clock.
+  const bool failure_detection = peers_.enabled();
+  peers_.start(now_ns());
   while (true) {
     // A pending worker pause (audit / checkpoint quiesce) must never wait
     // on the daemon finishing a blocking lap: gate first.
@@ -1096,7 +1025,7 @@ void Runtime::comm_daemon_body() {
     // heartbeat tick: an expiry must fire on time even on a frame-silent
     // node (satellite of the 500 ms idle cap, not a replacement for it).
     deadline = std::min(deadline, pending_.next_deadline());
-    if (failure_detection) deadline = std::min(deadline, next_heartbeat_ns_);
+    deadline = std::min(deadline, peers_.next_heartbeat());
     if (auto msg = fabric_->recv_until(deadline)) {
       handle_message(*msg);
       // Re-check immediately: if that frame was the halt (or the last
@@ -1123,46 +1052,16 @@ void Runtime::comm_daemon_body() {
 void Runtime::handle_message(fabric::Message& msg) {
   // Any frame is proof of life — heartbeats just guarantee a minimum rate
   // on otherwise-silent links.
-  if (peers_ != nullptr && msg.src != config_.node) peer_seen(msg.src);
+  if (peers_.enabled()) peers_.seen(msg.src, now_ns());
   switch (msg.type) {
     case kHeartbeat:
       break;  // liveness already recorded above; no payload
     case kHalt:
       begin_halt();
       break;
-    case kBarrierArrive: {
-      PM2_CHECK(config_.node == 0) << "barrier arrival at non-coordinator";
-      // Mutate under barrier_lock_ (racing the coordinator's own local
-      // arrival on another worker); sends and the waiter wake-up happen
-      // outside.  The waiter pointer stays valid until its thread returns
-      // from ev.wait(), which cannot happen before set().
-      bool release_all = false;
-      uint32_t seq = 0;
-      marcel::Event* waiter = nullptr;
-      barrier_lock_.lock();
-      if (++barrier_arrivals_ == config_.n_nodes) {
-        barrier_arrivals_ = 0;
-        seq = barrier_seq_++;
-        release_all = true;
-        waiter = barrier_waiter_;
-      }
-      barrier_lock_.unlock();
-      if (release_all) {
-        for (uint32_t n = 1; n < config_.n_nodes; ++n) {
-          fabric::Message rel;
-          rel.type = kBarrierRelease;
-          rel.dst = n;
-          ByteWriter w;
-          w.put<uint32_t>(seq);
-          rel.payload = w.take();
-          fabric_->send(std::move(rel));
-        }
-        PM2_CHECK(waiter != nullptr)
-            << "all nodes arrived but coordinator never entered the barrier";
-        waiter->set(/*direct_handoff=*/true);
-      }
+    case kBarrierArrive:
+      barrier_arrive();
       break;
-    }
     case kBarrierRelease: {
       barrier_lock_.lock();
       marcel::Event* waiter = barrier_waiter_;
@@ -1288,51 +1187,6 @@ void Runtime::run(std::function<void()> node_main) {
                              marcel::Thread::kFlagPinned);
   if (node_main) spawn_local(std::move(node_main), "main");
   sched_.run();
-}
-
-// ---------------------------------------------------------------------------
-// Migration slot cache
-// ---------------------------------------------------------------------------
-
-void Runtime::mig_cache_put(size_t first, size_t count) {
-  if (config_.migration_slot_cache == 0) {
-    area_.decommit(first, count);
-    return;
-  }
-  // Mutate under the lock; evicted runs are decommitted after (decommit is
-  // an mmap call — too slow for a spinlock hold, and eviction order only
-  // matters for the cache bookkeeping, not for the kernel).
-  std::vector<MigCacheEntry> evicted;
-  mig_cache_lock_.lock();
-  // Idempotence: the run may already be cached if this thread bounced
-  // through before.
-  for (const MigCacheEntry& e : mig_cache_) {
-    if (e.first == first && e.count == count) {
-      mig_cache_lock_.unlock();
-      return;
-    }
-  }
-  mig_cache_.push_back(MigCacheEntry{first, count});
-  while (mig_cache_.size() > config_.migration_slot_cache) {
-    evicted.push_back(mig_cache_.front());
-    mig_cache_.pop_front();
-  }
-  mig_cache_lock_.unlock();
-  for (const MigCacheEntry& old : evicted) area_.decommit(old.first, old.count);
-}
-
-bool Runtime::mig_cache_take(size_t first, size_t count) {
-  // Every overlapping entry goes, not just an exact match: an entry of
-  // another shape left behind would decommit the new tenant's pages when
-  // it is evicted later.
-  sys::SpinGuard g(mig_cache_lock_);
-  bool hit = false;
-  for (auto it = mig_cache_.begin(); it != mig_cache_.end();) {
-    hit |= it->first == first && it->count == count;
-    bool overlap = it->first < first + count && first < it->first + it->count;
-    it = overlap ? mig_cache_.erase(it) : ++it;
-  }
-  return hit;
 }
 
 void Runtime::printf(const char* fmt, ...) {

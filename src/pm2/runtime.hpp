@@ -7,11 +7,12 @@
 //
 // and implements the distributed pieces of the paper: remote thread
 // creation (LRPC), iso-address thread migration, barriers and shutdown.
-// Parts with one lock each own the rest: the Negotiator the slot bitmap
-// (pm2/negotiator.hpp), the InvocationPool the parked service threads
-// (pm2/invocation_pool.hpp), Residency the slot store and demotion
-// (pm2/residency.hpp).  The runtime wires them to its comm daemon and
-// thread lifecycle, and adds the migration slot cache.
+// Parts own the rest: the Negotiator the slot bitmap and every idle
+// committed slot (pm2/negotiator.hpp), the InvocationPool the parked
+// service threads (pm2/invocation_pool.hpp), Residency the slot store and
+// demotion (pm2/residency.hpp), and the PeerMonitor the liveness verdicts
+// (pm2/peer_monitor.hpp).  The runtime wires them to its comm daemon and
+// thread lifecycle.
 //
 // Threading model: a node's PM2 threads run on RuntimeConfig::workers
 // scheduler kernel threads (1 = the original single-kernel-thread node).
@@ -34,7 +35,6 @@
 #include <cstdarg>
 #include <cstdint>
 #include <functional>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -58,6 +58,7 @@
 #include "pm2/correlation.hpp"
 #include "pm2/invocation_pool.hpp"
 #include "pm2/negotiator.hpp"
+#include "pm2/peer_monitor.hpp"
 #include "pm2/protocol.hpp"
 #include "pm2/residency.hpp"
 #include "sys/spinlock.hpp"
@@ -72,32 +73,28 @@ class FaultFabric;
 
 class Runtime;
 
-/// Thrown by the blocking request paths (call / typed call<R> /
-/// RpcFuture::take) when the request cannot complete: the session halted
-/// while the reply was pending, or the destination had no such service.
-/// Asynchronous callers observe the same conditions non-throwing via
-/// Future::failed()/error().
-struct RpcError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-/// Coarse classification of an RPC/migration failure.  marcel futures carry
-/// string errors, so the classified failures use stable message prefixes
-/// (below) and this helper recovers the category.
+/// Coarse classification of an RPC/migration failure, carried as the
+/// failed future's error_code() next to its message:
 ///   kTimeout  — the request's deadline elapsed with no reply.
 ///   kPeerDown — the failure detector declared the destination dead.
 ///   kOther    — everything else (unknown service, session halting, the
 ///               remote handler threw).
-enum class RpcErrorCode { kOther, kTimeout, kPeerDown };
+enum class RpcErrorCode : uint8_t { kOther, kTimeout, kPeerDown };
 
-inline constexpr const char* kRpcTimeoutPrefix = "rpc timeout";
-inline constexpr const char* kRpcPeerDownPrefix = "peer down";
+/// Thrown by the blocking request paths (call / typed call<R> /
+/// RpcFuture::take) when the request cannot complete: the session halted
+/// while the reply was pending, or the destination had no such service.
+/// Asynchronous callers observe the same conditions non-throwing via
+/// Future::failed()/error()/error_code().
+struct RpcError : std::runtime_error {
+  explicit RpcError(const std::string& why,
+                    RpcErrorCode code = RpcErrorCode::kOther)
+      : std::runtime_error(why), code_(code) {}
+  RpcErrorCode code() const { return code_; }
 
-inline RpcErrorCode rpc_error_code(const std::string& why) {
-  if (why.rfind(kRpcTimeoutPrefix, 0) == 0) return RpcErrorCode::kTimeout;
-  if (why.rfind(kRpcPeerDownPrefix, 0) == 0) return RpcErrorCode::kPeerDown;
-  return RpcErrorCode::kOther;
-}
+ private:
+  RpcErrorCode code_;
+};
 
 /// Completion value of migrate_async: the ack sent by the installing node
 /// once the thread is adopted there.
@@ -164,10 +161,11 @@ class RpcFuture {
   void wait() { raw_.wait(); }
   bool failed() const { return raw_.failed(); }
   const std::string& error() const { return raw_.error(); }
+  RpcErrorCode code() const { return RpcErrorCode(raw_.error_code()); }
 
   R take() {
     wait();
-    if (raw_.failed()) throw RpcError(raw_.error());
+    if (raw_.failed()) throw RpcError(raw_.error(), code());
     std::vector<uint8_t> bytes = raw_.take();
     if constexpr (!std::is_void_v<R>) {
       mad::UnpackBuffer u(bytes.data(), bytes.size());
@@ -235,11 +233,6 @@ struct RuntimeConfig {
   /// Migration payload: ship only slot headers + live blocks/stack instead
   /// of whole slots (paper §6 optimization).  Ablation A4 toggles this.
   bool migrate_blocks_only = true;
-  /// Migration slot cache (the paper's §6 mmapped-slot cache applied to the
-  /// migration path): slots of shipped threads stay committed, and a thread
-  /// migrating back into cached slots skips the commit + page-fault cycle.
-  /// Value = max cached slot runs per node; 0 disables.
-  size_t migration_slot_cache = 64;
   /// Pre-buy (paper §4.4: "possible for the local node to take advantage
   /// of a negotiation phase to pre-buy slots in prevision of foreseeable
   /// large allocation requests"): each negotiation first tries to win this
@@ -339,8 +332,6 @@ class Runtime {
   iso::SlotManager& slots() { return nego_.slots(); }
   /// The slot bitmap's owner: the system-wide critical section (audits).
   Negotiator& negotiator() { return nego_; }
-  /// Negotiation-aware slot provisioning (what thread heaps should use).
-  iso::SlotOps& slot_ops() { return slot_ops_; }
   iso::Area& area() { return area_; }
   fabric::Fabric& fabric() { return *fabric_; }
   /// The fault-injection decorator wrapping the transport, or nullptr when
@@ -426,12 +417,12 @@ class Runtime {
   /// configured rpc_timeout_ns; 0 = unbounded).  On expiry — or when the
   /// destination is declared down first — the migration *rolls back*: the
   /// shipped thread is adopted back onto this node's scheduler (its slots
-  /// never left local commitment thanks to the migration slot cache) and
-  /// the future fails with kTimeout / kPeerDown.  Rollback assumes the
-  /// timeout means the payload was lost (dead or partitioned peer): a
-  /// payload merely *delayed* past the deadline would install a second
-  /// copy at the destination.  Deadline-armed migrations therefore require
-  /// migration_slot_cache large enough to span the timeout window.
+  /// stayed committed in the away cache) and the future fails with
+  /// kTimeout / kPeerDown.  Rollback assumes the timeout means the payload
+  /// was lost (dead or partitioned peer): a payload merely *delayed* past
+  /// the deadline would install a second copy at the destination.  At most
+  /// iso::SlotManager::kAwayRunCapacity runs may leave this node within
+  /// one deadline window, or the cache evicts a rollback's runs.
   RpcFuture<MigrateResult> migrate_async(
       marcel::ThreadId id, uint32_t dest,
       uint64_t timeout_ns = kTimeoutFromConfig);
@@ -443,7 +434,6 @@ class Runtime {
     post_migration_ = std::move(post);
   }
   const MigrationHook& pre_migration_hook() const { return pre_migration_; }
-  const MigrationHook& post_migration_hook() const { return post_migration_; }
 
   // --- RPC (LRPC: remote thread creation) -----------------------------------
   //
@@ -553,7 +543,7 @@ class Runtime {
   }
 
   /// Typed blocking call with an explicit deadline; throws RpcError whose
-  /// message rpc_error_code() classifies as kTimeout on expiry.
+  /// code() is kTimeout on expiry.
   template <typename R, typename... Args>
   R call_within(uint64_t timeout_ns, uint32_t node, const char* service_name,
                 const Args&... args) {
@@ -584,28 +574,8 @@ class Runtime {
   /// Release slots, deferring while a negotiation freezes the bitmap.
   void release_slots(size_t first, size_t count);
 
-  /// Claim a specific run (checkpoint restore), waiting out any bitmap
-  /// freeze.  Returns false if any slot of the run is not free here.
-  bool acquire_slots_at(size_t first, size_t count);
-
   /// Paper-trace printf: prefixes "[node<i>] " (Fig. 8).
   void printf(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-
-  // --- migration slot cache (see RuntimeConfig::migration_slot_cache) -------
-
-  /// Record a shipped thread's slot run as still-committed (instead of
-  /// decommitting).  Evicts (and decommits) the oldest run on overflow.
-  void mig_cache_put(size_t first, size_t count);
-  /// Drop every cached run overlapping [first, first+count) without
-  /// decommitting; true when one of them was exactly this run (the caller
-  /// may skip the commit; stale bytes in extent gaps are dead data by
-  /// construction).  Also called, result ignored, when slots re-enter
-  /// local ownership.
-  bool mig_cache_take(size_t first, size_t count);
-  size_t mig_cache_size() const {
-    sys::SpinGuard g(mig_cache_lock_);
-    return mig_cache_.size();
-  }
 
   // --- stats -----------------------------------------------------------------
 
@@ -641,21 +611,12 @@ class Runtime {
 
   // --- failure detection (see RuntimeConfig::heartbeat_period_ns) -----------
 
-  /// Detector verdict for a peer.  kSuspect (one missed period) is
-  /// observational only; kDown triggers the failure sweep.
-  enum class PeerState : uint8_t { kUp = 0, kSuspect = 1, kDown = 2 };
-
-  /// Current verdict for `node` (kUp for self, out-of-range nodes, and
-  /// whenever detection is disabled).
-  PeerState peer_state(uint32_t node) const;
+  using PeerState = PeerMonitor::State;
+  PeerState peer_state(uint32_t node) const { return peers_.state(node); }
   bool peer_down(uint32_t node) const {
-    return peer_state(node) == PeerState::kDown;
+    return peers_.state(node) == PeerState::kDown;
   }
-
-  /// Heartbeat frames this node has sent.
-  uint64_t heartbeats_sent() const {
-    return heartbeats_sent_.load(std::memory_order_relaxed);
-  }
+  uint64_t heartbeats_sent() const { return peers_.heartbeats_sent(); }
   /// Requests failed with kTimeout by deadline expiry.
   uint64_t rpc_timeouts() const {
     return rpc_timeouts_.load(std::memory_order_relaxed);
@@ -752,8 +713,10 @@ class Runtime {
   void complete(uint64_t corr, std::vector<uint8_t>&& reply);
   /// The only failure resolver: an entry carrying a rollback record adopts
   /// its thread back onto this node first, then the future fails with
-  /// `why`.  Callers took the entry from the table and hold no locks.
-  void fail(CorrelationTable::Pending&& p, const std::string& why);
+  /// `why` and `code`.  Callers took the entry from the table and hold no
+  /// locks.
+  void fail(CorrelationTable::Pending&& p, const std::string& why,
+            RpcErrorCode code = RpcErrorCode::kOther);
   /// Fail the request `corr` of node `caller` with `why`: resolved here
   /// for a local caller, sent as a kReplyError otherwise.
   void fail_reply(uint32_t caller, uint64_t corr, const std::string& why);
@@ -765,15 +728,16 @@ class Runtime {
   /// explicit value / 0) to an absolute deadline (0 = unbounded).
   uint64_t resolve_deadline(uint64_t timeout_ns) const;
 
-  /// Liveness bookkeeping (the comm daemon is the only writer): any
-  /// received frame marks its sender up.
-  void peer_seen(uint32_t node);
-  /// Heartbeat emission + miss detection (comm daemon laps; internally
-  /// rate-limited to a fraction of the heartbeat period).
+  /// Comm daemon: send the heartbeats peers_ says are due, and sweep each
+  /// peer it declares down.
   void check_peers(uint64_t now);
-  /// Declare `node` dead: fail its pending calls with kPeerDown, roll back
-  /// its in-flight migrations, and unwedge barrier/negotiation waiters.
+  /// The sweep for a peer declared down: fail its pending calls with
+  /// kPeerDown, roll back its in-flight migrations, and unwedge
+  /// barrier/negotiation waiters.
   void mark_peer_down(uint32_t node);
+  /// Node 0 counts one barrier arrival (its own or a kBarrierArrive); the
+  /// last one releases every node.
+  void barrier_arrive();
   /// halt() or a received kHalt: mark the session halting and close the
   /// table, waking every thread blocked on a pending reply with an error
   /// instead of leaving it parked forever.
@@ -781,6 +745,8 @@ class Runtime {
   void handle_audit_req(fabric::Message& msg);
 
   marcel::ThreadId next_thread_id();
+  /// The calling PM2 thread's heap; CHECK-fails naming `api` elsewhere.
+  iso::ThreadHeap self_heap(const char* api);
   /// `start_frozen` hands the newborn back still frozen (spawn_copy
   /// finishes preparing it before any worker may steal and run it).
   /// Without `may_wait`, nullptr when no local stack run is free right now
@@ -789,9 +755,6 @@ class Runtime {
                                          const char* name, uint32_t flags,
                                          bool start_frozen = false,
                                          bool may_wait = true);
-  /// `count` contiguous local slots, out of the migration cache: the
-  /// Negotiator's acquire when `may_wait`, else its try_acquire.
-  std::optional<size_t> take_slots(size_t count, bool may_wait);
   void reap_thread(marcel::Thread* t);
 
   static void thread_trampoline(void* descriptor);
@@ -806,7 +769,7 @@ class Runtime {
    public:
     explicit NegotiatingSlotOps(Runtime& rt) : rt_(rt) {}
     std::optional<size_t> acquire(size_t count) override {
-      return rt_.take_slots(count, /*may_wait=*/true);
+      return rt_.nego_.acquire(count);
     }
     void release(size_t first, size_t count) override {
       rt_.release_slots(first, count);
@@ -853,20 +816,11 @@ class Runtime {
   // The slot bitmap, its freeze and the system-wide critical section.
   Negotiator nego_;
 
-  // Peer health, lock-free by design: the sweep on a down transition takes
-  // the correlation table's lock (same rank as every other runtime map),
-  // so the health state itself must not live under a kRuntimeMaps lock.
-  // The comm daemon is the only writer; workers read `state` for
-  // fail-fast sends.
-  struct PeerHealth {
-    std::atomic<uint64_t> last_seen_ns{0};
-    std::atomic<uint8_t> state{0};  // PeerState
-  };
-  std::unique_ptr<PeerHealth[]> peers_;  // n_nodes entries; null when 1 node
-  uint64_t next_heartbeat_ns_ = 0;       // comm daemon only
-  uint64_t next_peer_scan_ns_ = 0;       // comm daemon only
+  PeerMonitor peers_;
   std::vector<RpcInvocation*> held_rpcs_;  // comm daemon only (dispatch_rpc)
-  std::atomic<uint64_t> heartbeats_sent_{0};
+  // held_rpcs_.size(), for the workers whose slot release or shell park
+  // may unblock a held request: non-zero, they wake the daemon.
+  std::atomic<size_t> held_count_{0};
   std::atomic<uint64_t> rpc_timeouts_{0};
   std::atomic<uint64_t> peer_down_failures_{0};
   std::atomic<uint64_t> migration_rollbacks_{0};
@@ -897,14 +851,6 @@ class Runtime {
   mutable sys::SpinLock load_lock_{sys::LockRank::kRuntimeMaps};
   std::vector<uint64_t> load_table_ PM2_GUARDED_BY(load_lock_);
   mad::ChannelMux channels_{*fabric_, kUserBase};
-
-  struct MigCacheEntry {
-    size_t first;
-    size_t count;
-  };
-  mutable sys::SpinLock mig_cache_lock_{sys::LockRank::kRuntimeMaps};
-  std::deque<MigCacheEntry> mig_cache_
-      PM2_GUARDED_BY(mig_cache_lock_);  // front = oldest
 
   InvocationPool pool_;
   Residency residency_;

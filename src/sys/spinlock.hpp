@@ -90,7 +90,7 @@ enum class LockRank : uint8_t {
   kRegistryShard = 0x20,   // Scheduler registry stripes (sys::StripedMap)
   kSyncState = 0x30,       // Mutex/Semaphore/Barrier/Event/RwLock/WaitQueue
   kSyncCondVar = 0x34,     // CondVar state (runs Mutex::unlock underneath)
-  kRuntimeMaps = 0x40,     // runtime tables: pending/services/slots/store/...
+  kRuntimeMaps = 0x40,     // runtime tables: pending/services/bitmap/store/...
   kInvocationPool = 0x48,  // pool list + invocation freelist
 };
 

@@ -424,9 +424,9 @@ void cr_mid_frame_child() {
     while (!file_exists(dir + "/killed")) CHILD_REQUIRE(now_ns() < give_up);
     // Now the daemon drains the queued bytes — placing the runs — and
     // then meets the dead link.
-    for (int i = 0; i < 10'000 && rt.mig_cache_size() == 0; ++i)
+    for (int i = 0; i < 10'000 && rt.negotiator().away_runs() == 0; ++i)
       pm2_sleep_us(1'000);
-    CHILD_REQUIRE(rt.mig_cache_size() > 0);
+    CHILD_REQUIRE(rt.negotiator().away_runs() > 0);
     CHILD_REQUIRE(rt.migrations_in() == 0);
     // The audit's requests wait for the restarted node 1 to reconnect.
     AuditReport report = audit_session(rt);

@@ -211,7 +211,7 @@ TEST(FaultInjection, DeadlinedCallToPartitionedPeerTimesOutWithinTwice) {
         try {
           rt.call_within<int>(kDeadlineNs, 1, "echo", 7);
         } catch (const RpcError& e) {
-          code = static_cast<int>(rpc_error_code(e.what()));
+          code = static_cast<int>(e.code());
         }
         elapsed = now_ns() - t0;
         timeouts = rt.rpc_timeouts();
@@ -239,7 +239,7 @@ TEST(FaultInjection, LateReplyAfterTimeoutIsTombstoned) {
         try {
           rt.call_within<int>(30'000'000, 1, "slow", 5);
         } catch (const RpcError& e) {
-          code = static_cast<int>(rpc_error_code(e.what()));
+          code = static_cast<int>(e.code());
         }
         // The service replies at ~120 ms; the correlation is already
         // tombstoned, so the reply must be dropped — not resolve anything.
@@ -281,7 +281,7 @@ TEST(FaultInjection, LateReplyAfterManyResolvedCallsIsCountedNotFatal) {
         try {
           rt.call_within<int>(20'000'000, 1, "gate", 1);
         } catch (const RpcError& e) {
-          code = static_cast<int>(rpc_error_code(e.what()));
+          code = static_cast<int>(e.code());
         }
         for (int i = 0; i < kOtherCalls; ++i) {
           if (rt.call_within<int>(0, 1, "echo", i) == i) ++answered;
@@ -346,8 +346,7 @@ TEST(FaultInjection, SeededChaosCallsSucceedWithRetries) {
                 ++correct;
               break;
             } catch (const RpcError& e) {
-              ASSERT_EQ(rpc_error_code(e.what()), RpcErrorCode::kTimeout)
-                  << e.what();
+              ASSERT_EQ(e.code(), RpcErrorCode::kTimeout) << e.what();
             }
           }
         }
@@ -432,7 +431,7 @@ TEST(FaultInjection, TimedOutMigrationRollsBackToSource) {
           rt.migrate_async(tid, 1, kDeadlineNs);
       fut.wait();
       elapsed = now_ns() - start;
-      if (fut.failed()) code = static_cast<int>(rpc_error_code(fut.error()));
+      if (fut.failed()) code = static_cast<int>(fut.code());
       rollbacks = rt.migration_rollbacks();
       // Rollback adopted the thread back here: it is runnable and joinable.
       g_rb_release = true;
@@ -512,10 +511,9 @@ void mp_worker(void*) {
     call_fut.wait();
     mig_fut.wait();
     CHILD_REQUIRE(call_fut.failed());
-    CHILD_REQUIRE(rpc_error_code(call_fut.error()) ==
-                  RpcErrorCode::kPeerDown);
+    CHILD_REQUIRE(call_fut.code() == RpcErrorCode::kPeerDown);
     CHILD_REQUIRE(mig_fut.failed());
-    CHILD_REQUIRE(rpc_error_code(mig_fut.error()) == RpcErrorCode::kPeerDown);
+    CHILD_REQUIRE(mig_fut.code() == RpcErrorCode::kPeerDown);
     CHILD_REQUIRE(rt.peer_down(1));
     CHILD_REQUIRE(rt.peer_down_failures() == 2);
     // The shipped thread rolled back: runnable and joinable at the source.
@@ -527,7 +525,7 @@ void mp_worker(void*) {
     try {
       rt.call_within<int>(0, 1, "echo", 2);
     } catch (const RpcError& e) {
-      fast = rpc_error_code(e.what()) == RpcErrorCode::kPeerDown;
+      fast = e.code() == RpcErrorCode::kPeerDown;
     }
     CHILD_REQUIRE(fast);
     // Halt must drain without hanging on the dead link (teardown drops the

@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <thread>
 #include <vector>
 
+#include "common/time.hpp"
 #include "isomalloc/distribution.hpp"
 #include "pm2/api.hpp"
 #include "pm2/app.hpp"
@@ -233,6 +236,65 @@ TEST(NegotiationRuntime, RpcDuringNegotiationNeverParksTheCommDaemon) {
       });
   EXPECT_EQ(served.load(), kCalls);
   EXPECT_GE(negotiations.load(), 1u);
+}
+
+// A request the comm daemon holds for want of a stack run starts as soon
+// as a worker frees one: the release wakes the daemon out of its blocking
+// receive instead of leaving the request there until the idle cap
+// (500 ms).  Node 1 runs 2 workers and no invocation pool; its thread
+// pinned to worker 1 holds every local slot while node 0 calls it, then
+// frees one while the daemon, on worker 0, blocks.
+std::atomic<uint64_t> g_freed_at{0};
+
+void hop_to_worker1(void*) {
+  // Unpinned: an idle worker 1 steals it.  What it spawns from there is
+  // pinned to worker 1, so the daemon's worker never runs it.
+  while (marcel::Scheduler::current_worker() != 1) pm2_yield();
+  Runtime& rt = *Runtime::current();
+  rt.spawn_local([&rt] {
+    std::vector<size_t> held;
+    while (auto s = rt.negotiator().try_acquire(1)) held.push_back(*s);
+    pm2_signal(0);         // every local run is taken
+    pm2_wait_signals(1);   // node 0's call arrived before this signal
+    // A kernel sleep: no marcel timer may bound the daemon's block.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    g_freed_at = now_ns();
+    rt.release_slots(held.back(), 1);
+    held.pop_back();
+    pm2_wait_signals(1);  // the call completed
+    for (size_t s : held) rt.release_slots(s, 1);
+    pm2_signal(0);
+  }, "holder");
+}
+
+TEST(NegotiationRuntime, HeldRequestStartsWhenAWorkerFreesARun) {
+  g_freed_at = 0;
+  AppConfig cfg = rr_config(2);
+  cfg.area.size = 64ull << 20;  // 512 slots per node to hold
+  cfg.rt.workers = 2;
+  cfg.rt.invocation_pool = 0;
+  std::atomic<uint64_t> replied_at{0};
+  run_app(
+      cfg,
+      [&](Runtime& rt) {
+        if (rt.self() == 1) {
+          pm2_thread_create(&hop_to_worker1, nullptr, "hop");
+          return;
+        }
+        pm2_wait_signals(1);
+        RpcFuture<void> fut = rt.call_async<void>(1, "noop");
+        pm2_signal(1);
+        fut.take();
+        replied_at = now_ns();
+        pm2_signal(1);
+        pm2_wait_signals(1);  // node 1 gave its runs back
+      },
+      [&](Runtime& rt) { rt.service("noop", [](RpcContext&) {}); });
+  ASSERT_NE(g_freed_at.load(), 0u);
+  const uint64_t wait_ns = replied_at.load() - g_freed_at.load();
+  EXPECT_LT(wait_ns, 50'000'000u) << "held request started "
+                                  << wait_ns / 1'000'000 << " ms after the "
+                                  << "run was freed";
 }
 
 // Two initiators (nodes 1 and 2; node 0 serves the system lock) on the

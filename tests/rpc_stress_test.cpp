@@ -39,8 +39,7 @@ R call_retry(Runtime& rt, uint32_t node, const char* service_name,
     auto fut = rt.call_async<R>(node, service_name, args...);
     fut.wait();
     if (!fut.failed()) return fut.take();
-    PM2_CHECK(rpc_error_code(fut.error()) == RpcErrorCode::kTimeout)
-        << fut.error();
+    PM2_CHECK(fut.code() == RpcErrorCode::kTimeout) << fut.error();
     PM2_CHECK(attempt < 100) << "call kept timing out: " << fut.error();
   }
 }
@@ -108,8 +107,7 @@ TEST(RpcStress, MegabytePayloadRoundTrip) {
               ok = len == blob.size() &&
                    std::memcmp(back, blob.data(), len) == 0;
             } catch (const RpcError& e) {
-              PM2_CHECK(rpc_error_code(e.what()) == RpcErrorCode::kTimeout)
-                  << e.what();
+              PM2_CHECK(e.code() == RpcErrorCode::kTimeout) << e.what();
               PM2_CHECK(attempt < 100) << "call kept timing out: " << e.what();
             }
           }

@@ -147,15 +147,6 @@ TEST_F(SlotManagerTest, MultiRunOverCapacityStillDecommits) {
   EXPECT_FALSE(area_.committed(*b));
 }
 
-TEST_F(SlotManagerTest, FlushCacheDecommits) {
-  auto mgr = make(0, 1);
-  size_t s = *mgr.acquire(1);
-  mgr.release(s, 1);
-  mgr.flush_cache();
-  EXPECT_EQ(mgr.cached_slots(), 0u);
-  EXPECT_FALSE(area_.committed(s));
-}
-
 TEST_F(SlotManagerTest, MultiAcquireOverlappingCachedSlot) {
   auto mgr = make(0, 1);
   size_t s = *mgr.acquire(1);  // slot 0 of the partition
@@ -178,6 +169,63 @@ TEST_F(SlotManagerTest, SetBitmapReconcilesCache) {
   mgr.set_bitmap(std::move(newmap));
   EXPECT_EQ(mgr.cached_slots(), 0u);
   EXPECT_FALSE(area_.committed(s));
+}
+
+// An arriving run that overlaps an away-run of another shape must drop
+// that entry too, without decommitting: left cached, its later eviction
+// would decommit pages of the thread now living in the overlap.
+TEST_F(SlotManagerTest, TakeDropsOverlappingEntriesOfAnotherShape) {
+  auto mgr = make(0, 1);
+  const size_t a = area_.n_slots() - 8;
+  EXPECT_FALSE(mgr.cache_away(a, 2).has_value());
+  EXPECT_FALSE(mgr.take_away(a, 4));
+  EXPECT_EQ(mgr.away_runs(), 0u);
+  EXPECT_FALSE(mgr.cache_away(a, 2).has_value());
+  EXPECT_TRUE(mgr.take_away(a, 2));  // exact hit: the caller skips commit
+}
+
+// Eviction hands back the oldest run for the caller to decommit once it
+// dropped its lock (what Negotiator::cache_away does).
+TEST_F(SlotManagerTest, AwayCacheEvictsTheOldestRunPastCapacity) {
+  auto mgr = make(0, 1);
+  const size_t n = SlotManager::kAwayRunCapacity + 1;
+  const size_t first = *mgr.acquire(n);  // thread-owned, committed
+  for (size_t i = 0; i < n; ++i) {
+    if (auto old = mgr.cache_away(first + i, 1)) {
+      EXPECT_EQ(i, n - 1);
+      EXPECT_EQ(*old, SlotManager::Run(first, 1));
+      area_.decommit(old->first, old->second);
+    }
+  }
+  EXPECT_EQ(mgr.away_runs(), SlotManager::kAwayRunCapacity);
+  EXPECT_FALSE(area_.committed(first));
+  EXPECT_TRUE(area_.committed(first + 1));
+  EXPECT_FALSE(mgr.take_away(first, 1));  // evicted: no rollback from it
+  EXPECT_TRUE(mgr.take_away(first + 1, 1));
+}
+
+// Slots that come back to this node (a negotiation bought them after the
+// thread that owned them died elsewhere) and are acquired again belong to
+// the new owner: the stale away-run must go in the same call, or its
+// eviction would decommit the new owner's pages.
+TEST_F(SlotManagerTest, AcquireDropsOverlappingAwayRun) {
+  auto mgr = make(0, 1);
+  const size_t s = *mgr.acquire(2);
+  EXPECT_FALSE(mgr.cache_away(s, 2).has_value());  // its thread left
+  pm2::Bitmap back = mgr.bitmap();
+  back.set_range(s, 2);
+  mgr.set_bitmap(std::move(back));
+  EXPECT_EQ(mgr.away_runs(), 1u);  // set_bitmap leaves away-runs alone
+  EXPECT_EQ(*mgr.acquire(3), s);   // first-fit over the returned run
+  EXPECT_EQ(mgr.away_runs(), 0u);
+  // Same for a claim by position (checkpoint restore).
+  const size_t t = *mgr.acquire(1);
+  EXPECT_FALSE(mgr.cache_away(t, 1).has_value());
+  back = mgr.bitmap();
+  back.set_range(t, 1);
+  mgr.set_bitmap(std::move(back));
+  EXPECT_TRUE(mgr.acquire_at(t, 1));
+  EXPECT_EQ(mgr.away_runs(), 0u);
 }
 
 TEST_F(SlotManagerTest, StatsSummarize) {
