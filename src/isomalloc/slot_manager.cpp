@@ -127,6 +127,14 @@ void SlotManager::set_bitmap(pm2::Bitmap bitmap) {
   }
 }
 
+void SlotManager::flush_cache() {
+  for (size_t idx : cache_) {
+    area_.decommit(idx, 1);
+    ++stats_.decommits;
+  }
+  cache_.clear();
+}
+
 std::optional<SlotManager::Run> SlotManager::cache_away(size_t first,
                                                        size_t count) {
   // Overlapping entries go first: an exact match makes the put idempotent,
@@ -137,7 +145,20 @@ std::optional<SlotManager::Run> SlotManager::cache_away(size_t first,
   if (away_.size() <= kAwayRunCapacity) return std::nullopt;
   Run oldest = away_.front();
   away_.pop_front();
+  evicting_.push_back(oldest);
   return oldest;
+}
+
+void SlotManager::evicted(Run run) {
+  auto it = std::find(evicting_.begin(), evicting_.end(), run);
+  PM2_CHECK(it != evicting_.end()) << "evicted() of a run not evicting";
+  evicting_.erase(it);
+}
+
+bool SlotManager::evicting(size_t first, size_t count) const {
+  for (auto [f, c] : evicting_)
+    if (f < first + count && first < f + c) return true;
+  return false;
 }
 
 bool SlotManager::take_away(size_t first, size_t count) {

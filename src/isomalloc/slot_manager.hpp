@@ -97,8 +97,15 @@ class SlotManager final : public SlotOps {
 
   /// Keep the run of a thread that migrated away committed.  Returns the
   /// oldest away-run when the cache overflows: the caller decommits it
-  /// (outside any lock it holds — decommit is an mmap call).
+  /// (outside any lock it holds — decommit is an mmap call), then calls
+  /// evicted().  Until then the run is listed as evicting.
   std::optional<Run> cache_away(size_t first, size_t count);
+  /// The caller of cache_away has decommitted `run`.
+  void evicted(Run run);
+  /// True while an evicted run overlapping [first, first+count) still
+  /// awaits evicted(): whoever claims these slots in that window must wait
+  /// for it before committing, or the late decommit wipes their pages.
+  bool evicting(size_t first, size_t count) const;
   /// Drop every away-run overlapping [first, first+count) without
   /// decommitting; true when one of them was exactly this run (a thread
   /// migrating back into its cached pages skips the commit).
@@ -115,6 +122,9 @@ class SlotManager final : public SlotOps {
   SlotStats& stats() { return stats_; }
   const SlotStats& stats() const { return stats_; }
 
+  /// Drop every cached slot (decommit).  For tests/ablation.
+  void flush_cache();
+
  private:
   void commit_run(size_t first, size_t count);
   /// Contiguous stretch of `count` cached slots, or nullopt.
@@ -129,6 +139,8 @@ class SlotManager final : public SlotOps {
   std::unordered_set<size_t> cache_;
   /// Committed runs of threads that migrated away, front = oldest.
   std::deque<Run> away_;
+  /// Runs cache_away evicted whose decommit has not been reported yet.
+  std::vector<Run> evicting_;
   SlotStats stats_;
 };
 

@@ -99,6 +99,13 @@ Thread* WaitQueue::unpark_one(bool front) {
   return t;
 }
 
+void WaitQueue::unpark_all(bool front) {
+  lock_.lock();
+  Thread* chain = pop_all_locked();
+  lock_.unlock();
+  unblock_chain(chain, front);
+}
+
 void Mutex::lock() {
   Scheduler* sched = Scheduler::current_scheduler();
   Thread* t = Scheduler::self();

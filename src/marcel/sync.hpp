@@ -56,6 +56,8 @@ class WaitQueue {
   /// `front` set the woken thread jumps to the head of the ready queue
   /// (direct handoff — it runs next; see Scheduler::unblock).
   Thread* unpark_one(bool front = false);
+  /// Unpark everything.
+  void unpark_all(bool front = false);
 
   /// Raw ops for embedded mode — caller holds the owning primitive's lock.
   void link_locked(Thread* t);
@@ -348,8 +350,18 @@ class RwLock {
   void lock();
   void unlock();
 
+  /// Advisory (tests/diagnostics): locked reads, see Mutex::locked().
+  long readers() const {
+    sys::SpinGuard g(state_lock_);
+    return readers_;
+  }
+  bool has_writer() const {
+    sys::SpinGuard g(state_lock_);
+    return writer_ != nullptr;
+  }
+
  private:
-  sys::SpinLock state_lock_{sys::LockRank::kSyncState};
+  mutable sys::SpinLock state_lock_{sys::LockRank::kSyncState};
   long readers_ PM2_GUARDED_BY(state_lock_) = 0;          // active readers
   Thread* writer_ PM2_GUARDED_BY(state_lock_) = nullptr;  // active writer
   WaitQueue read_waiters_;   // embedded mode: guarded by state_lock_

@@ -189,6 +189,11 @@ mad::BufferChain pack_thread_chain(Runtime& rt, marcel::Thread* t,
   return pack.take_chain();
 }
 
+std::vector<uint8_t> pack_thread(Runtime& rt, marcel::Thread* t,
+                                 bool blocks_only) {
+  return pack_thread_chain(rt, t, blocks_only).take_flat();
+}
+
 size_t migration_payload_size(Runtime& rt, marcel::Thread* t,
                               bool blocks_only) {
   return pack_thread_chain(rt, t, blocks_only).size();

@@ -55,6 +55,10 @@ class Runtime;
 mad::BufferChain pack_thread_chain(Runtime& rt, marcel::Thread* t,
                                    bool blocks_only);
 
+/// Legacy flat form of pack_thread_chain (checkpointing, tests).
+std::vector<uint8_t> pack_thread(Runtime& rt, marcel::Thread* t,
+                                 bool blocks_only);
+
 /// Pack + forget + send to `dest` + decommit.  `t` must be frozen (or be
 /// the post-switch continuation target of freeze_current_and).  The node's
 /// pre-migration hook (Runtime::on_migration) runs first.  `ack_corr != 0`

@@ -53,10 +53,30 @@ void Negotiator::wait_unfrozen() {
   }
 }
 
+bool Negotiator::settle(size_t first, size_t count) {
+  // The evictor holds no lock in its window and passes no marcel switch
+  // point there (one decommit call): it runs on another kernel thread, so
+  // the spin is one syscall long, like a wait on lock_ held across it.
+  if (!slot_mgr_.evicting(first, count)) return false;
+  do {
+    lock_.unlock();
+    sys::cpu_relax();
+    lock_.lock();
+  } while (slot_mgr_.evicting(first, count));
+  return true;
+}
+
+std::optional<size_t> Negotiator::take_run(size_t count) {
+  std::optional<size_t> s = slot_mgr_.acquire(count);
+  // An eviction's late decommit may have undone the acquire's commit.
+  if (s && settle(*s, count)) area_.commit(*s, count);
+  return s;
+}
+
 std::optional<size_t> Negotiator::acquire(size_t count) {
   lock_.lock();
   wait_unfrozen();
-  std::optional<size_t> s = slot_mgr_.acquire(count);
+  std::optional<size_t> s = take_run(count);
   lock_.unlock();
   if (!s && n_nodes_ > 1 && marcel::Scheduler::self() != nullptr)
     s = negotiate(count);
@@ -66,13 +86,15 @@ std::optional<size_t> Negotiator::acquire(size_t count) {
 std::optional<size_t> Negotiator::try_acquire(size_t count) {
   sys::SpinGuard g(lock_);
   if (freeze_ > 0) return std::nullopt;
-  return slot_mgr_.acquire(count);
+  return take_run(count);
 }
 
 bool Negotiator::acquire_at(size_t first, size_t count) {
   sys::SpinGuard g(lock_);
   wait_unfrozen();
-  return slot_mgr_.acquire_at(first, count);
+  if (!slot_mgr_.acquire_at(first, count)) return false;
+  settle(first, count);  // the caller commits the run
+  return true;
 }
 
 void Negotiator::release(size_t first, size_t count) {
@@ -94,12 +116,17 @@ void Negotiator::cache_away(size_t first, size_t count) {
   std::optional<iso::SlotManager::Run> evicted =
       slot_mgr_.cache_away(first, count);
   lock_.unlock();
-  if (evicted) area_.decommit(evicted->first, evicted->second);
+  if (!evicted) return;
+  area_.decommit(evicted->first, evicted->second);
+  sys::SpinGuard g(lock_);
+  slot_mgr_.evicted(*evicted);
 }
 
 bool Negotiator::take_away(size_t first, size_t count) {
   sys::SpinGuard g(lock_);
-  return slot_mgr_.take_away(first, count);
+  bool hit = slot_mgr_.take_away(first, count);
+  // A miss makes the caller commit: not before an eviction's decommit.
+  return !settle(first, count) && hit;
 }
 
 size_t Negotiator::away_runs() const {
@@ -356,7 +383,7 @@ std::optional<size_t> Negotiator::negotiate(size_t run) {
     // acquire and our freeze can open an earlier gap, and taking it is
     // fine — the purchased run stays ours for the next request.
     slot_mgr_.set_bitmap(std::move(bitmaps[node_]));
-    acquired = slot_mgr_.acquire(run);
+    acquired = take_run(run);
     bitmaps[node_] = slot_mgr_.bitmap();
     PM2_CHECK(acquired.has_value())
         << "negotiated run vanished before acquisition";

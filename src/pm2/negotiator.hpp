@@ -61,7 +61,8 @@ class Negotiator {
 
   // The away cache (iso::SlotManager::cache_away): runs of threads that
   // migrated away stay committed.  Neither call waits on the freeze — the
-  // comm daemon places arriving threads through take_away.
+  // comm daemon places arriving threads through take_away — but a claim
+  // of slots an eviction is still decommitting waits for that decommit.
   /// Keep a departed thread's run committed; an evicted run is
   /// decommitted after lock_ drops.
   void cache_away(size_t first, size_t count);
@@ -108,6 +109,12 @@ class Negotiator {
  private:
   /// Park until no negotiation freezes the bitmap (each park drops lock_).
   void wait_unfrozen() PM2_REQUIRES(lock_);
+  /// Wait, dropping lock_ meanwhile, until no evicted away-run overlapping
+  /// [first, first+count) is still being decommitted; true if one was
+  /// (the run's pages may be gone).  Every claim of slots passes here.
+  bool settle(size_t first, size_t count) PM2_REQUIRES(lock_);
+  /// slot_mgr_.acquire, settled and committed.
+  std::optional<size_t> take_run(size_t count) PM2_REQUIRES(lock_);
   /// One global negotiation for `run` contiguous slots; the run is taken
   /// for the caller still inside the critical section.
   std::optional<size_t> negotiate(size_t run);

@@ -343,16 +343,13 @@ void Runtime::ensure_thread_id_floor(marcel::ThreadId id) {
 // isomalloc API
 // ---------------------------------------------------------------------------
 
-iso::ThreadHeap Runtime::self_heap(const char* api) {
-  marcel::Thread* t = marcel::Scheduler::self();
-  PM2_CHECK(t != nullptr) << api << " outside a PM2 thread";
-  return iso::ThreadHeap(&t->slot_list, t->id, slot_ops_, config_.heap,
-                         &heap_stats_);
-}
-
 void* Runtime::isomalloc(size_t size) {
   sched_.maybe_preempt();
-  void* p = self_heap("pm2_isomalloc").alloc(size);
+  marcel::Thread* t = marcel::Scheduler::self();
+  PM2_CHECK(t != nullptr) << "pm2_isomalloc outside a PM2 thread";
+  iso::ThreadHeap heap(&t->slot_list, t->id, slot_ops_, config_.heap,
+                       &heap_stats_);
+  void* p = heap.alloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
@@ -360,34 +357,48 @@ void* Runtime::isomalloc(size_t size) {
 void Runtime::isofree(void* p) {
   sched_.maybe_preempt();
   if (p == nullptr) return;
-  iso::ThreadHeap heap = self_heap("pm2_isofree");
+  marcel::Thread* t = marcel::Scheduler::self();
+  PM2_CHECK(t != nullptr) << "pm2_isofree outside a PM2 thread";
   // Blocks belong to exactly one thread (paper §1: data "belong to some
   // unique thread and thus have to follow it on migration").  Freeing
   // another thread's block would corrupt that thread's slot list — and the
   // pointer would dangle anyway the moment the owner migrates.  Use
   // spawn_copy() to hand data to a child thread instead.
   iso::SlotHeader* slot = iso::BlockHeader::of_payload(p)->slot;
-  marcel::ThreadId self = marcel::Scheduler::self()->id;
-  PM2_CHECK(slot->valid() && slot->owner_thread == self)
+  PM2_CHECK(slot->valid() && slot->owner_thread == t->id)
       << "pm2_isofree: block belongs to thread " << slot->owner_thread
-      << ", not to the calling thread " << self;
+      << ", not to the calling thread " << t->id;
+  iso::ThreadHeap heap(&t->slot_list, t->id, slot_ops_, config_.heap,
+                       &heap_stats_);
   heap.free(p);
 }
 
 void* Runtime::isorealloc(void* p, size_t size) {
-  return self_heap("pm2_isorealloc").realloc(p, size);
+  marcel::Thread* t = marcel::Scheduler::self();
+  PM2_CHECK(t != nullptr) << "pm2_isorealloc outside a PM2 thread";
+  iso::ThreadHeap heap(&t->slot_list, t->id, slot_ops_, config_.heap,
+                       &heap_stats_);
+  return heap.realloc(p, size);
 }
 
 void* Runtime::isocalloc(size_t n, size_t elem_size) {
   sched_.maybe_preempt();
-  void* p = self_heap("pm2_isocalloc").calloc(n, elem_size);
+  marcel::Thread* t = marcel::Scheduler::self();
+  PM2_CHECK(t != nullptr) << "pm2_isocalloc outside a PM2 thread";
+  iso::ThreadHeap heap(&t->slot_list, t->id, slot_ops_, config_.heap,
+                       &heap_stats_);
+  void* p = heap.calloc(n, elem_size);
   if (p == nullptr && n != 0 && elem_size != 0) throw std::bad_alloc();
   return p;
 }
 
 void* Runtime::isomemalign(size_t align, size_t size) {
   sched_.maybe_preempt();
-  void* p = self_heap("pm2_isomemalign").alloc_aligned(size, align);
+  marcel::Thread* t = marcel::Scheduler::self();
+  PM2_CHECK(t != nullptr) << "pm2_isomemalign outside a PM2 thread";
+  iso::ThreadHeap heap(&t->slot_list, t->id, slot_ops_, config_.heap,
+                       &heap_stats_);
+  void* p = heap.alloc_aligned(size, align);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
@@ -668,10 +679,9 @@ void Runtime::send_request(uint32_t node, uint32_t service,
 CorrelationTable::Opened Runtime::open_request(uint32_t node,
                                                uint64_t timeout_ns) {
   PM2_CHECK(node < config_.n_nodes);
-  if (node != config_.node && peer_down(node)) {
+  if (node != config_.node && peer_down(node))
     return {0, failed_future(peer_down_error(node, "is down"),
                              RpcErrorCode::kPeerDown)};
-  }
   return pending_.open(node, resolve_deadline(timeout_ns));
 }
 
@@ -799,23 +809,20 @@ void Runtime::barrier() {
   PM2_CHECK(marcel::Scheduler::self() != nullptr) << "barrier outside thread";
   // A barrier cannot complete without every node: with failure detection
   // on, error out instead of parking forever behind a dead peer.
-  for (uint32_t n = 0; n < config_.n_nodes; ++n) {
-    if (peer_down(n)) {
+  for (uint32_t n = 0; n < config_.n_nodes; ++n)
+    if (peer_down(n))
       throw RpcError(peer_down_error(n, "is down, barrier cannot complete"),
                      RpcErrorCode::kPeerDown);
-    }
-  }
   marcel::Event ev;
   barrier_lock_.lock();
   PM2_CHECK(barrier_waiter_ == nullptr) << "concurrent barriers on one node";
   barrier_waiter_ = &ev;
   uint32_t seq = barrier_seq_;
   barrier_lock_.unlock();
-  if (config_.node == 0) {
+  if (config_.node == 0)
     barrier_arrive();
-  } else {
+  else
     send_barrier_frame(*fabric_, kBarrierArrive, 0, seq);
-  }
   ev.wait();
   barrier_lock_.lock();
   barrier_waiter_ = nullptr;
@@ -829,10 +836,9 @@ void Runtime::barrier() {
 
 void Runtime::barrier_arrive() {
   PM2_CHECK(config_.node == 0) << "barrier arrival at non-coordinator";
-  // Count under barrier_lock_ (the comm daemon's arrivals race the
-  // coordinator's own on another worker); send and wake outside it.  The
-  // waiter stays valid until its thread returns from ev.wait(), which
-  // cannot happen before set().
+  // Count under barrier_lock_ (the comm daemon's arrivals race node 0's
+  // own on another worker); send and wake outside it: the waiter cannot
+  // leave ev.wait(), and so outlive `waiter`, before the set().
   marcel::Event* waiter = nullptr;
   uint32_t seq = 0;
   barrier_lock_.lock();
@@ -976,7 +982,6 @@ void Runtime::comm_daemon_body() {
   // (every frame still wakes the fabric handle immediately).
   constexpr uint64_t kIdleBlockNs = 500'000'000;
   // Failure detection runs on this daemon's clock.
-  const bool failure_detection = peers_.enabled();
   peers_.start(now_ns());
   while (true) {
     // A pending worker pause (audit / checkpoint quiesce) must never wait
@@ -995,10 +1000,10 @@ void Runtime::comm_daemon_body() {
     if (!held_rpcs_.empty()) start_held_rpcs();
     // Deadline/heartbeat upkeep on every lap, busy or idle: a busy lap only
     // pays one relaxed load when no deadline is armed and detection is off.
-    if (failure_detection || pending_.next_deadline() != UINT64_MAX) {
+    if (peers_.enabled() || pending_.next_deadline() != UINT64_MAX) {
       uint64_t nw = now_ns();
       expire_deadlines(nw);
-      if (failure_detection) check_peers(nw);
+      if (peers_.enabled()) check_peers(nw);
     }
     if (halting() && sched_.live_count() == 0) break;
     if (worked || sched_.local_ready_count() > 0) {

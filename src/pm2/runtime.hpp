@@ -332,6 +332,8 @@ class Runtime {
   iso::SlotManager& slots() { return nego_.slots(); }
   /// The slot bitmap's owner: the system-wide critical section (audits).
   Negotiator& negotiator() { return nego_; }
+  /// Negotiation-aware slot provisioning (what thread heaps should use).
+  iso::SlotOps& slot_ops() { return slot_ops_; }
   iso::Area& area() { return area_; }
   fabric::Fabric& fabric() { return *fabric_; }
   /// The fault-injection decorator wrapping the transport, or nullptr when
@@ -434,6 +436,7 @@ class Runtime {
     post_migration_ = std::move(post);
   }
   const MigrationHook& pre_migration_hook() const { return pre_migration_; }
+  const MigrationHook& post_migration_hook() const { return post_migration_; }
 
   // --- RPC (LRPC: remote thread creation) -----------------------------------
   //
@@ -712,9 +715,8 @@ class Runtime {
   /// dropped as late, or tolerated while halting).
   void complete(uint64_t corr, std::vector<uint8_t>&& reply);
   /// The only failure resolver: an entry carrying a rollback record adopts
-  /// its thread back onto this node first, then the future fails with
-  /// `why` and `code`.  Callers took the entry from the table and hold no
-  /// locks.
+  /// its thread back first, then the future fails with `why` and `code`.
+  /// Callers took the entry from the table and hold no locks.
   void fail(CorrelationTable::Pending&& p, const std::string& why,
             RpcErrorCode code = RpcErrorCode::kOther);
   /// Fail the request `corr` of node `caller` with `why`: resolved here
@@ -731,9 +733,8 @@ class Runtime {
   /// Comm daemon: send the heartbeats peers_ says are due, and sweep each
   /// peer it declares down.
   void check_peers(uint64_t now);
-  /// The sweep for a peer declared down: fail its pending calls with
-  /// kPeerDown, roll back its in-flight migrations, and unwedge
-  /// barrier/negotiation waiters.
+  /// The sweep for a peer declared down: fail its pending calls (kPeerDown),
+  /// roll back its in-flight migrations, unwedge barrier/nego waiters.
   void mark_peer_down(uint32_t node);
   /// Node 0 counts one barrier arrival (its own or a kBarrierArrive); the
   /// last one releases every node.
@@ -745,8 +746,6 @@ class Runtime {
   void handle_audit_req(fabric::Message& msg);
 
   marcel::ThreadId next_thread_id();
-  /// The calling PM2 thread's heap; CHECK-fails naming `api` elsewhere.
-  iso::ThreadHeap self_heap(const char* api);
   /// `start_frozen` hands the newborn back still frozen (spawn_copy
   /// finishes preparing it before any worker may steal and run it).
   /// Without `may_wait`, nullptr when no local stack run is free right now

@@ -162,6 +162,8 @@ TEST(MigrationZeroCopy, PackChainBorrowsSlotMemory) {
       // the run/extent metadata.
       EXPECT_GE(chain.borrowed_bytes(), 200u * 1024);
       EXPECT_LT(chain.copied_bytes(), 4096u);
+      // Byte-identical to the legacy flat pack.
+      EXPECT_EQ(chain.take_flat(), pack_thread(rt, t, blocks_only));
     }
 
     rt.sched().unfreeze(t);

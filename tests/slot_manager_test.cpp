@@ -147,6 +147,15 @@ TEST_F(SlotManagerTest, MultiRunOverCapacityStillDecommits) {
   EXPECT_FALSE(area_.committed(*b));
 }
 
+TEST_F(SlotManagerTest, FlushCacheDecommits) {
+  auto mgr = make(0, 1);
+  size_t s = *mgr.acquire(1);
+  mgr.release(s, 1);
+  mgr.flush_cache();
+  EXPECT_EQ(mgr.cached_slots(), 0u);
+  EXPECT_FALSE(area_.committed(s));
+}
+
 TEST_F(SlotManagerTest, MultiAcquireOverlappingCachedSlot) {
   auto mgr = make(0, 1);
   size_t s = *mgr.acquire(1);  // slot 0 of the partition
@@ -195,6 +204,7 @@ TEST_F(SlotManagerTest, AwayCacheEvictsTheOldestRunPastCapacity) {
       EXPECT_EQ(i, n - 1);
       EXPECT_EQ(*old, SlotManager::Run(first, 1));
       area_.decommit(old->first, old->second);
+      mgr.evicted(*old);
     }
   }
   EXPECT_EQ(mgr.away_runs(), SlotManager::kAwayRunCapacity);
@@ -202,6 +212,31 @@ TEST_F(SlotManagerTest, AwayCacheEvictsTheOldestRunPastCapacity) {
   EXPECT_TRUE(area_.committed(first + 1));
   EXPECT_FALSE(mgr.take_away(first, 1));  // evicted: no rollback from it
   EXPECT_TRUE(mgr.take_away(first + 1, 1));
+}
+
+// The evictor decommits after it dropped its lock.  The evicted run's
+// thread may migrate back inside that window: it misses the cache and
+// commits, and the late decommit would wipe what it installs.  The run
+// stays listed as evicting until the decommit is reported, which is what
+// every claim of slots (Negotiator::settle) waits for before committing.
+TEST_F(SlotManagerTest, EvictionInFlightHoldsOffAClaimOfItsRun) {
+  auto mgr = make(0, 1);
+  const size_t n = SlotManager::kAwayRunCapacity + 1;
+  const size_t first = *mgr.acquire(n);
+  std::optional<SlotManager::Run> old;
+  for (size_t i = 0; i < n; ++i)
+    if (auto o = mgr.cache_away(first + i, 1)) old = o;
+  ASSERT_TRUE(old.has_value());
+  EXPECT_FALSE(mgr.evicting(first + 1, 1));
+  // The thread comes back before the decommit lands.
+  EXPECT_FALSE(mgr.take_away(first, 1));  // a miss: the claimer commits...
+  EXPECT_TRUE(mgr.evicting(first, 1));    // ...but only after this clears
+  EXPECT_TRUE(mgr.evicting(first, 2));    // any overlap counts
+  area_.decommit(old->first, old->second);
+  mgr.evicted(*old);
+  EXPECT_FALSE(mgr.evicting(first, 1));
+  area_.commit(first, 1);  // the claimer's commit now sticks
+  EXPECT_TRUE(area_.committed(first));
 }
 
 // Slots that come back to this node (a negotiation bought them after the
