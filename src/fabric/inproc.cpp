@@ -32,12 +32,18 @@ void InProcHub::deliver(Message msg) {
   {
     std::lock_guard<std::mutex> lock(box.mu);
     box.queue.push_back(std::move(msg));
+    box.queued.store(box.queue.size(), std::memory_order_relaxed);
   }
   box.cv.notify_one();
 }
 
 std::optional<Message> InProcHub::take_until(NodeId node, uint64_t deadline_ns) {
   Mailbox& box = *boxes_[node];
+  // An empty non-blocking poll (the comm daemon's every lap) answers from
+  // the count alone.  A frame delivered just after this load is seen by
+  // the next poll, as if it had arrived after the lock was released.
+  if (deadline_ns == 0 && box.queued.load(std::memory_order_relaxed) == 0)
+    return std::nullopt;
   std::unique_lock<std::mutex> lock(box.mu);
   auto ready = [&] { return !box.queue.empty() || box.wake_pending; };
   if (deadline_ns > 0) {
@@ -59,6 +65,7 @@ std::optional<Message> InProcHub::take_until(NodeId node, uint64_t deadline_ns) 
   if (box.queue.empty()) return std::nullopt;
   Message msg = std::move(box.queue.front());
   box.queue.pop_front();
+  box.queued.store(box.queue.size(), std::memory_order_relaxed);
   return msg;
 }
 

@@ -71,6 +71,9 @@ class InProcHub : public std::enable_shared_from_this<InProcHub> {
     std::mutex mu;
     std::condition_variable cv;
     std::deque<Message> queue;
+    // queue.size(), written under `mu`: an empty non-blocking poll reads
+    // it instead of taking the lock.
+    std::atomic<size_t> queued{0};
     bool wake_pending = false;  // Fabric::wake() latch (consumed by take)
   };
   void deliver(Message msg);

@@ -339,12 +339,18 @@ std::vector<SlotStore::RecordedThread> SlotStore::recorded_threads() const {
   return out;
 }
 
-void SlotStore::sync(const std::vector<uint64_t>& seal) {
+bool SlotStore::sync(const std::vector<uint64_t>& seal) {
   // Data first, then the seals vouching for it, then the directory: a
   // machine crash can lose seals, never data behind a durable seal.
-  ::fdatasync(fd_);
+  auto failed = [this](const char* what) {
+    PM2_WARN << "slot store: " << what << ": " << std::strerror(errno);
+    sync_failures_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  };
+  if (!sys::data_sync(fd_)) return failed("fdatasync failed, nothing sealed");
   for (uint64_t id : seal) seal_thread(id);
-  meta_.sync();
+  if (!meta_.sync()) return failed("directory msync failed");
+  return true;
 }
 
 SlotStoreStats SlotStore::stats() const {
@@ -352,6 +358,7 @@ SlotStoreStats SlotStore::stats() const {
   s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
   s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
   s.pages_compared = pages_compared_.load(std::memory_order_relaxed);
+  s.sync_failures = sync_failures_.load(std::memory_order_relaxed);
   return s;
 }
 

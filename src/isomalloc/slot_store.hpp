@@ -135,6 +135,7 @@ struct SlotStoreStats {
   uint64_t bytes_out = 0;  // written by demote() (changed pages only)
   uint64_t bytes_in = 0;   // read by fault_back()/read_run()
   uint64_t pages_compared = 0;  // imaged pages memcmp'd by write_changed()
+  uint64_t sync_failures = 0;   // sync() calls that failed
 };
 
 class SlotStore {
@@ -212,8 +213,11 @@ class SlotStore {
   /// the page cache persists): fdatasync the data, then seal `seal`'s
   /// records, then msync the directory, so no durable seal names data that
   /// is not durable.  Demotion seals without a sync: its records are
-  /// kill -9-safe only.
-  void sync(const std::vector<uint64_t>& seal = {});
+  /// kill -9-safe only.  False (and counted in sync_failures) when either
+  /// sync failed.  A failed data sync seals nothing: the records stay
+  /// kWriting, which recovery skips.  After a failed directory msync the
+  /// seals name durable data but may themselves be lost.
+  bool sync(const std::vector<uint64_t>& seal = {});
 
   SlotStoreStats stats() const;
 
@@ -243,6 +247,7 @@ class SlotStore {
   std::atomic<uint64_t> bytes_out_{0};
   std::atomic<uint64_t> bytes_in_{0};
   std::atomic<uint64_t> pages_compared_{0};
+  std::atomic<uint64_t> sync_failures_{0};
 };
 
 }  // namespace pm2::iso

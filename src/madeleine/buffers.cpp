@@ -1,6 +1,8 @@
 #include "madeleine/buffers.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 
@@ -10,21 +12,84 @@ namespace pm2::mad {
 
 namespace {
 
-// Per-kernel-thread cache of staged-chunk storage.  The RPC hot path makes
-// one PackBuffer per call (args on the caller, reply on the service), so
-// without recycling every call pays a chunk malloc/free pair.  The cache is
-// keyed by kernel thread — under the SMP scheduler that is effectively a
-// per-worker freelist; a chain released on a different worker than it was
-// built on just refills that worker's cache.
-constexpr size_t kMaxPooledChunk = 16 * 1024;
-constexpr size_t kChunkCacheCap = 32;
-
-thread_local std::vector<std::vector<uint8_t>> t_chunk_cache;
+// Per-kernel-thread chunk cache.  Under the SMP scheduler that is a
+// per-worker freelist: a message's chunk is taken on the packer's worker
+// and recycled on the consumer's, so chunks flow between the caches of the
+// nodes' workers, each refilled by the payloads its worker consumes.  Best
+// fit keeps a large chunk for the large message that needs it.  A full
+// cache evicts its oldest chunks, so what it holds follows the current mix
+// of message sizes; dropping the incoming chunk instead froze the mix, and
+// a server worker full of small chunks then missed on every 16 KiB reply.
+struct CachedChunk {
+  std::vector<uint8_t> chunk;
+  uint64_t stamp;  // recycle order
+};
+struct ChunkCache {
+  std::vector<CachedChunk> chunks;
+  size_t bytes = 0;  // sum of the cached chunks' capacities
+  uint64_t clock = 0;
+};
+thread_local ChunkCache t_chunk_cache;
 
 std::atomic<uint64_t> g_chunk_hits{0};
 std::atomic<uint64_t> g_chunk_misses{0};
 
+std::vector<uint8_t> remove_at(ChunkCache& cache, size_t i) {
+  std::vector<uint8_t> out = std::move(cache.chunks[i].chunk);
+  if (i + 1 != cache.chunks.size())
+    cache.chunks[i] = std::move(cache.chunks.back());
+  cache.chunks.pop_back();
+  cache.bytes -= out.capacity();
+  return out;
+}
+
+/// Storage of at least `cap` bytes: the smallest cached chunk that fits,
+/// else a fresh reservation.
+std::vector<uint8_t> take_chunk(size_t cap) {
+  if (cap <= kMaxPooledChunk) {
+    ChunkCache& cache = t_chunk_cache;
+    size_t best = cache.chunks.size();
+    size_t best_cap = SIZE_MAX;
+    for (size_t i = 0; i < cache.chunks.size(); ++i) {
+      size_t c = cache.chunks[i].chunk.capacity();
+      if (c >= cap && c < best_cap) {
+        best = i;
+        best_cap = c;
+      }
+    }
+    if (best != cache.chunks.size()) {
+      g_chunk_hits.fetch_add(1, std::memory_order_relaxed);
+      return remove_at(cache, best);
+    }
+    g_chunk_misses.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::vector<uint8_t> out;
+  out.reserve(cap);
+  return out;
+}
+
 }  // namespace
+
+void recycle(std::vector<uint8_t>&& chunk) {
+  std::vector<uint8_t> c = std::move(chunk);
+  size_t cap = c.capacity();
+  if (cap < kMinChunk || cap > kMaxPooledChunk) return;  // freed by the dtor
+  ChunkCache& cache = t_chunk_cache;
+  static_assert(kMaxPooledChunk <= kChunkCacheBytes);  // eviction ends
+  while (cache.bytes + cap > kChunkCacheBytes) {
+    auto oldest = std::min_element(
+        cache.chunks.begin(), cache.chunks.end(),
+        [](const CachedChunk& a, const CachedChunk& b) {
+          return a.stamp < b.stamp;
+        });
+    remove_at(cache, static_cast<size_t>(oldest - cache.chunks.begin()));
+  }
+  c.clear();
+  cache.chunks.push_back(CachedChunk{std::move(c), cache.clock++});
+  cache.bytes += cap;
+}
+
+size_t chunk_cache_bytes() { return t_chunk_cache.bytes; }
 
 uint64_t chunk_pool_hits() {
   return g_chunk_hits.load(std::memory_order_relaxed);
@@ -34,44 +99,21 @@ uint64_t chunk_pool_misses() {
 }
 
 void BufferChain::release_chunks() {
-  for (std::vector<uint8_t>& chunk : chunks_) {
-    if (chunk.capacity() < kMinChunk || chunk.capacity() > kMaxPooledChunk ||
-        t_chunk_cache.size() >= kChunkCacheCap)
-      continue;  // freed by the vector dtor as usual
-    chunk.clear();
-    t_chunk_cache.push_back(std::move(chunk));
-  }
+  for (std::vector<uint8_t>& chunk : chunks_) recycle(std::move(chunk));
   chunks_.clear();
-}
-
-uint8_t* BufferChain::grow(size_t len) {
-  if (chunks_.empty() ||
-      chunks_.back().capacity() - chunks_.back().size() < len) {
-    size_t cap = kMinChunk;
-    if (reserve_hint_ > cap) cap = reserve_hint_;
-    if (len > cap) cap = len;
-    if (cap <= kMaxPooledChunk && !t_chunk_cache.empty() &&
-        t_chunk_cache.back().capacity() >= cap) {
-      chunks_.push_back(std::move(t_chunk_cache.back()));
-      t_chunk_cache.pop_back();
-      g_chunk_hits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      if (cap <= kMaxPooledChunk)
-        g_chunk_misses.fetch_add(1, std::memory_order_relaxed);
-      chunks_.emplace_back();
-      chunks_.back().reserve(cap);
-    }
-  }
-  std::vector<uint8_t>& chunk = chunks_.back();
-  size_t at = chunk.size();
-  chunk.resize(at + len);  // within capacity: no reallocation, stable ptrs
-  return chunk.data() + at;
 }
 
 void BufferChain::append_copy(const void* data, size_t len) {
   if (len == 0) return;
-  uint8_t* dst = grow(len);
-  std::memcpy(dst, data, len);
+  if (chunks_.empty() ||
+      chunks_.back().capacity() - chunks_.back().size() < len)
+    chunks_.push_back(take_chunk(std::max({kMinChunk, reserve_hint_, len})));
+  std::vector<uint8_t>& chunk = chunks_.back();
+  uint8_t* dst = chunk.data() + chunk.size();
+  // Within capacity: no reallocation (segment pointers stay stable), and
+  // the bytes are copied in without being zero-filled first.
+  const auto* src = static_cast<const uint8_t*>(data);
+  chunk.insert(chunk.end(), src, src + len);
   // Adjacent copies into the same chunk merge into one segment.
   if (!segments_.empty() &&
       segments_.back().data + segments_.back().len == dst) {

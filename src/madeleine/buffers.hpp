@@ -30,9 +30,33 @@ namespace pm2::mad {
 
 enum class PackMode { kCopy, kBorrow };
 
-/// Staged-chunk pool counters (process-wide, summed over the per-kernel-
-/// thread caches).  The RPC hot path builds a PackBuffer per call; a
-/// healthy pool serves those chunk allocations from recycled storage.
+/// Staged-chunk cache.  Every kernel thread keeps its own cache of chunk
+/// storage, at most kChunkCacheBytes of capacity; it holds chunks of
+/// kMinChunk to kMaxPooledChunk bytes, serves a chunk request with the
+/// smallest cached chunk that fits (best fit), and makes room for a
+/// recycled chunk by evicting its oldest ones.  A typed RPC message is one
+/// exact-size chunk from the packer to whoever consumes the payload, and
+/// the consumer hands the storage back here through recycle(), so the
+/// steady-state RPC path allocates nothing.
+inline constexpr size_t kMinChunk = 1024;
+/// The largest RPC payload in use (a 16 KiB byte vector) plus its typed
+/// framing: service hash, request id, length prefix.
+inline constexpr size_t kMaxPooledChunk = 16 * 1024 + 64;
+/// Ten 16 KiB payloads.  Against this bound on rpc_open (4 vCPUs), 128 KiB
+/// read about 3 % less throughput, and 192 KiB about 3 % more session
+/// memory for at most 2 % more throughput.
+inline constexpr size_t kChunkCacheBytes = 160 * 1024;
+
+/// Hand a consumed payload's storage to the calling kernel thread's chunk
+/// cache (freed instead when its capacity is out of the pooled range or
+/// the cache is full).  `chunk` is left empty.
+void recycle(std::vector<uint8_t>&& chunk);
+/// Capacity bytes held by the calling kernel thread's cache.
+size_t chunk_cache_bytes();
+
+/// Chunk cache counters (process-wide, summed over the per-kernel-thread
+/// caches).  A miss is a chunk request of pooled size the cache could not
+/// serve.
 uint64_t chunk_pool_hits();
 uint64_t chunk_pool_misses();
 
@@ -87,16 +111,13 @@ class BufferChain {
   void clear();
 
  private:
-  uint8_t* grow(size_t len);
-  /// Hand still-pooled-sized chunks back to the calling kernel thread's
-  /// chunk cache (free-function pool below) instead of freeing them.
+  /// recycle() every chunk.
   void release_chunks();
   bool single_owned_chunk() const {
     return chunks_.size() == 1 && borrowed_ == 0 &&
            chunks_[0].size() == total_;
   }
 
-  static constexpr size_t kMinChunk = 1024;
   // Chunks are reserved once and only ever filled within capacity, so
   // pointers into them stay stable (segments reference them directly).
   std::vector<std::vector<uint8_t>> chunks_;
@@ -110,6 +131,8 @@ class BufferChain {
 class PackBuffer {
  public:
   PackBuffer() = default;
+  /// A buffer whose packs add up to at most `reserve_hint` bytes stages
+  /// them all in one chunk.
   explicit PackBuffer(size_t reserve_hint) : chain_(reserve_hint) {}
 
   /// Fixed-size trivially copyable value (always copied).

@@ -11,7 +11,9 @@
 //
 // pack_values()/unpack_value() are the single source of truth for the
 // typed wire encoding: Runtime::call<R> packs with them, the service
-// wrapper unpacks with them, so both sides agree by construction.
+// wrapper unpacks with them, so both sides agree by construction;
+// packed_size() is their byte count, so a typed packer sizes its buffer
+// once.
 #pragma once
 
 #include <string>
@@ -57,10 +59,38 @@ void pack_value(PackBuffer& pb, const T& v) {
   }
 }
 
+/// Bytes pack_value(v) appends.
+template <typename T>
+size_t packed_value_size(const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return sizeof(uint32_t) + v.size();
+  } else if constexpr (is_std_vector<T>::value) {
+    return sizeof(uint32_t) + v.size() * sizeof(typename T::value_type);
+  } else {
+    return sizeof(T);
+  }
+}
+
+/// Bytes pack_values(args...) appends.
+template <typename... Args>
+size_t packed_size(const Args&... args) {
+  return (size_t{0} + ... + packed_value_size(args));
+}
+
 /// Pack every argument left to right.
 template <typename... Args>
 void pack_values(PackBuffer& pb, const Args&... args) {
   (pack_value(pb, args), ...);
+}
+
+/// pack_values into a buffer sized to fit exactly: the typed RPC packers
+/// use it, so each typed request and reply travels as one owned chunk that
+/// the receiver takes whole (Message::flat() moves it, never gathers).
+template <typename... Args>
+PackBuffer pack_exact(const Args&... args) {
+  PackBuffer pb(packed_size(args...));
+  pack_values(pb, args...);
+  return pb;
 }
 
 template <typename T>

@@ -223,7 +223,7 @@ StoreCheckpointStats checkpoint_node_to_store(Runtime& rt) {
   }
   for (marcel::Thread* t : thaw) rt.sched().unfreeze(t);
 
-  store->sync(written_ids);
+  stats.synced = store->sync(written_ids);
   rt.sched().resume_workers();
   return stats;
 }

@@ -90,6 +90,7 @@ struct StoreCheckpointStats {
   uint64_t threads = 0;        // threads persisted this round
   uint64_t bytes_written = 0;  // slot bytes written to the store file
   uint64_t bytes_skipped = 0;  // slot bytes already equal in the file
+  bool synced = false;  // the closing SlotStore::sync() succeeded
 };
 
 /// Persist every checkpointable thread of this node into its slot store:
@@ -103,7 +104,9 @@ struct StoreCheckpointStats {
 /// node's persisted slot
 /// bytes.  The round's records stay unsealed (kWriting) until its closing
 /// SlotStore::sync() seals them between the data sync and the directory
-/// sync.  Requires RuntimeConfig::slot_store_dir.
+/// sync; `synced` reports whether that sync succeeded (after a failed data
+/// sync the round's records stay unsealed).  Requires
+/// RuntimeConfig::slot_store_dir.
 StoreCheckpointStats checkpoint_node_to_store(Runtime& rt);
 
 /// Crash restart: adopt every thread recorded in a recovered slot store

@@ -302,6 +302,10 @@ void Runtime::reap_thread(marcel::Thread* t) {
   iso::ThreadHeap::release_chain(static_cast<iso::SlotHeader*>(t->slot_list),
                                  slot_ops_);
   // `t` itself lived inside the chain's stack slot: gone now.
+  // The halted session's last live thread: exit_current has dropped the
+  // live count, and the comm daemon, which tests it once per lap, may be
+  // blocked in recv_until until its idle cap.
+  if (halting() && sched_.live_count() == 0) fabric_->wake();
 }
 
 void Runtime::thread_exit() {

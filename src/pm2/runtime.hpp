@@ -120,6 +120,9 @@ class RpcContext {
              std::vector<uint8_t> args, size_t args_offset = 0)
       : rt_(rt), src_(src), corr_(corr), args_(std::move(args)),
         unpacker_(args_.data() + args_offset, args_.size() - args_offset) {}
+  /// The handler is done with its arguments: their storage goes back to
+  /// this kernel thread's chunk cache.
+  ~RpcContext() { mad::recycle(std::move(args_)); }
 
   uint32_t source_node() const { return src_; }
   mad::UnpackBuffer& args() { return unpacker_; }
@@ -167,9 +170,13 @@ class RpcFuture {
     wait();
     if (raw_.failed()) throw RpcError(raw_.error(), code());
     std::vector<uint8_t> bytes = raw_.take();
-    if constexpr (!std::is_void_v<R>) {
+    if constexpr (std::is_void_v<R>) {
+      mad::recycle(std::move(bytes));
+    } else {
       mad::UnpackBuffer u(bytes.data(), bytes.size());
-      return mad::unpack_value<R>(u);
+      R value = mad::unpack_value<R>(u);
+      mad::recycle(std::move(bytes));
+      return value;
     }
   }
 
@@ -190,19 +197,17 @@ template <typename R, typename... Args>
 struct RpcInvoker {
   template <typename F>
   static void run(F& fn, RpcContext& ctx) {
-    // Braced init: unpack order is the parameter order.
+    // Braced init: unpack order is the parameter order.  The unpacked
+    // values move into by-value parameters instead of being copied again.
     std::tuple<std::decay_t<Args>...> args{
         mad::unpack_value<std::decay_t<Args>>(ctx.args())...};
+    auto call = [&](auto&... a) { return fn(ctx, std::forward<Args>(a)...); };
     if constexpr (std::is_void_v<R>) {
-      std::apply([&](auto&... a) { fn(ctx, a...); }, args);
+      std::apply(call, args);
       if (ctx.reply_expected()) ctx.reply(mad::PackBuffer());
     } else {
-      R result = std::apply([&](auto&... a) { return fn(ctx, a...); }, args);
-      if (ctx.reply_expected()) {
-        mad::PackBuffer out;
-        mad::pack_value(out, result);
-        ctx.reply(std::move(out));
-      }
+      R result = std::apply(call, args);
+      if (ctx.reply_expected()) ctx.reply(mad::pack_exact(result));
     }
   }
 };
@@ -484,15 +489,12 @@ class Runtime {
   void rpc(uint32_t node, const char* service_name, mad::PackBuffer&& args);
 
   /// Fire-and-forget by name, typed args.  Typed entry points frame the
-  /// service hash into the same pack buffer as the arguments (one staged
-  /// chunk, no head splice on the hot path).
+  /// service hash into the same exactly sized pack buffer as the
+  /// arguments: one owned chunk, no head splice.
   template <typename... Args>
   void rpc(uint32_t node, const char* service_name, const Args&... args) {
     uint32_t sid = service_id(service_name);
-    mad::PackBuffer pb;
-    pb.pack<uint32_t>(sid);
-    mad::pack_values(pb, args...);
-    send_request(node, sid, pb.take_chain(), 0);
+    send_request(node, sid, mad::pack_exact(sid, args...).take_chain(), 0);
   }
 
   /// Blocking request/response by name, pre-packed args: like rpc() but
@@ -531,9 +533,7 @@ class Runtime {
                                  const char* service_name,
                                  const Args&... args) {
     uint32_t sid = service_id(service_name);
-    mad::PackBuffer pb;
-    pb.pack<uint32_t>(sid);
-    mad::pack_values(pb, args...);
+    mad::PackBuffer pb = mad::pack_exact(sid, args...);
     CorrelationTable::Opened req = open_request(node, timeout_ns);
     if (req.corr != 0) send_request(node, sid, pb.take_chain(), req.corr);
     return RpcFuture<R>(std::move(req.future));

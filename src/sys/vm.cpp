@@ -8,6 +8,7 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <iterator>
 #include <stdexcept>
@@ -138,8 +139,32 @@ FileMapping& FileMapping::operator=(FileMapping&& other) noexcept {
   return *this;
 }
 
-void FileMapping::sync() {
-  if (data_ != nullptr) ::msync(data_, size_, MS_SYNC);
+namespace {
+
+std::atomic<uint64_t> g_sync_failure_budget{0};
+
+/// Consume one armed failure, if any (errno = EIO).
+bool take_sync_failure() {
+  uint64_t v = g_sync_failure_budget.load(std::memory_order_relaxed);
+  while (v > 0 && !g_sync_failure_budget.compare_exchange_weak(
+                      v, v - 1, std::memory_order_relaxed)) {
+  }
+  if (v == 0) return false;
+  errno = EIO;
+  return true;
+}
+
+}  // namespace
+
+void fault_arm_sync_failures(uint64_t n) {
+  g_sync_failure_budget.fetch_add(n, std::memory_order_relaxed);
+}
+
+bool data_sync(int fd) { return !take_sync_failure() && ::fdatasync(fd) == 0; }
+
+bool FileMapping::sync() {
+  if (data_ == nullptr) return true;
+  return !take_sync_failure() && ::msync(data_, size_, MS_SYNC) == 0;
 }
 
 void FileMapping::release() {

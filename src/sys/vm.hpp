@@ -127,8 +127,8 @@ class FileMapping {
   size_t size() const { return size_; }
 
   /// msync(MS_SYNC) the whole mapping — durability against machine crash,
-  /// not needed for kill -9 survival.
-  void sync();
+  /// not needed for kill -9 survival.  False (errno set) when it failed.
+  bool sync();
 
   void release();
 
@@ -136,6 +136,16 @@ class FileMapping {
   void* data_ = nullptr;
   size_t size_ = 0;
 };
+
+/// fdatasync(fd).  False (errno set) when it failed: Linux may then have
+/// dropped the dirty pages, so nothing may be declared durable.
+bool data_sync(int fd);
+
+/// Forced-sync-failure hook (like the socket fault hooks): a process-wide
+/// budget that data_sync() and FileMapping::sync() consult.  While it
+/// lasts, each call fails with EIO without reaching the kernel, exercising
+/// the callers' error paths.
+void fault_arm_sync_failures(uint64_t n);
 
 /// True when the kernel's soft-dirty page tracking is usable by this
 /// process (writable /proc/self/clear_refs + pagemap bit 55 visible).

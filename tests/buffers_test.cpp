@@ -1,10 +1,13 @@
-// Madeleine pack/unpack buffer and BufferChain tests.
+// Madeleine pack/unpack buffer, BufferChain and chunk-cache tests.
 #include "madeleine/buffers.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <random>
+#include <thread>
+
+#include "madeleine/typed.hpp"
 
 namespace pm2::mad {
 namespace {
@@ -249,6 +252,74 @@ TEST(BufferChain, GatherMatchesFlatFinalizeOnRandomSequences) {
     ASSERT_EQ(chain.flatten(), flat);
     ASSERT_EQ(chain.take_flat(), flat);
   }
+}
+
+// The typed RPC packers' shapes (request: service hash, request id, byte
+// vector; reply: u64) each leave pack_exact as one owned chunk, and the
+// receiver's take_flat() hands over that chunk's own storage.
+TEST(TypedPack, EachMessageIsOneOwnedChunkTakenWhole) {
+  auto expect_one_chunk = [](PackBuffer pb, size_t want) {
+    ASSERT_EQ(pb.size(), want);
+    BufferChain chain = pb.take_chain();
+    ASSERT_EQ(chain.segments().size(), 1u);
+    EXPECT_EQ(chain.borrowed_bytes(), 0u);
+    const uint8_t* storage = chain.segments()[0].data;
+    std::vector<uint8_t> flat = chain.take_flat();
+    EXPECT_EQ(flat.data(), storage);
+    EXPECT_EQ(flat.size(), want);
+    recycle(std::move(flat));
+  };
+  for (size_t n : {size_t{64}, size_t{4096}, size_t{16384}}) {
+    std::vector<uint8_t> arg(n, 0x6b);
+    const size_t want = 3 * sizeof(uint32_t) + n;
+    EXPECT_EQ(packed_size(uint32_t{7}, uint32_t{1}, arg), want);
+    expect_one_chunk(pack_exact(uint32_t{7}, uint32_t{1}, arg), want);
+  }
+  expect_one_chunk(pack_exact(uint64_t{42}), sizeof(uint64_t));
+}
+
+// The cache serves the smallest chunk that fits, not its newest entry.
+// Each case runs on a fresh kernel thread: the cache is per thread.
+TEST(ChunkCache, ServesTheBestFit) {
+  std::thread([] {
+    std::vector<uint8_t> small, fit, big;
+    small.reserve(2048);
+    fit.reserve(4096);
+    big.reserve(16384);
+    const uint8_t* fit_storage = fit.data();
+    recycle(std::move(small));
+    recycle(std::move(fit));
+    recycle(std::move(big));  // newest
+    EXPECT_EQ(chunk_cache_bytes(), 2048u + 4096u + 16384u);
+    const uint64_t misses = chunk_pool_misses();
+    std::vector<uint8_t> payload(3000, 0x11);
+    PackBuffer pb(payload.size());
+    pb.pack_bytes(payload.data(), payload.size(), PackMode::kCopy);
+    BufferChain chain = pb.take_chain();
+    EXPECT_EQ(chain.segments()[0].data, fit_storage);
+    EXPECT_EQ(chunk_pool_misses(), misses);
+    EXPECT_EQ(chunk_cache_bytes(), 2048u + 16384u);
+  }).join();
+}
+
+TEST(ChunkCache, NeverHoldsMoreThanItsByteBound) {
+  std::thread([] {
+    for (int i = 0; i < 64; ++i) {
+      std::vector<uint8_t> chunk;
+      chunk.reserve(i % 2 == 0 ? kMaxPooledChunk : kMinChunk);
+      recycle(std::move(chunk));
+      EXPECT_LE(chunk_cache_bytes(), kChunkCacheBytes);
+    }
+    EXPECT_GT(chunk_cache_bytes(), kChunkCacheBytes - kMaxPooledChunk);
+    // Chunks outside the pooled range are freed, not cached.
+    const size_t held = chunk_cache_bytes();
+    std::vector<uint8_t> huge, tiny;
+    huge.reserve(kMaxPooledChunk + 1);
+    tiny.reserve(kMinChunk - 1);
+    recycle(std::move(huge));
+    recycle(std::move(tiny));
+    EXPECT_EQ(chunk_cache_bytes(), held);
+  }).join();
 }
 
 }  // namespace

@@ -145,6 +145,60 @@ TEST(RpcAsync, TypedMixedArgsRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
+// Allocation-free typed path: payload chunks are recycled by their consumer
+// ---------------------------------------------------------------------------
+
+// Each typed request and reply is one chunk, taken from the packer's cache
+// and recycled into the consumer's, so after a warm-up the round trips of
+// the echo/put/get shapes take every chunk from a cache.  One worker per
+// node keeps the flow between exactly two per-kernel-thread caches.
+TEST(RpcAsync, WarmTypedRoundTripsMissNoChunk) {
+  uint64_t misses = 0;
+  std::atomic<bool> replies_ok{true};
+  AppConfig cfg;
+  cfg.nodes = 2;
+  cfg.rt.workers = 1;
+  run_app(
+      cfg,
+      [&](Runtime& rt) {
+        if (rt.self() != 0) return;
+        const std::vector<uint8_t> small(64, 0x21), medium(4096, 0x43);
+        auto round_trips = [&](int n) {
+          for (int i = 0; i < n; ++i) {
+            const uint32_t rid = static_cast<uint32_t>(i);
+            bool ok = false;
+            if (i % 3 == 0) {
+              ok = rt.call<uint64_t>(1, "echo", rid, small) == small.size();
+            } else if (i % 3 == 1) {
+              ok = rt.call<uint64_t>(1, "put", rid, medium) == medium.size();
+            } else {
+              ok = rt.call<std::vector<uint8_t>>(1, "get", rid, rid).size() ==
+                   16384;
+            }
+            if (!ok) replies_ok = false;
+          }
+        };
+        round_trips(60);
+        const uint64_t before = mad::chunk_pool_misses();
+        round_trips(1000);
+        misses = mad::chunk_pool_misses() - before;
+      },
+      [](Runtime& rt) {
+        auto size_of = [](RpcContext&, uint32_t,
+                          std::vector<uint8_t> p) -> uint64_t {
+          return p.size();
+        };
+        rt.service("echo", size_of);
+        rt.service("put", size_of);
+        rt.service("get", [](RpcContext&, uint32_t, uint32_t key) {
+          return std::vector<uint8_t>(16384, static_cast<uint8_t>(key));
+        });
+      });
+  EXPECT_TRUE(replies_ok.load());
+  EXPECT_EQ(misses, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Error paths: unknown service (remote and local), hash collision
 // ---------------------------------------------------------------------------
 

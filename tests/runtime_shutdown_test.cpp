@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
+#include "common/time.hpp"
 #include "pm2/api.hpp"
 #include "pm2/app.hpp"
 #include "pm2/runtime.hpp"
@@ -119,6 +122,41 @@ void migrate_then_spawn(void*) {
   pm2_wait_signals(4);
   PM2_CHECK(g_completed.load() == 4);
   pm2_signal(0);
+}
+
+// The last live thread exits on worker 1 after the halt arrived, while the
+// comm daemon blocks on worker 0: the exit must wake it, or run() outlives
+// the thread by the daemon's 500 ms idle cap.
+std::atomic<uint64_t> g_last_exit_ns{0};
+
+void exit_after_halt_on_worker1(void*) {
+  // Unpinned: an idle worker 1 steals it.  What it spawns from there is
+  // pinned to worker 1, so the daemon's worker never runs it.
+  while (marcel::Scheduler::current_worker() != 1) pm2_yield();
+  Runtime& rt = *Runtime::current();
+  rt.spawn_local([&rt] {
+    // Kernel sleeps: no marcel timer may bound the daemon's block.
+    while (!rt.halting())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    g_last_exit_ns = now_ns();
+  }, "last");
+}
+
+TEST(Shutdown, LastThreadExitingAfterHaltWakesTheDaemon) {
+  g_last_exit_ns = 0;
+  AppConfig cfg;
+  cfg.nodes = 2;
+  cfg.rt.workers = 2;
+  run_app(cfg, [&](Runtime& rt) {
+    if (rt.self() == 1)
+      pm2_thread_create(&exit_after_halt_on_worker1, nullptr, "hop");
+  });
+  const uint64_t returned = now_ns();
+  ASSERT_NE(g_last_exit_ns.load(), 0u);
+  EXPECT_LT(returned - g_last_exit_ns.load(), 100'000'000u)
+      << "run_app returned " << (returned - g_last_exit_ns.load()) / 1'000'000
+      << " ms after the last thread exited";
 }
 
 TEST(Shutdown, MigrantSpawnsOnDestination) {

@@ -497,6 +497,62 @@ TEST(SlotStore, RecordStaysUnsealedUntilTheSyncStep) {
   EXPECT_TRUE(sealed(77));
 }
 
+// After a failed fdatasync Linux may drop the dirty pages, so a seal would
+// name data that never reached the disk.  The failed sync seals nothing and
+// says so; the next good sync seals as usual.
+TEST(SlotStore, FailedDataSyncSealsNothing) {
+  iso::AreaConfig ac;
+  ac.base = iso::offset_area_base(14);
+  ac.size = 64ull << 20;
+  iso::Area area(ac);
+  iso::SlotStoreConfig sc;
+  sc.path = make_store_dir() + "/fail.store";
+  iso::SlotStore store(area, sc, binary_stamp(), 0, 1);
+  area.commit(2, 1);
+  std::memset(area.slot_addr(2), 0x3e, area.slot_size());
+  ASSERT_TRUE(store.record_thread(78, 0, {{2, 1}}));
+  store.write_changed(2, 1);
+  sys::fault_arm_sync_failures(1);
+  EXPECT_FALSE(store.sync({78}));
+  EXPECT_TRUE(store.recorded_threads().empty());
+  EXPECT_EQ(store.stats().sync_failures, 1u);
+  EXPECT_TRUE(store.sync({78}));
+  EXPECT_EQ(store.recorded_threads().size(), 1u);
+  EXPECT_EQ(store.stats().sync_failures, 1u);
+}
+
+// checkpoint_node_to_store passes a failed sync up instead of reporting a
+// durable round.
+TEST(SlotStore, CheckpointReportsAFailedSync) {
+  g_phase = 0;
+  g_built = 0;
+  g_done = 0;
+  g_ok = true;
+  AppConfig cfg;
+  cfg.nodes = 1;
+  cfg.rt.slot_store_dir = make_store_dir();
+  run_app(cfg, [](Runtime& rt) {
+    marcel::ThreadId id = pm2_thread_create(
+        spin_worker, reinterpret_cast<void*>(intptr_t{9}), "spin");
+    while (g_built.load() < 1) pm2_yield();
+    ASSERT_TRUE(rt.freeze_thread(id));
+    sys::fault_arm_sync_failures(1);
+    StoreCheckpointStats failed = checkpoint_node_to_store(rt);
+    EXPECT_FALSE(failed.synced);
+    EXPECT_EQ(failed.threads, 1u);
+    EXPECT_TRUE(rt.slot_store()->recorded_threads().empty());
+    EXPECT_EQ(rt.slot_store()->stats().sync_failures, 1u);
+    StoreCheckpointStats retry = checkpoint_node_to_store(rt);
+    EXPECT_TRUE(retry.synced);
+    EXPECT_EQ(rt.slot_store()->recorded_threads().size(), 1u);
+    ASSERT_TRUE(rt.unfreeze_thread(id));
+    g_phase = 1;
+    pm2_wait_signals(1);
+  });
+  EXPECT_TRUE(g_ok.load());
+  EXPECT_EQ(g_done.load(), 1);
+}
+
 // --- demotion writes only what the file lacks -------------------------------
 
 TEST(SlotStore, DemoteAfterCheckpointWritesNoDataPages) {

@@ -3,7 +3,10 @@
 #include "sys/vm.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <cstdlib>
 #include <cstring>
 
 #include "isomalloc/area.hpp"
@@ -80,6 +83,23 @@ TEST(Vm, MoveTransfersOwnership) {
   EXPECT_TRUE(b.valid());
   b.commit(kTestBase, page_size());
   EXPECT_TRUE(probe_readable(kTestBase, 1));
+}
+
+TEST(Vm, ArmedSyncFailuresFailOneSyncEach) {
+  char path[] = "/tmp/pm2-vm-sync-XXXXXX";
+  int fd = ::mkstemp(path);
+  ASSERT_GE(fd, 0);
+  ::unlink(path);
+  ASSERT_EQ(::ftruncate(fd, static_cast<off_t>(page_size())), 0);
+  FileMapping map(fd, 0, page_size());
+  fault_arm_sync_failures(2);
+  errno = 0;
+  EXPECT_FALSE(data_sync(fd));
+  EXPECT_EQ(errno, EIO);
+  EXPECT_FALSE(map.sync());
+  EXPECT_TRUE(data_sync(fd));
+  EXPECT_TRUE(map.sync());
+  ::close(fd);
 }
 
 TEST(VmDeath, CommitOutsideReservationAborts) {
