@@ -184,9 +184,9 @@ StoreCheckpointStats checkpoint_node_to_store(Runtime& rt) {
     targets.push_back(t);
   });
 
-  // Freeze and record every target, then write their runs sorted, adjacent
+  // Freeze and record every target, then stage their runs sorted, adjacent
   // runs as one span: one kernel write scan per span, not per run.  The
-  // records stay kWriting until the sync step seals them behind the data.
+  // records stay staged until the sync step seals them with the data.
   std::vector<uint64_t> written_ids;
   std::vector<iso::SlotRun> runs;
   std::vector<marcel::Thread*> thaw;
@@ -221,9 +221,9 @@ StoreCheckpointStats checkpoint_node_to_store(Runtime& rt) {
     stats.bytes_written += written;
     stats.bytes_skipped += uint64_t{count} * slot_size - written;
   }
-  for (marcel::Thread* t : thaw) rt.sched().unfreeze(t);
-
+  // The staged pages are read at the sync: thaw only after it.
   stats.synced = store->sync(written_ids);
+  for (marcel::Thread* t : thaw) rt.sched().unfreeze(t);
   rt.sched().resume_workers();
   return stats;
 }

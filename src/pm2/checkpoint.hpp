@@ -82,9 +82,10 @@ std::vector<uint8_t> load_checkpoint(const std::string& path);
 // (data_off + slot_index * slot_size).  The file is an address-stable
 // mirror of the iso-area, so every round goes through the store's one
 // write rule, SlotStore::write_changed: compare each run with the file and
-// write only the pages that differ (slots with no complete image yet are
-// written whole).  A round over threads that changed little writes little,
-// and with the area's kernel write watch compares little too.
+// stage only the pages that differ (slots with no complete image yet are
+// staged whole).  A round over threads that changed little writes little,
+// and with the area's kernel write watch compares little too.  The round
+// commits as one durable journal record (SlotStore::sync).
 
 struct StoreCheckpointStats {
   uint64_t threads = 0;        // threads persisted this round
@@ -98,14 +99,14 @@ struct StoreCheckpointStats {
 /// threads keep the record sealed at demotion (only node-local descriptor
 /// fields can have changed since) and are skipped as pure savings; running (the caller),
 /// blocked and daemon threads are not checkpointable and are skipped with
-/// a warning for blocked ones.  The targets' runs are written with
+/// a warning for blocked ones.  The targets' runs are staged with
 /// SlotStore::write_changed, adjacent runs as one span, so only pages that
 /// differ from the file are written; `bytes_written + bytes_skipped` is the
-/// node's persisted slot
-/// bytes.  The round's records stay unsealed (kWriting) until its closing
-/// SlotStore::sync() seals them between the data sync and the directory
-/// sync; `synced` reports whether that sync succeeded (after a failed data
-/// sync the round's records stay unsealed).  Requires
+/// node's persisted slot bytes.  The round's records are staged, not
+/// written: its closing SlotStore::sync() commits them and the pages in one
+/// journal record, and the targets stay frozen until it returns.  `synced`
+/// reports whether that sync succeeded (after a failure the file still
+/// holds the previous round, and nothing of this one is sealed).  Requires
 /// RuntimeConfig::slot_store_dir.
 StoreCheckpointStats checkpoint_node_to_store(Runtime& rt);
 

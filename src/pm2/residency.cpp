@@ -71,10 +71,10 @@ bool Residency::demote_locked(marcel::Thread* t) {
   // The record makes the file image a complete, current checkpoint (only
   // node-local descriptor fields can change while demoted, and adopt()
   // resets those), so a crash restart adopts a demoted thread for free.
-  if (!store_->record_thread(t->id, reinterpret_cast<uint64_t>(t), runs))
-    return false;  // too many runs for the directory: stays resident
-  for (const iso::SlotRun& r : runs) store_->demote(r.first, r.second);
-  store_->seal_thread(t->id);
+  // A thread the directory cannot hold, or whose commit failed, stays
+  // resident.
+  if (!store_->demote(t->id, reinterpret_cast<uint64_t>(t), runs))
+    return false;
   lock_.lock();
   demoted_.emplace(t, bytes);
   lock_.unlock();

@@ -6,15 +6,19 @@
 #include <sys/ioctl.h>
 #include <sys/mman.h>
 #include <sys/syscall.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstring>
 #include <iterator>
 #include <stdexcept>
 #include <string>
 
 #include "common/check.hpp"
+#include "sys/backoff.hpp"
 #include "sys/sanitizer.hpp"
 
 #ifndef MAP_FIXED_NOREPLACE
@@ -161,6 +165,28 @@ void fault_arm_sync_failures(uint64_t n) {
 }
 
 bool data_sync(int fd) { return !take_sync_failure() && ::fdatasync(fd) == 0; }
+
+bool write_durable(int fd, struct iovec* iov, int n, uint64_t off) {
+  if (take_sync_failure()) return false;
+  while (n > 0) {
+    const ssize_t rc = retry_eintr([&] {
+      return ::pwritev2(fd, iov, std::min(n, IOV_MAX),
+                        static_cast<off_t>(off), RWF_DSYNC);
+    });
+    if (rc <= 0) {
+      if (rc == 0) errno = EIO;
+      return false;
+    }
+    off += static_cast<uint64_t>(rc);
+    size_t left = static_cast<size_t>(rc);
+    for (; n > 0 && left >= iov->iov_len; ++iov, --n) left -= iov->iov_len;
+    if (n > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
+  }
+  return true;
+}
 
 bool FileMapping::sync() {
   if (data_ == nullptr) return true;

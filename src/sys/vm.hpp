@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <vector>
 
+struct iovec;
+
 namespace pm2::sys {
 
 /// System page size (cached).
@@ -141,10 +143,17 @@ class FileMapping {
 /// dropped the dirty pages, so nothing may be declared durable.
 bool data_sync(int fd);
 
+/// Write the `n` buffers of `iov` at `off` with pwritev2(RWF_DSYNC): the
+/// bytes are durable when it returns true (the kernel syncs only the
+/// written range).  Short writes are continued; `iov` is consumed.  False
+/// (errno set) when a write failed: part of the range may have been
+/// written.
+bool write_durable(int fd, struct iovec* iov, int n, uint64_t off);
+
 /// Forced-sync-failure hook (like the socket fault hooks): a process-wide
-/// budget that data_sync() and FileMapping::sync() consult.  While it
-/// lasts, each call fails with EIO without reaching the kernel, exercising
-/// the callers' error paths.
+/// budget that data_sync(), write_durable() and FileMapping::sync()
+/// consult.  While it lasts, each call fails with EIO without reaching the
+/// kernel, exercising the callers' error paths.
 void fault_arm_sync_failures(uint64_t n);
 
 /// True when the kernel's soft-dirty page tracking is usable by this

@@ -8,7 +8,9 @@
 //     dies, and restarts recovered;
 //   * in-process hub, one node — the image a restart adopts is exact after
 //     a delta round in which the heap grew a new slot run, and after a
-//     thread reused the slots of a checkpointed thread that exited;
+//     thread reused the slots of a checkpointed thread that exited; and a
+//     node killed after a round staged its threads but before its sync
+//     restores every thread with the previous round's bytes;
 //   * socket fabric (real processes) — node 1 dies mid-session and comes
 //     back while node 0 holds a pending RPC to it; the reconnect-capable
 //     fabric parks the send until the restarted node re-joins, and the
@@ -38,6 +40,7 @@
 #include "pm2/api.hpp"
 #include "pm2/app.hpp"
 #include "pm2/audit.hpp"
+#include "isomalloc/heap.hpp"
 #include "isomalloc/layout.hpp"
 #include "pm2/checkpoint.hpp"
 #include "pm2/runtime.hpp"
@@ -286,6 +289,88 @@ TEST(CrashRestart, ReusedSlotsRestoreWithoutStaleBytes) {
     });
   }
   crash_and_restart("ReusedSlotsRestoreWithoutStaleBytes");
+}
+
+// --- a crash mid-round: the previous round restores whole ------------------
+
+constexpr int kMidRoundThreads = 2;
+std::atomic<int> g_mid_built{0};
+std::atomic<int> g_mid_rewritten{0};
+
+// Pre-crash, the worker is checkpointed while it waits for step 2, then
+// rewrites its block and spins.  Restored, it resumes in the wait loop of
+// the checkpointed round and must find that round's bytes.
+void midround_worker(void* arg) {
+  const unsigned seed = static_cast<unsigned>(reinterpret_cast<intptr_t>(arg));
+  auto* block = static_cast<unsigned char*>(pm2_isomalloc(kReused));
+  for (size_t i = 0; i < kReused; ++i) block[i] = pattern(i, seed);
+  g_mid_built.fetch_add(1);
+  while (g_step.load() < 2 && std::getenv("PM2_CR_RESTART") == nullptr)
+    pm2_yield();
+  if (std::getenv("PM2_CR_RESTART") != nullptr) {
+    for (size_t i = 0; i < kReused; ++i)
+      CHILD_REQUIRE(block[i] == pattern(i, seed));
+    pm2_isofree(block);
+    pm2_signal(0);
+    return;
+  }
+  for (size_t i = 0; i < kReused; ++i) block[i] = pattern(i, seed + 100);
+  g_mid_rewritten.fetch_add(1);
+  while (true) pm2_yield();  // frozen, then killed
+}
+
+void midround_child() {
+  const char* dir = std::getenv("PM2_CR_DIR");
+  CHILD_REQUIRE(dir != nullptr);
+  const bool restart = std::getenv("PM2_CR_RESTART") != nullptr;
+  AppConfig cfg;
+  cfg.nodes = 1;
+  cfg.rt.slot_store_dir = dir;
+  cfg.rt.slot_store_recover = restart;
+  run_app(cfg, [&](Runtime& rt) {
+    if (restart) {
+      CHILD_REQUIRE(rt.slot_store()->recovered());
+      CHILD_REQUIRE(restore_node_from_store(rt).size() == kMidRoundThreads);
+      pm2_wait_signals(kMidRoundThreads);
+      return;
+    }
+    marcel::ThreadId ids[kMidRoundThreads];
+    for (int i = 0; i < kMidRoundThreads; ++i) {
+      ids[i] = pm2_thread_create(
+          midround_worker, reinterpret_cast<void*>(intptr_t{i + 5}), "mid");
+    }
+    while (g_mid_built.load() < kMidRoundThreads) pm2_yield();
+    CHILD_REQUIRE(checkpoint_node_to_store(rt).synced);
+    g_step = 2;
+    while (g_mid_rewritten.load() < kMidRoundThreads) pm2_yield();
+    // The next round records and stages every thread, then the node dies
+    // before its sync.
+    iso::SlotStore* store = rt.slot_store();
+    uint64_t staged = 0;
+    for (marcel::ThreadId id : ids) {
+      CHILD_REQUIRE(rt.freeze_thread(id));
+      marcel::Thread* t = rt.sched().find(id);
+      std::vector<iso::SlotRun> runs;
+      iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
+        runs.emplace_back(rt.area().slot_of(s), s->nslots);
+      });
+      CHILD_REQUIRE(store->record_thread(id, reinterpret_cast<uint64_t>(t),
+                                         runs));
+      for (auto [first, count] : runs)
+        staged += store->write_changed(first, count);
+    }
+    CHILD_REQUIRE(staged >= kMidRoundThreads * kReused);
+    touch(std::string(dir) + "/ckpt");
+    while (true) pm2_sleep_us(5'000);  // park until the parent kills us
+  });
+  std::exit(0);
+}
+
+TEST(CrashRestart, KilledBeforeTheRoundSyncRestoresThePreviousRound) {
+  if (std::getenv("PM2_CR_DIR") != nullptr && !is_spawned_child()) {
+    midround_child();  // never returns
+  }
+  crash_and_restart("KilledBeforeTheRoundSyncRestoresThePreviousRound");
 }
 
 // --- socket fabric: one node process dies, peers wait it back ---------------

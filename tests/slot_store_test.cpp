@@ -4,14 +4,19 @@
 // node checkpoints that write only the pages differing from the store file.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -497,9 +502,34 @@ TEST(SlotStore, RecordStaysUnsealedUntilTheSyncStep) {
   EXPECT_TRUE(sealed(77));
 }
 
+/// The home bytes of slots [first, first+count) in the store file at
+/// `path`; bytes past its end read as zeros.
+std::vector<char> home_bytes(const std::string& path, const iso::Area& area,
+                             size_t first, size_t count) {
+  std::vector<char> bytes(count * area.slot_size(), 0);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  PM2_CHECK(fd >= 0) << "cannot open " << path;
+  iso::StoreHeader hdr;
+  PM2_CHECK(::pread(fd, &hdr, sizeof(hdr), 0) ==
+            static_cast<ssize_t>(sizeof(hdr)));
+  PM2_CHECK(::pread(fd, bytes.data(), bytes.size(),
+                    static_cast<off_t>(hdr.data_off +
+                                       first * area.slot_size())) >= 0);
+  ::close(fd);
+  return bytes;
+}
+
+bool home_equals_memory(const std::string& path, const iso::Area& area,
+                        size_t first, size_t count) {
+  std::vector<char> bytes = home_bytes(path, area, first, count);
+  return std::memcmp(bytes.data(), area.slot_addr(first), bytes.size()) == 0;
+}
+
 // After a failed fdatasync Linux may drop the dirty pages, so a seal would
-// name data that never reached the disk.  The failed sync seals nothing and
-// says so; the next good sync seals as usual.
+// name data that never reached the disk.  A failed sync — the lap that
+// precedes a fresh store's first record, or the journal write itself —
+// writes no home page and seals nothing, and keeps the staged pages: the
+// next good sync writes and seals them.
 TEST(SlotStore, FailedDataSyncSealsNothing) {
   iso::AreaConfig ac;
   ac.base = iso::offset_area_base(14);
@@ -509,16 +539,27 @@ TEST(SlotStore, FailedDataSyncSealsNothing) {
   sc.path = make_store_dir() + "/fail.store";
   iso::SlotStore store(area, sc, binary_stamp(), 0, 1);
   area.commit(2, 1);
-  std::memset(area.slot_addr(2), 0x3e, area.slot_size());
-  ASSERT_TRUE(store.record_thread(78, 0, {{2, 1}}));
-  store.write_changed(2, 1);
-  sys::fault_arm_sync_failures(1);
-  EXPECT_FALSE(store.sync({78}));
-  EXPECT_TRUE(store.recorded_threads().empty());
-  EXPECT_EQ(store.stats().sync_failures, 1u);
-  EXPECT_TRUE(store.sync({78}));
-  EXPECT_EQ(store.recorded_threads().size(), 1u);
-  EXPECT_EQ(store.stats().sync_failures, 1u);
+  for (uint64_t failures = 1; failures <= 2; ++failures) {
+    std::memset(area.slot_addr(2), 0x3e + static_cast<int>(failures),
+                area.slot_size());
+    ASSERT_TRUE(store.record_thread(78, failures, {{2, 1}}));
+    store.write_changed(2, 1);
+    const std::vector<char> before = home_bytes(sc.path, area, 2, 1);
+    const uint64_t journaled = store.stats().journal_bytes;
+    sys::fault_arm_sync_failures(1);
+    EXPECT_FALSE(store.sync({78}));
+    EXPECT_EQ(store.stats().sync_failures, failures);
+    EXPECT_EQ(store.stats().journal_bytes, journaled);
+    EXPECT_EQ(home_bytes(sc.path, area, 2, 1), before);
+    const auto sealed = store.recorded_threads();
+    EXPECT_EQ(sealed.size(), failures - 1);
+    for (const auto& rec : sealed) EXPECT_EQ(rec.desc_addr, failures - 1);
+    EXPECT_TRUE(store.sync({78}));
+    EXPECT_EQ(store.stats().sync_failures, failures);
+    ASSERT_EQ(store.recorded_threads().size(), 1u);
+    EXPECT_EQ(store.recorded_threads()[0].desc_addr, failures);
+    EXPECT_TRUE(home_equals_memory(sc.path, area, 2, 1));
+  }
 }
 
 // checkpoint_node_to_store passes a failed sync up instead of reporting a
@@ -551,6 +592,187 @@ TEST(SlotStore, CheckpointReportsAFailedSync) {
   });
   EXPECT_TRUE(g_ok.load());
   EXPECT_EQ(g_done.load(), 1);
+}
+
+// --- the journal: torn records, laps ----------------------------------------
+
+/// Copy the data extents of `from` to a fresh `to` of the same size (the
+/// journal and home regions are mostly holes).
+void copy_sparse(const std::string& from, const std::string& to) {
+  const int in = ::open(from.c_str(), O_RDONLY | O_CLOEXEC);
+  const int out = ::open(to.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+  PM2_CHECK(in >= 0 && out >= 0) << "cannot copy " << from;
+  struct stat st{};
+  PM2_CHECK(::fstat(in, &st) == 0 && ::ftruncate(out, st.st_size) == 0);
+  std::vector<char> buf(1 << 20);
+  for (off_t pos = 0; (pos = ::lseek(in, pos, SEEK_DATA)) >= 0;) {
+    const off_t hole = ::lseek(in, pos, SEEK_HOLE);
+    while (pos < hole) {
+      const ssize_t n = ::pread(
+          in, buf.data(), std::min<size_t>(buf.size(), hole - pos), pos);
+      PM2_CHECK(n > 0 && ::pwrite(out, buf.data(), n, pos) == n);
+      pos += n;
+    }
+  }
+  ::close(in);
+  ::close(out);
+}
+
+/// Offset and header of the last record of the journal chain in `path`.
+std::pair<uint64_t, iso::JournalRecord> last_record(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  PM2_CHECK(fd >= 0);
+  iso::StoreHeader hdr;
+  PM2_CHECK(::pread(fd, &hdr, sizeof(hdr), 0) ==
+            static_cast<ssize_t>(sizeof(hdr)));
+  std::pair<uint64_t, iso::JournalRecord> last{0, {}};
+  uint64_t at = hdr.journal_off;
+  for (uint64_t seq = hdr.journal_seq;; ++seq) {
+    iso::JournalRecord rec;
+    if (::pread(fd, &rec, sizeof(rec), static_cast<off_t>(at)) !=
+            static_cast<ssize_t>(sizeof(rec)) ||
+        rec.magic != iso::JournalRecord::kMagic || rec.seq != seq) {
+      break;
+    }
+    last = {at, rec};
+    at += rec.bytes;
+  }
+  ::close(fd);
+  return last;
+}
+
+/// Rounds over slots [kFirst, kFirst + kCount) of a private area and one
+/// record (thread 90): round r rewrites a third of the pages, chosen by r,
+/// and records desc_addr = r, so a recovered file names the round its
+/// directory holds and the test can check its home bytes are that round's.
+struct JournalRounds {
+  static constexpr size_t kFirst = 4;
+  static constexpr size_t kCount = 4;
+
+  JournalRounds(unsigned base_index, size_t first, size_t count)
+      : area([&] {
+          iso::AreaConfig ac;
+          ac.base = iso::offset_area_base(base_index);
+          ac.size = 64ull << 20;
+          return ac;
+        }()),
+        first(first),
+        count(count),
+        dir(make_store_dir()) {
+    iso::SlotStoreConfig sc;
+    sc.path = dir + "/journal.store";
+    store = std::make_unique<iso::SlotStore>(area, sc, binary_stamp(), 0, 1);
+    area.commit(first, count);
+    images.emplace_back(count * area.slot_size(), 0);  // round 0: nothing
+  }
+  std::string path() const { return dir + "/journal.store"; }
+
+  /// Run round r; `every` = 1 rewrites every page.
+  void round(uint64_t r, size_t every = 3) {
+    auto* mem = static_cast<unsigned char*>(area.slot_addr(first));
+    for (size_t p = 0; p < count * area.slot_size() / 4096; ++p) {
+      if ((p + r) % every != 0) continue;
+      for (size_t i = 0; i < 4096; ++i) {
+        mem[p * 4096 + i] = static_cast<unsigned char>(r * 31 + p + i / 97);
+      }
+    }
+    ASSERT_TRUE(store->record_thread(90, r, {{first, count}}));
+    store->write_changed(first, count);
+    ASSERT_TRUE(store->sync({90}));
+    images.emplace_back(reinterpret_cast<char*>(mem),
+                        reinterpret_cast<char*>(mem) + count * area.slot_size());
+  }
+
+  /// Recover the store file `copy` and return the round it holds, or -1
+  /// when its directory and home bytes are not one round's.
+  int recovered_round(const std::string& copy) {
+    iso::SlotStoreConfig sc;
+    sc.path = copy;
+    sc.recover = true;
+    iso::SlotStore again(area, sc, binary_stamp(), 0, 1);
+    const auto recs = again.recorded_threads();
+    const uint64_t r = recs.size() == 1 ? recs[0].desc_addr : 0;
+    if (r >= images.size()) return -1;
+    return home_bytes(copy, area, first, count) == images[r]
+               ? static_cast<int>(r)
+               : -1;
+  }
+
+  iso::Area area;
+  size_t first;
+  size_t count;
+  std::string dir;
+  std::unique_ptr<iso::SlotStore> store;
+  std::vector<std::vector<char>> images;  // [r] = memory after round r
+};
+
+// A crash can leave any prefix of the last journal record on disk, and a
+// bad sector can flip a byte of it.  Recovery must then hold the round
+// before, whole — never a mix of the two.  The copy of the file taken
+// before the last round is the disk state the WAL rule allows at that
+// point: no home page of the last round is written before its record.
+TEST(SlotStore, TornJournalRecordRecoversThePreviousRoundWhole) {
+  JournalRounds j(15, JournalRounds::kFirst, JournalRounds::kCount);
+  constexpr int kRounds = 5;
+  for (int r = 1; r < kRounds; ++r) j.round(r);
+  const std::string before = j.dir + "/before.store";
+  copy_sparse(j.path(), before);
+  j.round(kRounds);
+  const auto [at, rec] = last_record(j.path());
+  ASSERT_EQ(rec.seq, static_cast<uint64_t>(kRounds) + 0u);
+  std::vector<char> bytes(rec.bytes);
+  {
+    const int fd = ::open(j.path().c_str(), O_RDONLY | O_CLOEXEC);
+    ASSERT_EQ(::pread(fd, bytes.data(), bytes.size(), static_cast<off_t>(at)),
+              static_cast<ssize_t>(bytes.size()));
+    ::close(fd);
+  }
+  ASSERT_GT(rec.bytes, 4 * iso::JournalRecord::kAlign);  // several cuts
+  const std::string copy = j.dir + "/copy.store";
+  auto with_record = [&](const std::vector<char>& rec_bytes, size_t len) {
+    copy_sparse(before, copy);
+    const int fd = ::open(copy.c_str(), O_WRONLY | O_CLOEXEC);
+    EXPECT_EQ(::pwrite(fd, rec_bytes.data(), len, static_cast<off_t>(at)),
+              static_cast<ssize_t>(len));
+    ::close(fd);
+    return j.recovered_round(copy);
+  };
+  for (size_t cut = 0; cut < rec.bytes; cut += iso::JournalRecord::kAlign) {
+    EXPECT_EQ(with_record(bytes, cut), kRounds - 1) << "cut at " << cut;
+  }
+  EXPECT_EQ(with_record(bytes, bytes.size()), kRounds);
+  const uint64_t payload =
+      sizeof(iso::JournalRecord) + rec.n_stretches * sizeof(iso::JournalStretch) +
+      rec.n_entries * sizeof(iso::JournalEntry);
+  std::vector<char> flipped = bytes;
+  flipped[payload + 1000] ^= 0x10;
+  EXPECT_EQ(with_record(flipped, flipped.size()), kRounds - 1);
+}
+
+// Rounds that fill the journal twice over lap it (sync home, restart the
+// journal), and a round larger than the journal commits around it; a copy
+// of the file recovers byte-exact after either.
+TEST(SlotStore, JournalLapsAndOversizedRoundsRecoverExactly) {
+  const std::string copy = make_store_dir() + "/copy.store";
+  {
+    // 16 slots rewritten whole: 1 MiB records, seven to a journal.
+    JournalRounds j(15, 16, 16);
+    // The first lap makes the fresh store's header durable; two more
+    // wrap the journal twice.
+    uint64_t r = 1;
+    for (; j.store->stats().journal_laps < 3; ++r) j.round(r, 1);
+    EXPECT_GT(j.store->stats().journal_bytes, iso::SlotStore::kJournalBytes);
+    j.round(r++);  // recovery replays the records since the last lap
+    copy_sparse(j.path(), copy);
+    EXPECT_EQ(j.recovered_round(copy), static_cast<int>(r - 1));
+  }
+  // 9 MiB written whole: no record can carry it.
+  JournalRounds big(15, 0, 144);
+  big.round(1, 1);
+  big.round(2);
+  EXPECT_GT(big.store->stats().journal_bytes, 0u);
+  copy_sparse(big.path(), copy);
+  EXPECT_EQ(big.recovered_round(copy), 2);
 }
 
 // --- demotion writes only what the file lacks -------------------------------

@@ -3,11 +3,13 @@
 #include "sys/vm.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "isomalloc/area.hpp"
 
@@ -92,13 +94,25 @@ TEST(Vm, ArmedSyncFailuresFailOneSyncEach) {
   ::unlink(path);
   ASSERT_EQ(::ftruncate(fd, static_cast<off_t>(page_size())), 0);
   FileMapping map(fd, 0, page_size());
-  fault_arm_sync_failures(2);
+  char a[] = "journal", b[] = "record";
+  auto write = [&] {
+    iovec iov[] = {{a, 7}, {nullptr, 0}, {b, 6}};
+    return write_durable(fd, iov, 3, 100);
+  };
+  fault_arm_sync_failures(3);
   errno = 0;
   EXPECT_FALSE(data_sync(fd));
   EXPECT_EQ(errno, EIO);
   EXPECT_FALSE(map.sync());
+  EXPECT_FALSE(write());
+  char back[13] = {};
+  ASSERT_EQ(::pread(fd, back, sizeof(back), 100), 13);
+  EXPECT_EQ(std::memcmp(back, std::string(13, '\0').data(), 13), 0);
   EXPECT_TRUE(data_sync(fd));
   EXPECT_TRUE(map.sync());
+  EXPECT_TRUE(write());
+  ASSERT_EQ(::pread(fd, back, sizeof(back), 100), 13);
+  EXPECT_EQ(std::memcmp(back, "journalrecord", 13), 0);
   ::close(fd);
 }
 

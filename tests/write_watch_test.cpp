@@ -445,9 +445,10 @@ struct Bench {
   unsigned char* slot(size_t i) {
     return static_cast<unsigned char*>(area.slot_addr(i));
   }
+  /// One store-level round: stage the run's changed pages, commit them.
   bool round_mirrors(size_t first, size_t count) {
     store->write_changed(first, count);
-    return file_equals_memory(path, area, first, count);
+    return store->sync() && file_equals_memory(path, area, first, count);
   }
 
   iso::Area area;
