@@ -129,9 +129,8 @@ void put_entry(StoreDirEntry& slot, const StoreDirEntry& e) {
 }
 
 bool same_record(const StoreDirEntry& a, const StoreDirEntry& b) {
-  return a.state == b.state && a.id == b.id && a.desc_addr == b.desc_addr &&
-         a.n_runs == b.n_runs &&
-         std::memcmp(a.runs, b.runs, a.n_runs * sizeof(StoreRun)) == 0;
+  return a.id == b.id && a.desc_addr == b.desc_addr &&
+         std::memcmp(a.runs, b.runs, sizeof(a.runs)) == 0;
 }
 
 const char kZeros[JournalRecord::kAlign] = {};
@@ -259,7 +258,7 @@ void SlotStore::forget(size_t first, size_t count) {
   // slots may be decommitted by then); keep the parts outside the run.
   const uint64_t lo = uint64_t{first} * area_.slot_size();
   const uint64_t hi = lo + uint64_t{count} * area_.slot_size();
-  sys::SpinGuard g(lock_);
+  std::lock_guard<std::mutex> g(lock_);
   if (staged_.empty()) return;
   std::vector<Stretch> kept;
   for (const Stretch& s : staged_) {
@@ -279,7 +278,13 @@ bool SlotStore::demote(uint64_t id, uint64_t desc_addr,
   if (!record_thread(id, desc_addr, runs)) return false;
   uint64_t written = 0;
   for (auto [first, count] : runs) written += write_changed(first, count);
-  if (!sync({id})) return false;
+  if (!sync({id})) {
+    // Nothing was sealed, and the thread stays resident and may run: drop
+    // what was staged, so no later commit writes it home under the
+    // thread's older record.
+    for (auto [first, count] : runs) forget(first, count);
+    return false;
+  }
   for (auto [first, count] : runs) {
     area_.decommit_force(first, count, sys::page_size());
   }
@@ -343,7 +348,7 @@ uint64_t SlotStore::write_changed(size_t first, size_t count) {
   flush(len);
   pages_compared_.fetch_add(compared, std::memory_order_relaxed);
   if (!found.empty()) {
-    sys::SpinGuard g(lock_);
+    std::lock_guard<std::mutex> g(lock_);
     staged_.insert(staged_.end(), found.begin(), found.end());
   }
   return written;
@@ -359,7 +364,7 @@ void SlotStore::read_run(size_t first, size_t count) {
 
 StoreDirEntry* SlotStore::entry_of(uint64_t id) {
   for (uint32_t i = 0; i < hdr_->dir_capacity; ++i) {
-    if (dir_[i].state != StoreDirEntry::kEmpty && dir_[i].id == id) {
+    if (dir_[i].valid() && dir_[i].id == id) {
       return &dir_[i];
     }
   }
@@ -378,17 +383,17 @@ bool SlotStore::record_thread(uint64_t id, uint64_t desc_addr,
              << "); not persisted";
     return false;
   }
+  PM2_CHECK(!runs.empty()) << "slot store: thread " << id << " has no runs";
   StoreDirEntry e;
   e.id = id;
   e.desc_addr = desc_addr;
-  e.state = StoreDirEntry::kValid;
-  e.n_runs = static_cast<uint32_t>(runs.size());
   for (size_t i = 0; i < runs.size(); ++i) {
+    PM2_CHECK(runs[i].second > 0) << "slot store: empty run of thread " << id;
     e.runs[i].first = static_cast<uint32_t>(runs[i].first);
     e.runs[i].count = runs[i].second;
   }
   {
-    sys::SpinGuard g(lock_);
+    std::lock_guard<std::mutex> g(lock_);
     for (Pending& p : pending_) {
       if (p.entry.id == id) {
         p.entry = e;
@@ -401,7 +406,7 @@ bool SlotStore::record_thread(uint64_t id, uint64_t desc_addr,
     uint32_t index = cur != nullptr ? static_cast<uint32_t>(cur - dir_)
                                     : hdr_->dir_capacity;
     for (uint32_t i = 0; cur == nullptr && i < hdr_->dir_capacity; ++i) {
-      if (dir_[i].state != StoreDirEntry::kEmpty) continue;
+      if (dir_[i].valid()) continue;
       bool taken = false;
       for (const Pending& p : pending_) taken |= p.index == i;
       if (!taken) {
@@ -420,22 +425,25 @@ bool SlotStore::record_thread(uint64_t id, uint64_t desc_addr,
 }
 
 void SlotStore::erase_thread(uint64_t id) {
-  sys::SpinGuard g(lock_);
+  std::lock_guard<std::mutex> g(lock_);
   std::erase_if(pending_, [id](const Pending& p) { return p.entry.id == id; });
   StoreDirEntry* e = entry_of(id);
   if (e == nullptr) return;
   // Empty first, then the number: records up to the last journaled one
-  // must not bring it back on replay, later ones may reuse the slot.
-  std::atomic_ref<uint32_t>(e->state).store(StoreDirEntry::kEmpty,
-                                            std::memory_order_release);
+  // must not bring it back on replay after a kill, later ones may reuse
+  // the slot.  A power cut may still lose this page, so the next record
+  // carries the erase as well.
+  std::atomic_ref<uint32_t>(e->runs[0].count).store(0,
+                                                    std::memory_order_release);
   std::atomic_signal_fence(std::memory_order_seq_cst);
   StoreDirEntry empty;
   empty.seq = next_seq_ - 1;
   put_entry(*e, empty);
+  erased_.push_back(static_cast<uint32_t>(e - dir_));
 }
 
 bool SlotStore::has_record(uint64_t id) const {
-  sys::SpinGuard g(lock_);
+  std::lock_guard<std::mutex> g(lock_);
   for (const Pending& p : pending_) {
     if (p.entry.id == id) return true;
   }
@@ -444,19 +452,18 @@ bool SlotStore::has_record(uint64_t id) const {
 
 std::vector<SlotStore::RecordedThread> SlotStore::recorded_threads() const {
   std::vector<RecordedThread> out;
-  lock_.lock();
+  std::lock_guard<std::mutex> g(lock_);
   for (uint32_t i = 0; i < hdr_->dir_capacity; ++i) {
     const StoreDirEntry& e = dir_[i];
-    if (e.state != StoreDirEntry::kValid) continue;
+    if (!e.valid()) continue;
     RecordedThread rec;
     rec.id = e.id;
     rec.desc_addr = e.desc_addr;
-    for (uint32_t r = 0; r < e.n_runs; ++r) {
+    for (uint32_t r = 0; r < e.n_runs(); ++r) {
       rec.runs.emplace_back(e.runs[r].first, e.runs[r].count);
     }
     out.push_back(std::move(rec));
   }
-  lock_.unlock();
   return out;
 }
 
@@ -466,7 +473,7 @@ bool SlotStore::sync(const std::vector<uint64_t>& seal) {
   bool ok;
   int err = 0;
   {
-    sys::SpinGuard g(lock_);
+    std::lock_guard<std::mutex> g(lock_);
     ok = commit_locked(seal);
     err = errno;
   }
@@ -479,30 +486,6 @@ bool SlotStore::sync(const std::vector<uint64_t>& seal) {
 }
 
 bool SlotStore::commit_locked(const std::vector<uint64_t>& seal) {
-  uint64_t payload = 0;
-  for (const Stretch& s : staged_) payload += s.len;
-  if (record_meta_bytes(staged_.size(), seal.size()) + payload >
-      kJournalBytes) {
-    // No record can carry these pages.  Drop the records naming them
-    // first, so none vouches for a half-rewritten image, then write them
-    // home and sync; the seals follow in a record of their own.
-    std::vector<JournalEntry> drops;
-    for (uint32_t i = 0; i < hdr_->dir_capacity; ++i) {
-      const StoreDirEntry& e = dir_[i];
-      bool named = false;
-      for (uint32_t r = 0; e.state == StoreDirEntry::kValid && r < e.n_runs;
-           ++r) {
-        const uint64_t lo = uint64_t{e.runs[r].first} * area_.slot_size();
-        const uint64_t hi = lo + uint64_t{e.runs[r].count} * area_.slot_size();
-        for (const Stretch& s : staged_) named |= s.off < hi && lo < s.off + s.len;
-      }
-      if (named) drops.push_back({i, 0, StoreDirEntry{}});
-    }
-    if (!drops.empty() && !append_record({}, drops)) return false;
-    write_home(staged_);
-    if (!sys::data_sync(fd_)) return false;
-    staged_.clear();
-  }
   std::vector<JournalEntry> seals;
   for (uint64_t id : seal) {
     for (const Pending& p : pending_) {
@@ -511,8 +494,46 @@ bool SlotStore::commit_locked(const std::vector<uint64_t>& seal) {
       }
     }
   }
-  if ((!staged_.empty() || !seals.empty()) && !append_record(staged_, seals))
-    return false;
+  // The erases since the last record go first, ahead of any home write or
+  // seal that may reuse their slots; an entry a seal takes over needs none.
+  // Alone they wait for the next record.
+  std::vector<JournalEntry> erases;
+  for (uint32_t i : erased_) {
+    if (std::none_of(seals.begin(), seals.end(),
+                     [i](const JournalEntry& e) { return e.index == i; })) {
+      erases.push_back({i, 0, StoreDirEntry{}});
+    }
+  }
+  uint64_t payload = 0;
+  for (const Stretch& s : staged_) payload += s.len;
+  if (record_meta_bytes(staged_.size(), seals.size() + erases.size()) +
+          payload >
+      kJournalBytes) {
+    // No record can carry these pages.  Drop the records naming them
+    // first, so none vouches for a half-rewritten image, then write them
+    // home and sync; the seals follow in a record of their own.
+    for (uint32_t i = 0; i < hdr_->dir_capacity; ++i) {
+      const StoreDirEntry& e = dir_[i];
+      bool named = false;
+      for (uint32_t r = 0; r < e.n_runs(); ++r) {
+        const uint64_t lo = uint64_t{e.runs[r].first} * area_.slot_size();
+        const uint64_t hi = lo + uint64_t{e.runs[r].count} * area_.slot_size();
+        for (const Stretch& s : staged_) named |= s.off < hi && lo < s.off + s.len;
+      }
+      if (named) erases.push_back({i, 0, StoreDirEntry{}});
+    }
+    if (!erases.empty() && !append_record({}, erases)) return false;
+    erases.clear();
+    erased_.clear();
+    write_home(staged_);
+    if (!sys::data_sync(fd_)) return false;
+    staged_.clear();
+  }
+  if (!staged_.empty() || !seals.empty()) {
+    seals.insert(seals.begin(), erases.begin(), erases.end());
+    if (!append_record(staged_, seals)) return false;
+    erased_.clear();
+  }
   write_home(staged_);
   staged_.clear();
   std::erase_if(pending_, [&seal](const Pending& p) {
@@ -633,8 +654,7 @@ void SlotStore::replay() {
               s.len <= area_.size() - s.off;
     }
     for (const JournalEntry& e : entries) {
-      sane &= e.index < hdr_->dir_capacity &&
-              e.entry.n_runs <= StoreDirEntry::kMaxRuns;
+      sane &= e.index < hdr_->dir_capacity;
     }
     if (!sane || payload > rec.bytes - meta) break;
     JournalRecord zeroed = rec;

@@ -68,8 +68,10 @@
 // update restarts the journal (a *lap*).  A commit too large for the
 // journal first drops, through the journal, the records naming the pages
 // it rewrites, then writes home and fdatasyncs, then seals.  Erasing a
-// record writes the directory directly: losing an erase to a power cut
-// resurrects the record, never a half image.
+// record empties its directory entry at once, so a kill -9 cannot bring it
+// back, and the next journal record carries the erase too: a power cut can
+// lose the directory page, but never the erase while a later seal or home
+// write that may reuse its slots survives.
 //
 // Every directory record carries the sequence number of its last seal or
 // erase.  Recovery, in the constructor, replays the chain of records that
@@ -96,13 +98,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "isomalloc/area.hpp"
-#include "sys/spinlock.hpp"
 #include "sys/vm.hpp"
 
 namespace pm2::iso {
@@ -146,17 +148,22 @@ struct StoreRun {
 /// Fixed-size thread-directory record.  `seq` is the sequence number of
 /// the journal record that last sealed it, or of the last record before
 /// its erase: replay applies a journaled entry only over an older one.
+/// The record's runs are the leading ones with a nonzero count (a slot run
+/// is never empty); an entry with none is empty.
 struct StoreDirEntry {
-  static constexpr uint32_t kEmpty = 0;
-  static constexpr uint32_t kValid = 2;
-  static constexpr uint32_t kMaxRuns = 12;
+  static constexpr uint32_t kMaxRuns = 13;
 
   uint64_t id = 0;
   uint64_t desc_addr = 0;  // iso-address of the Thread descriptor
   uint64_t seq = 0;
-  uint32_t state = kEmpty;
-  uint32_t n_runs = 0;
   StoreRun runs[kMaxRuns] = {};
+
+  bool valid() const { return runs[0].count != 0; }
+  uint32_t n_runs() const {
+    uint32_t n = 0;
+    while (n < kMaxRuns && runs[n].count != 0) ++n;
+    return n;
+  }
 };
 static_assert(sizeof(StoreDirEntry) == 128, "directory entries are packed");
 
@@ -254,7 +261,8 @@ class SlotStore {
   void read_run(size_t first, size_t count);
 
   /// Clear the run's image bits and drop its staged stretches: its slots
-  /// left this node's threads, and their next image is written whole.
+  /// left this node's threads, or a failed sync() left its pages staged
+  /// under an older seal.  The run's next image is written whole.
   void forget(size_t first, size_t count);
 
   // --- thread directory --------------------------------------------------
@@ -266,8 +274,9 @@ class SlotStore {
   bool record_thread(uint64_t id, uint64_t desc_addr,
                      const std::vector<SlotRun>& runs);
   /// Drop `id`'s record, staged or sealed (thread exited, migrated away,
-  /// or was restored).  Written to the directory at once: it survives
-  /// kill -9, and a machine crash once the next lap has synced it.
+  /// or was restored).  Written to the directory at once, so it survives
+  /// kill -9; the next journal record carries it, so a machine crash never
+  /// keeps a later seal without it.
   void erase_thread(uint64_t id);
   /// True when `id` has a sealed or a staged record.
   bool has_record(uint64_t id) const;
@@ -282,14 +291,17 @@ class SlotStore {
 
   // --- misc --------------------------------------------------------------
 
-  /// Commit every staged stretch and seal the staged records of `seal`, in
-  /// one durable journal record, then write the stretches home and the
-  /// records to the directory.  Records whose entry would not change, and
-  /// a commit with nothing staged, cost no I/O.  Durable against a machine
-  /// crash when it returns true.  False (and counted in sync_failures)
-  /// when the journal write or a lap's sync failed: then no home page was
-  /// written and nothing was sealed, and the staged stretches and records
-  /// stay for the next sync.
+  /// Commit every staged stretch, the erases since the last record and
+  /// the staged records of `seal`, in one durable journal record, then
+  /// write the stretches home and the records to the directory.  Records
+  /// whose entry would not change, and a commit with no stretch and no
+  /// seal, cost no I/O.  Durable against a machine crash when it returns
+  /// true.  False (and counted in sync_failures) when the journal write or
+  /// a lap's sync failed: then no home page was written and nothing was
+  /// sealed, and the staged stretches and records stay for the next sync.
+  /// A caller that lets the staged runs change before that sync must
+  /// forget() them first, or the next commit would write them home under
+  /// their older seals.
   bool sync(const std::vector<uint64_t>& seal = {});
 
   SlotStoreStats stats() const;
@@ -330,14 +342,15 @@ class SlotStore {
   // touching slots in the same word cannot lose a bit).
   std::unique_ptr<std::atomic<uint64_t>[]> imaged_;
   bool recovered_ = false;
-  // Directory, staging and journal state.  Held across a commit's I/O:
-  // a commit runs under the worker pause (checkpoint, demotion), so only
-  // an erase or a lookup from outside the pause can wait on it.  kLeaf:
-  // fault_back runs under pm2::Residency's lock, so this lock must rank
-  // below every runtime map lock and may acquire nothing itself.
-  mutable sys::SpinLock lock_{sys::LockRank::kLeaf};
+  // Directory, staging and journal state.  Held across a commit's I/O
+  // (a durable journal write; a lap's fdatasync), so it blocks rather than
+  // spins: a commit runs under the worker pause (checkpoint, demotion), and
+  // only an erase, forget or lookup from outside the pause waits on it.
+  // Taken last: no store method acquires another lock while holding it.
+  mutable std::mutex lock_;
   std::vector<Stretch> staged_;
   std::vector<Pending> pending_;
+  std::vector<uint32_t> erased_;  // entries erased since the last record
   std::vector<char> record_meta_;  // header + tables of the record being written
   uint64_t next_seq_ = 1;   // sequence number of the next journal record
   uint64_t jpos_ = 0;       // its offset in the journal

@@ -223,6 +223,12 @@ StoreCheckpointStats checkpoint_node_to_store(Runtime& rt) {
   }
   // The staged pages are read at the sync: thaw only after it.
   stats.synced = store->sync(written_ids);
+  if (!stats.synced) {
+    // Nothing was sealed.  Drop the staged pages before the targets run:
+    // a later commit must not write them home under the older records.
+    // The next round writes these runs whole.
+    for (auto [first, count] : runs) store->forget(first, count);
+  }
   for (marcel::Thread* t : thaw) rt.sched().unfreeze(t);
   rt.sched().resume_workers();
   return stats;

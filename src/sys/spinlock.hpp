@@ -73,8 +73,6 @@ inline void cpu_relax() {
 ///     underneath (kSyncCondVar > kSyncState); the woken waiter's requeue
 ///     is lock-free (Chase-Lev deque / MPSC inbox), so nothing ranks
 ///     below it on that path anymore.
-///   * Residency holds its lock while the slot store faults runs back and
-///     scans its directory (kRuntimeMaps > kLeaf).
 ///   * The invocation pool's list and the RPC invocation freelist nest
 ///     nothing: no lock is taken under either, nor either under another.
 /// Same-rank acquisition is refused; peers of equal rank may only be taken
@@ -86,7 +84,7 @@ inline void cpu_relax() {
 /// inbox/handoff slots (sys/chase_lev.hpp).  The rank is retired — the
 /// value stays unassigned so old rank numbers in crash logs stay readable.
 enum class LockRank : uint8_t {
-  kLeaf = 0x08,            // slot-store directory: acquire nothing
+  kLeaf = 0x08,            // fault-fabric state: acquire nothing
   kRegistryShard = 0x20,   // Scheduler registry stripes (sys::StripedMap)
   kSyncState = 0x30,       // Mutex/Semaphore/Barrier/Event/RwLock/WaitQueue
   kSyncCondVar = 0x34,     // CondVar state (runs Mutex::unlock underneath)

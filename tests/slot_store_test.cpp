@@ -594,6 +594,89 @@ TEST(SlotStore, CheckpointReportsAFailedSync) {
   EXPECT_EQ(g_done.load(), 1);
 }
 
+std::atomic<unsigned char*> g_buffer{nullptr};
+constexpr size_t kBufferBytes = 32 * 1024;
+
+void buffer_worker(void*) {
+  auto* data = static_cast<unsigned char*>(pm2_isomalloc(kBufferBytes));
+  std::memset(data, 0x11, kBufferBytes);
+  g_buffer = data;
+  while (g_phase.load() < 1) pm2_yield();
+  pm2_isofree(data);
+  g_done.fetch_add(1);
+  pm2_signal(0);
+}
+
+/// The home bytes of every recorded run of `id`, in record order.
+std::vector<char> recorded_home_bytes(Runtime& rt, marcel::ThreadId id) {
+  const std::string path = rt.config().slot_store_dir + "/node" +
+                           std::to_string(rt.self()) + ".store";
+  std::vector<char> out;
+  for (const auto& rec : rt.slot_store()->recorded_threads()) {
+    if (rec.id != id) continue;
+    for (auto [first, count] : rec.runs) {
+      std::vector<char> run = home_bytes(path, rt.area(), first, count);
+      out.insert(out.end(), run.begin(), run.end());
+    }
+  }
+  return out;
+}
+
+// A failed round or demotion seals nothing, and its threads then change.
+// The next commit, here another thread's demotion, must not write the
+// failed commit's staged pages home: the target's record still seals the
+// round before, and its home bytes must stay that round's image.
+TEST(SlotStore, FailedCommitLeavesNoPagesForALaterCommit) {
+  g_phase = 0;
+  g_built = 0;
+  g_done = 0;
+  g_ok = true;
+  g_buffer = nullptr;
+  AppConfig cfg;
+  cfg.nodes = 1;
+  cfg.rt.slot_store_dir = make_store_dir();
+  run_app(cfg, [](Runtime& rt) {
+    marcel::ThreadId target = pm2_thread_create(buffer_worker, nullptr, "buf");
+    marcel::ThreadId others[2];
+    for (int i = 0; i < 2; ++i) {
+      others[i] = pm2_thread_create(
+          spin_worker, reinterpret_cast<void*>(intptr_t{5 + i}), "spin");
+    }
+    while (g_buffer.load() == nullptr || g_built.load() < 2) pm2_yield();
+    ASSERT_TRUE(rt.freeze_thread(target));
+    for (marcel::ThreadId id : others) ASSERT_TRUE(rt.freeze_thread(id));
+    ASSERT_TRUE(checkpoint_node_to_store(rt).synced);
+    const std::vector<char> sealed = recorded_home_bytes(rt, target);
+    ASSERT_FALSE(sealed.empty());
+
+    // A failed round, then another thread's demotion.
+    std::memset(g_buffer.load(), 0x22, kBufferBytes);
+    sys::fault_arm_sync_failures(1);
+    EXPECT_FALSE(checkpoint_node_to_store(rt).synced);
+    std::memset(g_buffer.load(), 0x33, kBufferBytes);
+    ASSERT_TRUE(rt.residency().demote(others[0]));
+    EXPECT_EQ(recorded_home_bytes(rt, target), sealed);
+
+    // A failed demotion of the target, then another thread's demotion.
+    std::memset(g_buffer.load(), 0x44, kBufferBytes);
+    sys::fault_arm_sync_failures(1);
+    EXPECT_FALSE(rt.residency().demote(target));
+    std::memset(g_buffer.load(), 0x55, kBufferBytes);
+    ASSERT_TRUE(rt.residency().demote(others[1]));
+    EXPECT_EQ(recorded_home_bytes(rt, target), sealed);
+
+    // The next good round writes the target whole and seals it.
+    ASSERT_TRUE(checkpoint_node_to_store(rt).synced);
+    EXPECT_TRUE(file_matches_memory(rt, target));
+    ASSERT_TRUE(rt.unfreeze_thread(target));
+    for (marcel::ThreadId id : others) ASSERT_TRUE(rt.unfreeze_thread(id));
+    g_phase = 1;
+    pm2_wait_signals(3);
+    EXPECT_EQ(g_done.load(), 3);
+  });
+  EXPECT_TRUE(g_ok.load());
+}
+
 // --- the journal: torn records, laps ----------------------------------------
 
 /// Copy the data extents of `from` to a fresh `to` of the same size (the
@@ -773,6 +856,94 @@ TEST(SlotStore, JournalLapsAndOversizedRoundsRecoverExactly) {
   EXPECT_GT(big.store->stats().journal_bytes, 0u);
   copy_sparse(big.path(), copy);
   EXPECT_EQ(big.recovered_round(copy), 2);
+}
+
+// An erase reaches the directory page at once, but a power cut can lose
+// that page while a later journal record survives.  Thread 2 exits and
+// thread 3 reuses its slot from a lower directory entry (thread 1's, also
+// erased): recovering a file whose directory predates the erases must
+// adopt thread 3 alone, never thread 2 over thread 3's bytes.
+TEST(SlotStore, ErasedRecordStaysErasedWhenItsDirectoryPageIsLost) {
+  iso::AreaConfig ac;
+  ac.base = iso::offset_area_base(14);
+  ac.size = 64ull << 20;
+  iso::Area area(ac);
+  iso::SlotStoreConfig sc;
+  sc.path = make_store_dir() + "/erase.store";
+  iso::SlotStore store(area, sc, binary_stamp(), 0, 1);
+  area.commit(2, 2);
+  std::memset(area.slot_addr(2), 0x21, 2 * area.slot_size());
+  ASSERT_TRUE(store.record_thread(1, 0xa, {{2, 1}}));
+  ASSERT_TRUE(store.record_thread(2, 0xb, {{3, 1}}));
+  store.write_changed(2, 2);
+  ASSERT_TRUE(store.sync({1, 2}));
+
+  iso::StoreHeader hdr;
+  std::vector<char> old_dir;
+  {
+    const int fd = ::open(sc.path.c_str(), O_RDONLY | O_CLOEXEC);
+    ASSERT_EQ(::pread(fd, &hdr, sizeof(hdr), 0),
+              static_cast<ssize_t>(sizeof(hdr)));
+    old_dir.resize(hdr.journal_off);
+    ASSERT_EQ(::pread(fd, old_dir.data(), old_dir.size(), 0),
+              static_cast<ssize_t>(old_dir.size()));
+    ::close(fd);
+  }
+  store.erase_thread(1);
+  store.erase_thread(2);
+  std::memset(area.slot_addr(3), 0x43, area.slot_size());
+  ASSERT_TRUE(store.record_thread(3, 0xc, {{3, 1}}));
+  store.write_changed(3, 1);
+  ASSERT_TRUE(store.sync({3}));
+
+  const std::string copy = sc.path + ".copy";
+  copy_sparse(sc.path, copy);
+  {
+    const int fd = ::open(copy.c_str(), O_WRONLY | O_CLOEXEC);
+    ASSERT_EQ(::pwrite(fd, old_dir.data(), old_dir.size(), 0),
+              static_cast<ssize_t>(old_dir.size()));
+    ::close(fd);
+  }
+  iso::SlotStoreConfig rc;
+  rc.path = copy;
+  rc.recover = true;
+  iso::SlotStore again(area, rc, binary_stamp(), 0, 1);
+  const auto recs = again.recorded_threads();
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].id, 3u);
+  EXPECT_EQ(recs[0].desc_addr, 0xcu);
+  EXPECT_TRUE(home_equals_memory(copy, area, 3, 1));
+}
+
+// A record holds up to StoreDirEntry::kMaxRuns runs, and recovery returns
+// them all; one run more is refused.
+TEST(SlotStore, RecordKeepsItsFullRunTable) {
+  iso::AreaConfig ac;
+  ac.base = iso::offset_area_base(14);
+  ac.size = 64ull << 20;
+  iso::Area area(ac);
+  iso::SlotStoreConfig sc;
+  sc.path = make_store_dir() + "/runs.store";
+  std::vector<iso::SlotRun> runs;
+  {
+    iso::SlotStore store(area, sc, binary_stamp(), 0, 1);
+    for (size_t i = 0; i <= iso::StoreDirEntry::kMaxRuns; ++i) {
+      runs.emplace_back(2 * i, 1);
+    }
+    EXPECT_FALSE(store.record_thread(5, 0, runs));
+    runs.pop_back();
+    ASSERT_TRUE(store.record_thread(5, 0, runs));
+    for (auto [first, count] : runs) {
+      area.commit(first, count);
+      store.write_changed(first, count);
+    }
+    ASSERT_TRUE(store.sync({5}));
+  }
+  sc.recover = true;
+  iso::SlotStore again(area, sc, binary_stamp(), 0, 1);
+  const auto recs = again.recorded_threads();
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].runs, runs);
 }
 
 // --- demotion writes only what the file lacks -------------------------------
